@@ -20,8 +20,7 @@ import numpy as np  # noqa: E402
 
 from liouville import (  # noqa: E402
     AnalyticSeed,
-    CharacteristicPair,
-    GoursatData,
+    AxisPair,
     Grid2D,
     LiouvilleParams,
     ScalarField2D,
@@ -66,9 +65,9 @@ def elliptic_study():
 
 
 def march_study():
-    pair = CharacteristicPair(parse("exp(x)", ("x",)), parse("exp(y)", ("y",)))
-    data = GoursatData(parse("ln(2*exp(x)*exp(1)/(exp(x)+exp(1))^2)", ("x",)),
-                       parse("ln(2*exp(1)*exp(y)/(exp(1)+exp(y))^2)", ("y",)))
+    pair = AxisPair(parse("exp(x)", ("x",)), parse("exp(y)", ("y",)))
+    data = AxisPair(parse("ln(2*exp(x)*exp(1)/(exp(x)+exp(1))^2)", ("x",)),
+                    parse("ln(2*exp(1)*exp(y)/(exp(1)+exp(y))^2)", ("y",)))
     vals = []
     for n in (65, 129, 257):
         grid = Grid2D.from_bounds(1.0, 1.0, 2.0, 2.0, n, n)
@@ -87,12 +86,11 @@ def main() -> None:
     if ns.which in ("hyperbolic", "all"):
         print("hyperbolic residual, grids 65/129/257:")
         hyperbolic_study(
-            CharacteristicPair(parse("x", ("x",)), parse("y", ("y",))),
+            AxisPair(parse("x", ("x",)), parse("y", ("y",))),
             "f = x, g = y on [0.5, 1.5]^2 (superconvergent pair)",
             (0.5, 0.5, 1.5, 1.5))
         hyperbolic_study(
-            CharacteristicPair(parse("exp(x)", ("x",)),
-                               parse("exp(y)", ("y",))),
+            AxisPair(parse("exp(x)", ("x",)), parse("exp(y)", ("y",))),
             "f = e^x, g = e^y on [0.5, 1.5]^2 (generic pair)",
             (0.5, 0.5, 1.5, 1.5))
     if ns.which in ("elliptic", "all"):

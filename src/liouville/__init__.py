@@ -34,7 +34,7 @@ from .elliptic import (
     solve_on_branch,
 )
 from .errors import LiouvilleError
-from .expr import Expr, eval_complex, eval_dual, parse
+from .expr import AxisPair, Expr, eval_complex, eval_dual, parse
 from .fields import (
     Grid2D,
     LiouvilleParams,
@@ -60,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionParams",
     "AnalyticSeed",
+    "AxisPair",
     "BlowupCurve",
     "Branch",
     "BranchPoint",

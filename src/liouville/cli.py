@@ -28,9 +28,8 @@ from .errors import (
     LiouvilleError,
     NonConvergenceError,
     OdeOverflowError,
-    StepFailureError,
 )
-from .expr import Expr, parse
+from .expr import AxisPair, parse
 from .fields import (
     Grid2D,
     LiouvilleParams,
@@ -49,7 +48,6 @@ HELP_WIDTH = 80
 # else raised by the library is a domain or usage problem and exits 1.
 _NONCONVERGENCE = (
     NonConvergenceError,
-    StepFailureError,
     CellIterationDivergenceError,
     OdeOverflowError,
 )
@@ -90,15 +88,10 @@ def _print_summary(command: Optional[str], digest: str, status: str,
 
 
 def _field_stats(field: ScalarField2D) -> dict:
-    v = field.values
-    finite = np.isfinite(v)
-    stats = {"n_masked": int(v.size - finite.sum())}
-    if finite.any():
-        stats["u_min"] = _num(v[finite].min())
-        stats["u_max"] = _num(v[finite].max())
-    else:
-        stats["u_min"] = stats["u_max"] = None
-    return stats
+    kept = field.values[np.isfinite(field.values)]
+    return {"n_masked": int(field.values.size - kept.size),
+            "u_min": _num(kept.min()) if kept.size else None,
+            "u_max": _num(kept.max()) if kept.size else None}
 
 
 # --- shared flag groups --------------------------------------------------
@@ -134,24 +127,28 @@ def _add_in(p, what="field CSV") -> None:
                    help=f"{what} source, '-' for stdin (default %(default)s)")
 
 
-def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; the kernels are sequential numpy, "
-                        "so any value gives byte-identical output "
-                        "(default %(default)s)")
-
-
 def _grid(ns) -> Grid2D:
     x0, y0, x1, y1 = ns.domain
     return Grid2D.from_bounds(x0, y0, x1, y1, ns.nx, ns.ny)
 
 
-def _write_field(field, out) -> None:
-    field.write_csv(sys.stdout if out == "-" else out)
+def _geometry(ns):
+    if ns.geometry == "disk":
+        return elliptic.DiskGeometry(ns.n)
+    return elliptic.RectangleGeometry(_grid(ns))
+
+
+def _write(table, out) -> None:
+    """Write a field or table (anything with ``write_csv``); '-' is stdout."""
+    table.write_csv(sys.stdout if out == "-" else out)
 
 
 def _read_field(infile) -> ScalarField2D:
     return ScalarField2D.read_csv(sys.stdin if infile == "-" else infile)
+
+
+def _pair(fx: str, gy: str) -> AxisPair:
+    return AxisPair(parse(fx, ("x",)), parse(gy, ("y",)))
 
 
 def _boundary(text: str):
@@ -166,31 +163,29 @@ def _boundary(text: str):
 
 
 def _cmd_exact_h(ns) -> dict:
-    cp = closedform.CharacteristicPair(parse(ns.f, ("x",)), parse(ns.g, ("y",)))
-    field = closedform.hyperbolic_exact(cp, LiouvilleParams(ns.K, ns.a),
-                                        _grid(ns))
-    _write_field(field, ns.out)
+    field = closedform.hyperbolic_exact(_pair(ns.f, ns.g),
+                                        LiouvilleParams(ns.K, ns.a), _grid(ns))
+    _write(field, ns.out)
     return _field_stats(field)
 
 
 def _cmd_exact_e(ns) -> dict:
     seed = closedform.AnalyticSeed(parse(ns.F, ("z",)), ns.sign)
     field = closedform.elliptic_exact(seed, ns.K, ns.a, _grid(ns))
-    _write_field(field, ns.out)
+    _write(field, ns.out)
     return _field_stats(field)
 
 
 def _cmd_blowup_exact(ns) -> dict:
     field = closedform.boundary_blowup_exact(_grid(ns))
-    _write_field(field, ns.out)
+    _write(field, ns.out)
     return _field_stats(field)
 
 
 def _cmd_blowup_curve(ns) -> dict:
-    cp = closedform.CharacteristicPair(parse(ns.f, ("x",)), parse(ns.g, ("y",)))
-    curve = closedform.blowup_curve(cp, tuple(ns.x_range), tuple(ns.y_range),
-                                    ns.samples, ns.tol)
-    curve.write_csv(sys.stdout if ns.out == "-" else ns.out)
+    curve = closedform.blowup_curve(_pair(ns.f, ns.g), tuple(ns.x_range),
+                                    tuple(ns.y_range), ns.samples, ns.tol)
+    _write(curve, ns.out)
     found = sum(1 for _, y in curve.samples if y is not None)
     return {"samples": len(curve.samples), "n_found": found}
 
@@ -212,15 +207,12 @@ def _cmd_verify(ns) -> dict:
 
 
 def _cmd_solve_elliptic(ns) -> dict:
-    if ns.geometry == "disk":
-        geometry = elliptic.DiskGeometry(ns.n)
-    else:
-        geometry = elliptic.RectangleGeometry(_grid(ns))
-    problem = elliptic.DirichletProblem(geometry, LiouvilleParams(ns.K, ns.a),
+    problem = elliptic.DirichletProblem(_geometry(ns),
+                                        LiouvilleParams(ns.K, ns.a),
                                         _boundary(ns.boundary))
     solution, report = elliptic.solve_dirichlet(problem, tol=ns.tol,
                                                 max_iter=ns.max_iter)
-    solution.write_csv(sys.stdout if ns.out == "-" else ns.out)
+    _write(solution, ns.out)
     payload = {"report": report.to_dict()}
     if isinstance(solution, elliptic.RadialProfile):
         payload["u_center"] = _num(solution.u0)
@@ -230,22 +222,14 @@ def _cmd_solve_elliptic(ns) -> dict:
 
 
 def _cmd_gelfand(ns) -> dict:
-    if ns.geometry == "disk":
-        geometry = elliptic.DiskGeometry(ns.n)
-    else:
-        geometry = elliptic.RectangleGeometry(_grid(ns))
     branch = elliptic.continue_branch(
-        geometry, ns.lam_start, ns.max_steps, ns.ds, lam_stop=ns.lam_stop,
+        _geometry(ns), ns.lam_start, ns.max_steps, ns.ds, lam_stop=ns.lam_stop,
         u0_cap=ns.u0_cap, tol=ns.tol, fold_tol=ns.fold_tol)
-    branch.write_csv(sys.stdout if ns.out == "-" else ns.out)
-    payload = {"points": len(branch.points), "aborted": branch.aborted}
-    if branch.fold is not None:
-        payload["lambda0"] = _num(branch.fold.lam0)
-        payload["u0_at_fold"] = _num(branch.fold.u0)
-    else:
-        payload["lambda0"] = None
-        payload["u0_at_fold"] = None
-    return payload
+    _write(branch, ns.out)
+    fold = branch.fold
+    return {"points": len(branch.points), "aborted": branch.aborted,
+            "lambda0": None if fold is None else _num(fold.lam0),
+            "u0_at_fold": None if fold is None else _num(fold.u0)}
 
 
 def _cmd_blowup_approx(ns) -> dict:
@@ -255,15 +239,10 @@ def _cmd_blowup_approx(ns) -> dict:
             "--out needs a {M} placeholder when several M values are given")
     profiles = elliptic.boundary_blowup_approx(elliptic.DiskGeometry(ns.n),
                                                Ms, tol=ns.tol)
-    if ns.out == "-":
-        # one r,u block per M, blank-line separated (gnuplot index format)
-        for i, prof in enumerate(profiles):
-            if i:
-                sys.stdout.write("\n")
-            prof.write_csv(sys.stdout)
-    else:
-        for M, prof in zip(Ms, profiles):
-            prof.write_csv(ns.out.replace("{M}", format(M, "g")))
+    for i, (M, prof) in enumerate(zip(Ms, profiles)):
+        if ns.out == "-" and i:  # blank-line separated blocks (gnuplot index)
+            sys.stdout.write("\n")
+        _write(prof, ns.out.replace("{M}", format(M, "g")))
     limit = math.log(8.0)
     centers = [prof.u0 for prof in profiles]
     return {"M": Ms, "centers": [_num(c) for c in centers],
@@ -271,19 +250,19 @@ def _cmd_blowup_approx(ns) -> dict:
 
 
 def _cmd_march(ns) -> dict:
-    data = hyperbolic.GoursatData(parse(ns.phi, ("x",)), parse(ns.psi, ("y",)))
-    result = hyperbolic.march(data, LiouvilleParams(ns.K, ns.a), _grid(ns),
+    result = hyperbolic.march(_pair(ns.phi, ns.psi),
+                              LiouvilleParams(ns.K, ns.a), _grid(ns),
                               ns.threshold)
-    _write_field(result.field, ns.out)
+    _write(result.field, ns.out)
     if ns.mask_out is not None:
         result.write_mask_csv(ns.mask_out)
     return _field_stats(result.field)
 
 
 def _cmd_backlund(ns) -> dict:
-    w = hyperbolic.WaveSolution(parse(ns.w_phi, ("x",)), parse(ns.w_psi, ("y",)))
-    field = hyperbolic.backlund(w, ns.bt_a, ns.u_corner, _grid(ns), ns.order)
-    _write_field(field, ns.out)
+    field = hyperbolic.backlund(_pair(ns.w_phi, ns.w_psi), ns.bt_a,
+                                ns.u_corner, _grid(ns), ns.order)
+    _write(field, ns.out)
     return _field_stats(field)
 
 
@@ -331,7 +310,7 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
 def _cmd_convert_log(ns) -> dict:
     field = _read_field(ns.infile)
     out = closedform.convert_log_form(field, ns.direction.replace("-", "_"))
-    _write_field(out, ns.out)
+    _write(out, ns.out)
     return _field_stats(out)
 
 
@@ -361,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     _add_rect(p, (0.5, 0.5, 1.5, 1.5))
     _add_out(p)
-    _add_threads(p)
 
     p = add("exact-e", _cmd_exact_e,
             "Evaluate the analytic-seed exact solution of Lap u = K e^(a u).")
@@ -373,14 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     _add_rect(p, (-0.5, -0.5, 0.5, 0.5))
     _add_out(p)
-    _add_threads(p)
 
     p = add("blowup-exact", _cmd_blowup_exact,
             "Evaluate u = ln(8/(1 - x^2 - y^2)^2), the boundary blow-up "
             "solution of Lap u = e^u on the unit disk (NaN outside).")
     _add_rect(p, (-1.0, -1.0, 1.0, 1.0))
     _add_out(p)
-    _add_threads(p)
 
     p = add("blowup-curve", _cmd_blowup_curve,
             "Trace the singular locus f(x) + g(y) = 0 of the two-function "
@@ -402,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-12,
                    help="root tolerance on f + g (default %(default)s)")
     _add_out(p, "curve CSV (x,y rows, NA where no crossing)")
-    _add_threads(p)
 
     p = add("verify", _cmd_verify,
             "Read a field CSV and report residual norms for the chosen "
@@ -413,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="equation to check: u_xy = K e^(a u), "
                         "Lap u = K e^(a u), or the T = e^u log form")
     _add_params(p)
-    _add_threads(p)
 
     p = add("solve-elliptic", _cmd_solve_elliptic,
             "Solve Lap u = K e^(a u) with Dirichlet data by damped Newton "
@@ -435,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=elliptic.MAX_NEWTON,
                    help="Newton iteration cap (default %(default)s)")
     _add_out(p, "solution CSV (field, or r,u rows for the disk)")
-    _add_threads(p)
 
     p = add("gelfand", _cmd_gelfand,
             "Trace the solution branch of Lap u + lambda e^u = 0, u = 0 on "
@@ -467,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lambda gap for the fold bracket (default "
                         "%(default)s)")
     _add_out(p, "branch CSV (s,lambda,u0 rows)")
-    _add_threads(p)
 
     p = add("blowup-approx", _cmd_blowup_approx,
             "Approximate the boundary blow-up solution of Lap u = e^u on "
@@ -481,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="residual max-norm target (default %(default)s)")
     _add_out(p, "profile CSV; with several M give a {M} placeholder, or "
                 "'-' for blank-line separated blocks")
-    _add_threads(p)
 
     p = add("march", _cmd_march,
             "Integrate u_xy = K e^(a u) from Goursat edge data by "
@@ -499,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-out", default=None,
                    help="optional CSV path for the 0/1 blow-up mask")
     _add_out(p)
-    _add_threads(p)
 
     p = add("backlund", _cmd_backlund,
             "Map a wave-equation solution w = phi(x) + psi(y) to a solution "
@@ -522,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     _add_rect(p, (0.0, 0.0, 0.5, 0.5))
     _add_out(p)
-    _add_threads(p)
 
     p = add("action", _cmd_action,
             "Evaluate the action C sum(cells) (|grad phi|^2 / 2 + mu^2 "
@@ -537,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "by central differences (default %(default)s)")
     p.add_argument("--grad-out", default=None,
                    help="optional CSV path for the gradient field")
-    _add_threads(p)
 
     p = add("convert-log", _cmd_convert_log,
             "Convert between u and T = e^u, the substitution linking "
@@ -546,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("u-to-T", "T-to-u"),
                    required=True, help="which way to convert")
     _add_out(p)
-    _add_threads(p)
 
     return parser
 
@@ -573,8 +540,6 @@ def run(argv=None) -> int:
     inputs = {k: v for k, v in vars(ns).items() if k != "func"}
     digest = _digest(inputs)
     try:
-        if ns.threads < 1:
-            raise CliUsageError("--threads must be at least 1")
         payload = ns.func(ns)
     except LiouvilleError as exc:
         payload = {"error": {"code": exc.code, "message": str(exc)}}

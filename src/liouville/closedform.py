@@ -27,8 +27,8 @@ from .errors import (
     SignError,
     SingularNodeError,
 )
-from .expr import Expr, eval_complex, eval_dual
-from .fields import Grid2D, LiouvilleParams, ScalarField2D
+from .expr import AxisPair, Expr, eval_complex, eval_dual
+from .fields import Grid2D, LiouvilleParams, ScalarField2D, write_table
 
 __all__ = [
     "CharacteristicPair",
@@ -44,17 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CharacteristicPair:
-    """Univariate expressions f(x), g(y) generating a two-function solution."""
-
-    f: Expr
-    g: Expr
-
-    def __post_init__(self):
-        for e, role in ((self.f, "f"), (self.g, "g")):
-            if len(e.vars) != 1:
-                raise ClosedFormError(f"{role} must be univariate, has vars {e.vars}")
+CharacteristicPair = AxisPair  # f(x), g(y) of a two-function solution
 
 
 @dataclass(frozen=True)
@@ -72,19 +62,15 @@ class AnalyticSeed:
             raise ClosedFormError(f"F must be univariate, has vars {self.F.vars}")
 
 
-def hyperbolic_exact(cp: CharacteristicPair, p: LiouvilleParams,
+def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
                      grid: Grid2D) -> ScalarField2D:
-    """Sample u = (1/a) ln(2 f'(x) g'(y) / (a K (f+g)^2)) on ``grid``.
+    """Sample u = (1/a) ln(2 f'(x) g'(y) / (a K (f+g)^2)) on ``grid``,
+    with f = ``cp.fx`` and g = ``cp.gy``.
 
     Raises SingularNodeError if f+g vanishes exactly at a node and
     SignError unless a*K*f'*g' > 0 everywhere on the grid.
     """
-    fx = eval_dual(cp.f, grid.x(), cp.f.vars[0])
-    gy = eval_dual(cp.g, grid.y(), cp.g.vars[0])
-    fv = np.broadcast_to(fx.value, (grid.nx,))
-    fp = np.broadcast_to(fx.d1, (grid.nx,))
-    gv = np.broadcast_to(gy.value, (grid.ny,))
-    gp = np.broadcast_to(gy.d1, (grid.ny,))
+    (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
 
     s = gv[:, None] + fv[None, :]
     zero = np.argwhere(s == 0.0)
@@ -187,17 +173,14 @@ class BlowupCurve:
     tol: float
 
     def write_csv(self, path) -> None:
-        from .fields import open_text
-        with open_text(path, "w") as fh:
-            fh.write("x,y\n")
-            for x, y in self.samples:
-                fh.write(f"{x!r},{'NA' if y is None else repr(y)}\n")
+        write_table(path, "x,y", self.samples)
 
 
-def blowup_curve(cp: CharacteristicPair, x_range: tuple[float, float],
+def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
                  y_range: tuple[float, float], n_samples: int = 101,
                  tol: float = 1e-12) -> BlowupCurve:
-    """Trace y(x) with f(x) + g(y(x)) = 0 over ``x_range``.
+    """Trace y(x) with f(x) + g(y(x)) = 0 over ``x_range``, with
+    f = ``cp.fx`` and g = ``cp.gy``.
 
     For each sampled x the equation is bracketed on ``y_range`` and
     solved by bisection polished with Newton to ``|f+g| <= tol`` scale.
@@ -208,9 +191,9 @@ def blowup_curve(cp: CharacteristicPair, x_range: tuple[float, float],
     ya, yb = y_range
     if not (xb > xa and yb > ya and n_samples >= 2):
         raise ClosedFormError("need xb > xa, yb > ya and at least 2 samples")
-    gname = cp.g.vars[0]
+    gname = cp.gy.vars[0]
     ys_probe = np.linspace(ya, yb, max(33, n_samples))
-    gy = eval_dual(cp.g, ys_probe, gname)
+    gy = eval_dual(cp.gy, ys_probe, gname)
     gp = np.broadcast_to(gy.d1, ys_probe.shape)
     if np.any(gp == 0) or (gp.min() < 0 < gp.max()):
         raise NonMonotoneGError(
@@ -219,12 +202,12 @@ def blowup_curve(cp: CharacteristicPair, x_range: tuple[float, float],
         )
 
     def g_of(y):
-        return eval_dual(cp.g, float(y), gname)
+        return eval_dual(cp.gy, float(y), gname)
 
-    fname = cp.f.vars[0]
+    fname = cp.fx.vars[0]
     samples: list[tuple[float, Optional[float]]] = []
     for x in np.linspace(xa, xb, n_samples):
-        fv = eval_dual(cp.f, float(x), fname).value
+        fv = eval_dual(cp.fx, float(x), fname).value
         ga, gb = g_of(ya).value, g_of(yb).value
         lo, hi = ya, yb
         flo, fhi = fv + ga, fv + gb

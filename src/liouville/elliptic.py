@@ -25,7 +25,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expr import Expr, eval_dual
-from .fields import Grid2D, LiouvilleParams, ScalarField2D
+from .fields import Grid2D, LiouvilleParams, ScalarField2D, write_table
 
 __all__ = [
     "RectangleGeometry",
@@ -149,11 +149,7 @@ class RadialProfile:
         return float(self.values[0])
 
     def write_csv(self, path) -> None:
-        from .fields import open_text
-        with open_text(path, "w") as fh:
-            fh.write("r,u\n")
-            for ri, ui in zip(self.r, self.values):
-                fh.write(f"{float(ri)!r},{float(ui)!r}\n")
+        write_table(path, "r,u", zip(self.r.tolist(), self.values.tolist()))
 
 
 # --- discrete systems ---------------------------------------------------
@@ -417,11 +413,8 @@ class Branch:
     aborted: bool = False
 
     def write_csv(self, path) -> None:
-        from .fields import open_text
-        with open_text(path, "w") as fh:
-            fh.write("s,lambda,u0\n")
-            for pt in self.points:
-                fh.write(f"{pt.s!r},{pt.lam!r},{pt.u0!r}\n")
+        write_table(path, "s,lambda,u0",
+                    ((pt.s, pt.lam, pt.u0) for pt in self.points))
 
 
 class _GelfandContinuation:

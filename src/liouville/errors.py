@@ -152,12 +152,6 @@ class SingularJacobianError(EllipticError):
     code = "elliptic.singular_jacobian"
 
 
-class StepFailureError(EllipticError):
-    """A continuation step failed even at the minimum step size."""
-
-    code = "elliptic.step_failure"
-
-
 # --- hyperbolic ---------------------------------------------------------
 
 class HyperbolicError(LiouvilleError):
@@ -188,6 +182,12 @@ class OdeOverflowError(HyperbolicError):
     def __init__(self, segment: str):
         super().__init__(f"solution overflow while integrating {segment}")
         self.segment = segment
+
+
+class NotUnivariateError(ClosedFormError, HyperbolicError):
+    """A member of an ``expr.AxisPair`` is not univariate (both families)."""
+
+    code = "expr.not_univariate"
 
 
 # --- cli ----------------------------------------------------------------

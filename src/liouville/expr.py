@@ -33,10 +33,12 @@ from .errors import (
     DomainError,
     ExprError,
     ExprSyntaxError,
+    NotUnivariateError,
     UnknownIdentifierError,
 )
 
-__all__ = ["Expr", "EvalResult", "parse", "eval_dual", "eval_complex", "FUNCTIONS"]
+__all__ = ["Expr", "AxisPair", "EvalResult", "parse", "eval_dual",
+           "eval_complex", "FUNCTIONS"]
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh", "sqrt")
 
@@ -488,3 +490,29 @@ def eval_complex(expr: Expr, z) -> tuple:
         z = complex(z)
     jet = _Evaluator(expr, {name: z}, name, True).run(expr.ast)
     return jet.v, jet.d
+
+
+# --- one expression per grid axis ---------------------------------------
+
+@dataclass(frozen=True)
+class AxisPair:
+    """A univariate expression along x and one along y: the characteristic
+    pair f(x), g(y), the Goursat edge data phi(x), psi(y), or the wave
+    solution w = phi(x) + psi(y)."""
+
+    fx: Expr
+    gy: Expr
+
+    def __post_init__(self):
+        for e, role in ((self.fx, "fx"), (self.gy, "gy")):
+            if len(e.vars) != 1:
+                raise NotUnivariateError(f"{role} must be univariate, has vars {e.vars}")
+
+    def sample(self, xs: np.ndarray, ys: np.ndarray) -> tuple:
+        """``((fx, fx'), (gy, gy'))`` on ``xs`` and ``ys``, broadcast to each axis."""
+        out = []
+        for e, axis in ((self.fx, xs), (self.gy, ys)):
+            res = eval_dual(e, axis, e.vars[0])
+            out.append((np.broadcast_to(res.value, axis.shape),
+                        np.broadcast_to(res.d1, axis.shape)))
+        return tuple(out)

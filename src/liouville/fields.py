@@ -38,6 +38,7 @@ __all__ = [
     "residual_log",
     "norms",
     "extrapolate_residual",
+    "write_table",
 ]
 
 
@@ -53,6 +54,16 @@ def open_text(path_or_file, mode: str = "r"):
             yield fh
         finally:
             fh.close()
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write ``header``, then one comma-separated line per row: ``None`` as
+    ``NA``, any other cell as its repr (pass Python scalars, e.g. via
+    ``.tolist()``).  ``path`` may be an open text stream."""
+    with open_text(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("NA" if c is None else repr(c) for c in row) + "\n")
 
 
 @dataclass(frozen=True)
@@ -93,6 +104,10 @@ class Grid2D:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
         return np.meshgrid(self.x(), self.y())
 
+    def header(self) -> str:
+        """The ``# nx ny x0 y0 hx hy`` line that opens a field CSV."""
+        return f"# {self.nx} {self.ny} {self.x0!r} {self.y0!r} {self.hx!r} {self.hy!r}"
+
     def cell_centers(self) -> "Grid2D":
         """Staggered grid of the (nx-1) x (ny-1) cell midpoints."""
         return Grid2D(self.nx - 1, self.ny - 1,
@@ -125,9 +140,8 @@ class ScalarField2D:
         """Write ``# nx ny x0 y0 hx hy`` then ny comma-separated rows;
         repr() keeps the round trip bit-exact.  ``path`` may be an open
         text stream."""
-        g = self.grid
         with open_text(path, "w") as fh:
-            fh.write(f"# {g.nx} {g.ny} {g.x0!r} {g.y0!r} {g.hx!r} {g.hy!r}\n")
+            fh.write(self.grid.header() + "\n")
             for row in self.values:
                 fh.write(",".join(repr(float(v)) for v in row))
                 fh.write("\n")

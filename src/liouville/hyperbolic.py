@@ -16,7 +16,6 @@ clamped, and everything depending on it is masked too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .errors import (
     HyperbolicError,
     OdeOverflowError,
 )
-from .expr import Expr, eval_dual
-from .fields import Grid2D, LiouvilleParams, ScalarField2D
+from .expr import AxisPair
+from .fields import Grid2D, LiouvilleParams, ScalarField2D, write_table
 
 __all__ = [
     "GoursatData",
@@ -43,39 +42,8 @@ BLOWUP_THRESHOLD = 25.0
 ODE_CAP = 500.0
 
 
-@dataclass(frozen=True)
-class GoursatData:
-    """Edge data for the characteristic rectangle: ``phi`` gives
-    u(x, y0) along the bottom edge, ``psi`` gives u(x0, y) up the left
-    edge.  Both must agree at the corner to 1e-12."""
-
-    phi: Expr
-    psi: Expr
-
-    def __post_init__(self):
-        for e, role in ((self.phi, "phi"), (self.psi, "psi")):
-            if len(e.vars) != 1:
-                raise HyperbolicError(f"{role} must be univariate, has vars {e.vars}")
-
-    def edges(self, grid: Grid2D) -> tuple[np.ndarray, np.ndarray]:
-        bottom = np.broadcast_to(
-            eval_dual(self.phi, grid.x(), self.phi.vars[0]).value, (grid.nx,))
-        left = np.broadcast_to(
-            eval_dual(self.psi, grid.y(), self.psi.vars[0]).value, (grid.ny,))
-        return np.array(bottom, dtype=float), np.array(left, dtype=float)
-
-
-@dataclass(frozen=True)
-class WaveSolution:
-    """w(x, y) = phi(x) + psi(y), the general solution of w_xy = 0."""
-
-    phi: Expr
-    psi: Expr
-
-    def __post_init__(self):
-        for e, role in ((self.phi, "phi"), (self.psi, "psi")):
-            if len(e.vars) != 1:
-                raise HyperbolicError(f"{role} must be univariate, has vars {e.vars}")
+GoursatData = AxisPair  # u(x, y0) = phi(x) and u(x0, y) = psi(y)
+WaveSolution = AxisPair  # w(x, y) = phi(x) + psi(y), solving w_xy = 0
 
 
 @dataclass
@@ -90,12 +58,7 @@ class MarchResult:
         return int(self.mask.sum())
 
     def write_mask_csv(self, path) -> None:
-        from .fields import open_text
-        g = self.field.grid
-        with open_text(path, "w") as fh:
-            fh.write(f"# {g.nx} {g.ny} {g.x0!r} {g.y0!r} {g.hx!r} {g.hy!r}\n")
-            for row in self.mask:
-                fh.write(",".join("1" if m else "0" for m in row) + "\n")
+        write_table(path, self.field.grid.header(), self.mask.astype(int).tolist())
 
 
 def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float,
@@ -209,34 +172,29 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
     return MarchResult(field, np.isnan(U))
 
 
-def march(data: GoursatData, p: LiouvilleParams, grid: Grid2D,
+def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,
           blowup_threshold: float = BLOWUP_THRESHOLD) -> MarchResult:
     """Solve the Goursat problem for u_xy = K e^(a u) on ``grid``.
 
     Data is prescribed on the two characteristics through the grid
-    origin.  Cells whose implicit update has no bounded root, or whose
-    value exceeds ``blowup_threshold``, are masked together with their
-    downstream dependency cone; the mask is part of the result, not an
-    error.
+    origin, u(x, y0) = ``data.fx`` and u(x0, y) = ``data.gy``, agreeing at
+    the corner to 1e-12.  Cells whose implicit update has no bounded root,
+    or whose value exceeds ``blowup_threshold``, are masked together with
+    their downstream dependency cone; the mask is a result, not an error.
     """
-    bottom, left = data.edges(grid)
+    (bottom, _), (left, _) = data.sample(grid.x(), grid.y())
     return march_from_edges(bottom, left, p, grid, blowup_threshold)
 
 
 # --- Baecklund transformation -------------------------------------------
 
 
-def _axis_samples(e: Expr, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and first derivatives of a univariate expression on the
-    doubled axis (nodes and midpoints interleaved), for RK4 stages."""
-    n = axis.size
-    doubled = np.empty(2 * n - 1)
-    doubled[0::2] = axis
-    doubled[1::2] = 0.5 * (axis[:-1] + axis[1:])
-    res = eval_dual(e, doubled, e.vars[0])
-    v = np.broadcast_to(res.value, doubled.shape).astype(float)
-    d = np.broadcast_to(res.d1, doubled.shape).astype(float)
-    return v, d
+def _doubled(axis: np.ndarray) -> np.ndarray:
+    """Nodes and midpoints interleaved, for the RK4 stages."""
+    out = np.empty(2 * axis.size - 1)
+    out[0::2] = axis
+    out[1::2] = 0.5 * (axis[:-1] + axis[1:])
+    return out
 
 
 def _check_ode(u, segment: str):
@@ -245,9 +203,10 @@ def _check_ode(u, segment: str):
         raise OdeOverflowError(segment)
 
 
-def backlund(w: WaveSolution, bt_a: float, u_corner: float, grid: Grid2D,
+def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
              order: str = "xy") -> ScalarField2D:
-    """Integrate the Baecklund pair
+    """Integrate the Baecklund pair for w = phi(x) + psi(y), with
+    phi = ``w.fx`` and psi = ``w.gy``,
 
         u_x = w_x + bt_a e^((u + w)/2),
         u_y = -w_y + (2/bt_a) e^((u - w)/2)
@@ -268,8 +227,8 @@ def backlund(w: WaveSolution, bt_a: float, u_corner: float, grid: Grid2D,
     if not np.isfinite(u_corner):
         raise HyperbolicError(f"u_corner must be finite, got {u_corner}")
 
-    phi_v, phi_d = _axis_samples(w.phi, grid.x())
-    psi_v, psi_d = _axis_samples(w.psi, grid.y())
+    (phi_v, phi_d), (psi_v, psi_d) = w.sample(_doubled(grid.x()),
+                                              _doubled(grid.y()))
 
     def f_x(u, k):
         # k indexes the doubled x-axis; w and w_x at fixed y (psi const)

@@ -76,27 +76,19 @@ class TestSummaryContract:
         d33 = summary_of(invoke(self.ARGS[:-1] + ["33"])[1])["digest"]
         assert d17 != d33
 
-    def test_threads_do_not_change_output(self):
-        base = invoke(self.ARGS)
-        threaded = invoke(self.ARGS + ["--threads", "4"])
-        # identical CSV body; the summary differs only in the digest,
-        # which hashes all inputs including --threads
-        assert base[1].rsplit("\n", 2)[0] == threaded[1].rsplit("\n", 2)[0]
-        doc_b, doc_t = summary_of(base[1]), summary_of(threaded[1])
-        doc_b.pop("digest")
-        doc_t.pop("digest")
-        assert doc_b == doc_t
-
 
 class TestExitCodes:
     def test_missing_required_flag(self):
-        code, out, err = invoke(["exact-h"])
-        assert code == 1
-        doc = summary_of(out)
-        assert doc["status"] == "error"
-        assert doc["command"] == "exact-h"
-        assert doc["error"]["code"] == "cli.usage"
-        assert err.startswith("error:")
+        # a missing required flag and an unknown one are both usage errors
+        for args in (["exact-h"], ["blowup-exact", "--threads", "4"]):
+            code, out, err = invoke(args)
+            assert code == 1
+            assert out.count("\n") == 1
+            doc = summary_of(out)
+            assert doc["status"] == "error"
+            assert doc["command"] == args[0]
+            assert doc["error"]["code"] == "cli.usage"
+            assert err.startswith("error:")
 
     def test_singular_node_is_data_error(self):
         code, out, err = invoke(["exact-h", "--f", "x", "--g", "y",
@@ -109,11 +101,6 @@ class TestExitCodes:
                                "--n", "257", "--K", "-2", "--out", "/dev/null"])
         assert code == 2
         assert summary_of(out)["error"]["code"] == "elliptic.non_convergence"
-
-    def test_threads_must_be_positive(self):
-        code, out, _ = invoke(["blowup-exact", "--threads", "0"])
-        assert code == 1
-        assert summary_of(out)["error"]["code"] == "cli.usage"
 
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],

@@ -12,14 +12,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liouville.closedform import CharacteristicPair
 from liouville.errors import (
     ArityError,
+    ClosedFormError,
     DomainError,
     ExprError,
     ExprSyntaxError,
+    HyperbolicError,
+    NotUnivariateError,
     UnknownIdentifierError,
 )
-from liouville.expr import eval_complex, eval_dual, parse
+from liouville.expr import AxisPair, eval_complex, eval_dual, parse
+from liouville.hyperbolic import GoursatData, WaveSolution
 
 
 def d(src, x, var="x"):
@@ -205,3 +210,32 @@ def test_d2_is_derivative_of_d1(src, x):
     h = 1e-4
     cd = (eval_dual(e, x + h, "x").d1 - eval_dual(e, x - h, "x").d1) / (2 * h)
     assert abs(cd - r.d2) <= 1e-6 * (abs(r.d2) + 1.0)
+
+
+class TestAxisPair:
+    X, Y, XY = parse("x", ("x",)), parse("y", ("y",)), parse("x*y", ("x", "y"))
+
+    def test_one_type_under_three_names(self):
+        assert CharacteristicPair is GoursatData is WaveSolution is AxisPair
+
+    @pytest.mark.parametrize(
+        "cls", [CharacteristicPair, GoursatData, WaveSolution],
+        ids=["CharacteristicPair", "GoursatData", "WaveSolution"])
+    def test_bivariate_member_rejected(self, cls):
+        with pytest.raises(NotUnivariateError):
+            cls(self.XY, self.Y)
+        with pytest.raises(NotUnivariateError):
+            cls(self.X, self.XY)
+
+    def test_error_belongs_to_both_families(self):
+        with pytest.raises(NotUnivariateError) as info:
+            AxisPair(self.XY, self.Y)
+        assert isinstance(info.value, ClosedFormError)
+        assert isinstance(info.value, HyperbolicError)
+
+    def test_sample_broadcasts_constants(self):
+        xs, ys = np.linspace(0.0, 1.0, 5), np.linspace(0.0, 2.0, 3)
+        (f, fp), (g, gp) = AxisPair(parse("2", ("x",)), self.Y).sample(xs, ys)
+        assert f.shape == fp.shape == (5,) and g.shape == gp.shape == (3,)
+        assert np.all(f == 2.0) and np.all(fp == 0.0)
+        assert np.array_equal(g, ys) and np.all(gp == 1.0)
