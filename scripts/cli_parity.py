@@ -1,0 +1,130 @@
+"""Compare this checkout's CLI with another checkout's, byte for byte.
+
+Runs a fixed argv list (every subcommand, the --out, --mask-out and
+--grad-out writers, and the elliptic solves at several sizes) once
+under ``src/`` here and once under ``BASE/src``.  Each side runs the
+list in order in its own empty directory, so commands that read a field
+read the file an earlier command of the same side wrote.  For each argv
+the stdout bytes, the exit code and every file the command wrote are
+compared; one SAME/DIFF line is printed per argv and the exit code is 1
+if any argv differs.
+
+    git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
+    python scripts/cli_parity.py --base /tmp/parent
+"""
+
+import argparse
+import hashlib
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+RUN_CLI = "import sys; from liouville.cli import run; sys.exit(run())"
+
+ARGVS = [
+    # closed forms, then the commands that read their fields back
+    ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "33", "--ny", "33",
+     "--out", "exact_h.csv"],
+    ["exact-e", "--F", "z", "--nx", "17", "--ny", "17"],
+    ["blowup-exact", "--nx", "17", "--ny", "17"],
+    ["blowup-curve", "--f", "x", "--g", "y - 0.5", "--samples", "11",
+     "--out", "curve.csv"],
+    ["verify", "--eq", "hyperbolic", "--in", "exact_h.csv"],
+    ["action", "--in", "exact_h.csv", "--fd-check", "5",
+     "--grad-out", "grad.csv"],
+    ["convert-log", "--in", "exact_h.csv", "--direction", "u-to-T",
+     "--out", "T.csv"],
+    ["verify", "--eq", "log", "--in", "T.csv"],
+    ["march", "--phi", "0", "--psi", "0", "--domain", "0", "0", "3", "3",
+     "--nx", "33", "--ny", "33", "--threshold", "1.0",
+     "--out", "march.csv", "--mask-out", "mask.csv"],
+    ["backlund", "--w-phi", "x", "--w-psi", "y", "--nx", "17", "--ny", "17"],
+    # elliptic solves: rectangles, disks, a nonconvergent disk (exit 2)
+    ["solve-elliptic", "--nx", "129", "--ny", "129", "--out", "rect129.csv"],
+    ["solve-elliptic", "--domain", "-0.4", "-0.4", "0.4", "0.4",
+     "--nx", "65", "--ny", "65", "--K", "-1",
+     "--boundary", "ln(8/(1+x^2+y^2)^2)", "--out", "rect65.csv"],
+    ["solve-elliptic", "--geometry", "disk", "--n", "257",
+     "--out", "disk257.csv"],
+    ["solve-elliptic", "--geometry", "disk", "--n", "1025", "--boundary", "2",
+     "--out", "disk1025.csv"],
+    ["solve-elliptic", "--geometry", "disk", "--n", "257", "--K", "-2",
+     "--out", "disk_none.csv"],
+    # continuation on both geometries
+    ["gelfand"],
+    ["gelfand", "--n", "1025", "--out", "branch1025.csv"],
+    ["gelfand", "--n", "2049", "--out", "branch2049.csv"],
+    ["gelfand", "--geometry", "rectangle", "--nx", "33", "--ny", "33",
+     "--out", "branch_rect33.csv"],
+    ["gelfand", "--geometry", "rectangle", "--nx", "17", "--ny", "25"],
+    # boundary blow-up homotopy
+    ["blowup-approx", "--n", "1025"],
+    ["blowup-approx", "--n", "2049", "--out", "prof2049_{M}.csv"],
+    ["blowup-approx", "--n", "4097", "--M", "5.2869", "8.2869", "11.2869"],
+]
+
+
+def _snapshot(work: pathlib.Path) -> dict:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in work.iterdir() if p.is_file()}
+
+
+def run_side(src: pathlib.Path, work: pathlib.Path) -> list:
+    """Run every argv under ``src`` in ``work``; return per-argv
+    (exit code, stdout bytes, {written file: sha256})."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    results = []
+    for argv in ARGVS:
+        before = _snapshot(work)
+        proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
+                              cwd=work, env=env, capture_output=True)
+        after = _snapshot(work)
+        written = {name: digest for name, digest in after.items()
+                   if before.get(name) != digest}
+        results.append((proc.returncode, proc.stdout, written))
+    return results
+
+
+def _differences(here, base) -> list:
+    (code, out, files), (bcode, bout, bfiles) = here, base
+    diffs = []
+    if code != bcode:
+        diffs.append(f"exit {bcode} -> {code}")
+    if out != bout:
+        diffs.append("stdout")
+    diffs += [f"file {name}" for name in sorted(set(files) | set(bfiles))
+              if files.get(name) != bfiles.get(name)]
+    return diffs
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, type=pathlib.Path,
+                    help="checkout to compare against (its src/ is used)")
+    ns = ap.parse_args()
+    base_src = ns.base.resolve() / "src"
+    if not (base_src / "liouville").is_dir():
+        ap.error(f"{base_src} holds no liouville package")
+    with tempfile.TemporaryDirectory() as tmp:
+        here_dir, base_dir = pathlib.Path(tmp, "here"), pathlib.Path(tmp, "b")
+        here_dir.mkdir()
+        base_dir.mkdir()
+        here = run_side(ROOT / "src", here_dir)
+        base = run_side(base_src, base_dir)
+    n_diff = 0
+    for argv, h, b in zip(ARGVS, here, base):
+        diffs = _differences(h, b)
+        n_diff += bool(diffs)
+        verdict = "DIFF" if diffs else "SAME"
+        detail = f"  [{', '.join(diffs)}]" if diffs else ""
+        print(f"{verdict} exit={h[0]} liouville {shlex.join(argv)}{detail}")
+    print(f"{len(ARGVS) - n_diff} SAME, {n_diff} DIFF")
+    return 1 if n_diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

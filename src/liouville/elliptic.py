@@ -48,9 +48,9 @@ MAX_NEWTON = 60
 MAX_HALVINGS = 30
 DS_MIN, DS_MAX = 1e-4, 0.1
 # A residual of order (1/h^2)|u| eps cannot be beaten in double precision,
-# so a stalled line search with a negligible Newton step counts as
-# converged at the rounding floor (the report then carries the achieved
-# residual as its tolerance).  The caps keep genuine stagnation fatal.
+# so a rejected full Newton step that is negligible counts as converged
+# at the rounding floor (the report then carries the achieved residual as
+# its tolerance).  The caps keep genuine stagnation fatal.
 STALL_RESIDUAL_CAP = 1e-6
 STALL_STEP_REL = 1e-6
 
@@ -154,13 +154,25 @@ class RadialProfile:
 
 # --- discrete systems ---------------------------------------------------
 #
-# Both geometries reduce to F(u) = Lap_h u + (boundary terms) + coef *
-# e^(a u) = 0 on the unknown vector: the Dirichlet problem
-# Delta u = K e^(a u) uses (coef, a) = (-K, a), the Gelfand problem uses
-# (lam, 1) with lam varying along the branch.
+# Both geometries reduce to F(u) = A u + bc_vec + coef * e^(a u) = 0 on
+# the unknown vector, with A the discrete Laplacian and bc_vec the
+# Dirichlet data folded in: the Dirichlet problem Delta u = K e^(a u)
+# uses (coef, a) = (-K, a), the Gelfand problem uses (lam, 1) with lam
+# varying along the branch.
 
 
-class _RadialSystem:
+class _System:
+    """F(u) above; subclasses set ``A``, ``bc_vec`` and ``m``."""
+
+    def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
+        return self.A @ u + self.bc_vec + coef * np.exp(a * u)
+
+    def jacobian_matvec(self, u: np.ndarray, coef: float, a: float,
+                        v: np.ndarray) -> np.ndarray:
+        return self.A @ v + coef * a * np.exp(a * u) * v
+
+
+class _RadialSystem(_System):
     """Tridiagonal discretization of Delta u = u'' + u'/r on [0, 1].
 
     Unknowns u_0 .. u_{n-2}; u_{n-1} is the boundary value.  The center
@@ -169,41 +181,26 @@ class _RadialSystem:
     """
 
     def __init__(self, geom: DiskGeometry, boundary: float):
-        n = geom.n
         h = geom.h
-        r = geom.r()
-        m = n - 1
-        lo = np.zeros(m)
-        di = np.zeros(m)
-        up = np.zeros(m)
+        m = geom.n - 1
+        r = geom.r()[1:m]
+        lo = 1.0 / h ** 2 - 1.0 / (2 * r * h)
+        di = np.full(m, -2.0 / h ** 2)
         di[0] = -4.0 / h ** 2
-        up[0] = 4.0 / h ** 2
-        i = np.arange(1, m)
-        lo[i] = 1.0 / h ** 2 - 1.0 / (2 * r[i] * h)
-        di[i] = -2.0 / h ** 2
-        up[i[:-1]] = 1.0 / h ** 2 + 1.0 / (2 * r[i[:-1]] * h)
-        self.bc_coef = 1.0 / h ** 2 + 1.0 / (2 * r[m - 1] * h)
-        self.lo, self.di, self.up = lo, di, up
+        up = np.append(4.0 / h ** 2, 1.0 / h ** 2 + 1.0 / (2 * r[:-1] * h))
+        self.A = sp.diags([lo, di, up], [-1, 0, 1], format="csr")
+        self.bc_vec = np.zeros(m)
+        self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
         self.boundary = boundary
         self.geom = geom
         self.m = m
 
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        out = self.di * u
-        out[1:] += self.lo[1:] * u[:-1]
-        out[:-1] += self.up[:-1] * u[1:]
-        out[-1] += self.bc_coef * self.boundary
-        return out
-
-    def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
-        return self.laplacian(u) + coef * np.exp(a * u)
-
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
         ab = np.zeros((3, self.m))
-        ab[0, 1:] = self.up[:-1]
-        ab[1] = self.di + coef * a * np.exp(a * u)
-        ab[2, :-1] = self.lo[1:]
+        ab[0, 1:] = self.A.diagonal(1)
+        ab[1] = self.A.diagonal(0) + coef * a * np.exp(a * u)
+        ab[2, :-1] = self.A.diagonal(-1)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             try:
@@ -212,13 +209,6 @@ class _RadialSystem:
                 raise SingularJacobianError(str(exc)) from exc
 
         return solve
-
-    def jacobian_matvec(self, u: np.ndarray, coef: float, a: float,
-                        v: np.ndarray) -> np.ndarray:
-        out = (self.di + coef * a * np.exp(a * u)) * v
-        out[1:] += self.lo[1:] * v[:-1]
-        out[:-1] += self.up[:-1] * v[1:]
-        return out
 
     def initial_guess(self) -> np.ndarray:
         # harmonic extension of constant data is the constant itself
@@ -232,7 +222,7 @@ class _RadialSystem:
         return RadialProfile(self.geom.r(), full)
 
 
-class _RectSystem:
+class _RectSystem(_System):
     """5-point Laplacian on the interior nodes of a rectangle grid,
     row-major unknown ordering, Dirichlet ring folded into a constant
     vector."""
@@ -273,12 +263,6 @@ class _RectSystem:
         bv[1:-1, 1:-1] = 0.0
         return bv
 
-    def laplacian(self, u: np.ndarray) -> np.ndarray:
-        return self.A @ u + self.bc_vec
-
-    def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
-        return self.laplacian(u) + coef * np.exp(a * u)
-
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
         J = self.A + sp.diags(coef * a * np.exp(a * u))
@@ -288,14 +272,11 @@ class _RectSystem:
             raise SingularJacobianError(str(exc)) from exc
         return lu.solve
 
-    def jacobian_matvec(self, u: np.ndarray, coef: float, a: float,
-                        v: np.ndarray) -> np.ndarray:
-        return self.A @ v + coef * a * np.exp(a * u) * v
-
     def initial_guess(self) -> np.ndarray:
         if not np.any(self.bc_vec):
             return np.zeros(self.m)
-        return splu(self.A).solve(-self.bc_vec)
+        # discrete harmonic extension: the Jacobian at coef = 0 is A
+        return self.jacobian_solver(np.zeros(self.m), 0.0, 1.0)(-self.bc_vec)
 
     def center_value(self, u: np.ndarray) -> float:
         """Value at the domain center (mean of the nearest nodes when the
@@ -327,6 +308,12 @@ def _coef_a(params: Params) -> tuple[float, float]:
     return -params.K, params.a
 
 
+def _at_floor(nrm: float, step: float, u: np.ndarray) -> bool:
+    """A small residual with a negligible update: the rounding floor."""
+    return nrm <= STALL_RESIDUAL_CAP and \
+        step <= STALL_STEP_REL * (1.0 + float(np.abs(u).max()))
+
+
 def _newton(system, u: np.ndarray, coef: float, a: float,
             tol: float = NEWTON_TOL, max_iter: int = MAX_NEWTON,
             ) -> tuple[np.ndarray, SolveReport]:
@@ -348,12 +335,11 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
             if float(np.abs(system.residual(ut, coef, a)).max()) < nrm:
                 u = ut
                 break
+            # at the floor a rejected full step is rounding noise: stop
+            if _at_floor(nrm, float(np.abs(du).max()), u):
+                return u, SolveReport(it, nrm, True, history, max(tol, nrm))
             alpha *= 0.5
         else:
-            step = float(np.abs(du).max())
-            if nrm <= STALL_RESIDUAL_CAP and \
-               step <= STALL_STEP_REL * (1.0 + float(np.abs(u).max())):
-                return u, SolveReport(it, nrm, True, history, max(tol, nrm))
             report = SolveReport(it, nrm, False, history, tol)
             raise NonConvergenceError(
                 f"line search stalled at residual {nrm:.3e}", report, u)
@@ -381,7 +367,7 @@ def solve_dirichlet(p: DirichletProblem, initial: Optional[np.ndarray] = None,
     u0 = system.initial_guess() if initial is None else np.asarray(initial, float)
     if u0.shape != (system.m,):
         raise EllipticError(f"initial guess must have shape ({system.m},)")
-    u, report = _newton(system, u0.copy(), coef, a, tol, max_iter)
+    u, report = _newton(system, u0, coef, a, tol, max_iter)
     return system.pack(u), report
 
 
@@ -417,64 +403,70 @@ class Branch:
                     ((pt.s, pt.lam, pt.u0) for pt in self.points))
 
 
-class _GelfandContinuation:
-    """Bordered-system machinery for F(u, lam) = Lap_h u + lam e^u."""
+# The continuation works on F(u, lam) = A u + lam e^u with zero boundary
+# data.  Its inner product gives the u block weight 1/u.size so that grid
+# refinement does not change the meaning of an arclength step.
 
-    def __init__(self, geometry: Geometry, tol: float):
-        self.sys = _make_system(geometry, 0.0)
-        self.m = self.sys.m
-        self.tol = tol
 
-    # scaled inner product: the u block carries weight 1/m so that grid
-    # refinement does not change the meaning of an arclength step
-    def dot(self, du1, dl1, du2, dl2) -> float:
-        return float(du1 @ du2) / self.m + dl1 * dl2
+def _dot(du1, dl1, du2, dl2) -> float:
+    return float(du1 @ du2) / du1.size + dl1 * dl2
 
-    def norm(self, du, dl) -> float:
-        return float(np.sqrt(self.dot(du, dl, du, dl)))
 
-    def solve_fixed(self, lam: float, guess: np.ndarray):
-        return _newton(self.sys, guess.copy(), lam, 1.0, self.tol)
+def _norm(du, dl) -> float:
+    return float(np.sqrt(_dot(du, dl, du, dl)))
 
-    def corrector(self, u, lam, tu, tl, u_pred, lam_pred,
-                  max_iter: int = 12) -> tuple[np.ndarray, float, int]:
-        """Newton on (F, N) = 0 where N pins the iterate to the plane
-        through the predictor with (scaled-)normal equal to the tangent.
 
-        As in the plain solver, a negligible update with a small residual
-        counts as converged at the rounding floor.
-        """
-        for it in range(max_iter):
-            F = self.sys.residual(u, lam, 1.0)
-            nrm = float(np.abs(F).max())
-            N = self.dot(u - u_pred, lam - lam_pred, tu, tl)
-            if not np.isfinite(nrm):
-                break
-            if max(nrm, abs(N)) <= self.tol:
-                return u, lam, it
-            solve = self.sys.jacobian_solver(u, lam, 1.0)
-            a_vec = solve(-F)
-            b_vec = solve(-np.exp(u))
-            denom = self.dot(b_vec, 1.0, tu, tl)
-            if denom == 0.0:
-                raise SingularJacobianError("degenerate bordered system")
-            dlam = (-N - self.dot(a_vec, 0.0, tu, tl)) / denom
-            u = u + a_vec + dlam * b_vec
-            lam = lam + dlam
-            step = self.norm(a_vec + dlam * b_vec, dlam)
-            if nrm <= STALL_RESIDUAL_CAP and abs(N) <= self.tol and \
-               step <= STALL_STEP_REL * (1.0 + float(np.abs(u).max())):
-                return u, lam, it + 1
-        raise NonConvergenceError("continuation corrector did not converge",
-                                  SolveReport(max_iter, float("inf"), False), u)
+def _secant(p: BranchPoint, q: BranchPoint) -> tuple[np.ndarray, float]:
+    """Unit (scaled) secant from ``p`` to ``q``."""
+    du, dl = q.u - p.u, q.lam - p.lam
+    nrm = _norm(du, dl)
+    return du / nrm, dl / nrm
 
-    def tangent(self, u, lam, tu_prev, tl_prev) -> tuple[np.ndarray, float]:
-        """Unit tangent of the solution curve at (u, lam), oriented to
-        keep a positive scaled product with the previous tangent."""
-        b_vec = self.sys.jacobian_solver(u, lam, 1.0)(-np.exp(u))
-        sign = 1.0 if self.dot(b_vec, 1.0, tu_prev, tl_prev) >= 0 else -1.0
-        nrm = self.norm(b_vec, 1.0)
-        return sign * b_vec / nrm, sign / nrm
+
+def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
+    """Newton on (F, N) = 0 from the predictor (u, lam), where N pins the
+    iterate to the plane through the predictor with (scaled-)normal equal
+    to the tangent."""
+    max_iter = 12
+    u_pred, lam_pred = u, lam
+    for it in range(max_iter):
+        F = system.residual(u, lam, 1.0)
+        nrm = float(np.abs(F).max())
+        N = _dot(u - u_pred, lam - lam_pred, tu, tl)
+        if not np.isfinite(nrm):
+            break
+        if max(nrm, abs(N)) <= tol:
+            return u, lam, it
+        solve = system.jacobian_solver(u, lam, 1.0)
+        a_vec = solve(-F)
+        b_vec = solve(-np.exp(u))
+        denom = _dot(b_vec, 1.0, tu, tl)
+        if denom == 0.0:
+            raise SingularJacobianError("degenerate bordered system")
+        dlam = (-N - _dot(a_vec, 0.0, tu, tl)) / denom
+        u = u + a_vec + dlam * b_vec
+        lam = lam + dlam
+        step = _norm(a_vec + dlam * b_vec, dlam)
+        if abs(N) <= tol and _at_floor(nrm, step, u):
+            return u, lam, it + 1
+    raise NonConvergenceError("continuation corrector did not converge",
+                              SolveReport(max_iter, float("inf"), False), u)
+
+
+def _step(system, base: BranchPoint, tu, tl, ds: float,
+          tol: float) -> tuple[BranchPoint, int]:
+    """Predict ``ds`` along the unit tangent (tu, tl) from ``base``, correct."""
+    un, ln, iters = _corrector(system, base.u + ds * tu, base.lam + ds * tl,
+                               tu, tl, tol)
+    s = base.s + _norm(un - base.u, ln - base.lam)
+    return BranchPoint(s, ln, system.center_value(un), un), iters
+
+
+def _dlam_sign(system, pt: BranchPoint, tu, tl) -> float:
+    """Sign of d(lambda)/ds at ``pt``, the curve oriented to keep a
+    positive scaled product with the tangent (tu, tl)."""
+    b_vec = system.jacobian_solver(pt.u, pt.lam, 1.0)(-np.exp(pt.u))
+    return 1.0 if _dot(b_vec, 1.0, tu, tl) >= 0 else -1.0
 
 
 def continue_branch(geometry: Geometry, lam_start: float = 0.0,
@@ -487,9 +479,9 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
     Secant-predictor pseudo-arclength steps with ds adaptive in
     [1e-4, 0.1]; the fold is detected by a sign change of d(lambda)/ds
     and refined by bisection in arclength until the bracket's lambda
-    width is below ``fold_tol``.  Stops on ``max_steps``, or once past
-    the fold when lambda falls below ``lam_stop`` (default: lam_start)
-    or the center value exceeds ``u0_cap``.
+    width is below ``fold_tol``.  Stops on ``max_steps`` (at least 2),
+    or once past the fold when lambda falls below ``lam_stop`` (default:
+    lam_start) or the center value exceeds ``u0_cap``.
 
     A step that still fails after 10 halvings of ds aborts the trace;
     the partial branch is returned with ``aborted = True``.
@@ -498,56 +490,45 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
         raise EllipticError(f"lam_start must be >= 0, got {lam_start}")
     if not DS_MIN <= ds <= DS_MAX:
         raise EllipticError(f"ds must lie in [{DS_MIN}, {DS_MAX}], got {ds}")
+    if max_steps < 2:
+        raise EllipticError(f"max_steps must be >= 2, got {max_steps}")
     if lam_stop is None:
         lam_stop = lam_start
-    con = _GelfandContinuation(geometry, tol)
-    sys_ = con.sys
+    system = _make_system(geometry, 0.0)
 
-    u, _ = con.solve_fixed(lam_start, np.zeros(con.m))
-    points = [BranchPoint(0.0, lam_start, sys_.center_value(u), u.copy())]
+    u, _ = _newton(system, np.zeros(system.m), lam_start, 1.0, tol)
+    points = [BranchPoint(0.0, lam_start, system.center_value(u), u)]
 
     # second point by natural continuation, a small lambda increment
     dlam0 = min(ds, 0.02)
-    u2, _ = con.solve_fixed(lam_start + dlam0, u.copy())
-    s2 = con.norm(u2 - u, dlam0)
-    points.append(BranchPoint(s2, lam_start + dlam0, sys_.center_value(u2),
-                              u2.copy()))
+    u2, _ = _newton(system, u, lam_start + dlam0, 1.0, tol)
+    points.append(BranchPoint(_norm(u2 - u, dlam0), lam_start + dlam0,
+                              system.center_value(u2), u2))
 
     tl_sign_prev = 1.0  # lambda increases along the natural start
     fold: Optional[Fold] = None
     aborted = False
 
     while len(points) < max_steps:
-        p_prev, p_cur = points[-2], points[-1]
-        du = p_cur.u - p_prev.u
-        dl = p_cur.lam - p_prev.lam
-        nrm = con.norm(du, dl)
-        tu, tl = du / nrm, dl / nrm
-
-        accepted = None
+        tu, tl = _secant(points[-2], points[-1])
         for _ in range(10):
-            u_pred = p_cur.u + ds * tu
-            lam_pred = p_cur.lam + ds * tl
             try:
-                accepted = con.corrector(u_pred.copy(), lam_pred,
-                                         tu, tl, u_pred, lam_pred)
+                pt, iters = _step(system, points[-1], tu, tl, ds, tol)
                 break
             except (NonConvergenceError, SingularJacobianError):
                 ds = max(ds / 2.0, DS_MIN)
-        if accepted is None:
+        else:
             aborted = True
             break
-        un, ln, iters = accepted
-        s_new = p_cur.s + con.norm(un - p_cur.u, ln - p_cur.lam)
-        points.append(BranchPoint(s_new, ln, sys_.center_value(un), un.copy()))
+        points.append(pt)
 
         try:
-            _, tln = con.tangent(un, ln, tu, tl)
+            tln = _dlam_sign(system, pt, tu, tl)
         except SingularJacobianError:
             tln = tl  # exactly at the fold; fall back to the secant
         if fold is None and tln * tl_sign_prev < 0:
-            fold = _refine_fold(con, points[-2], points[-1], fold_tol,
-                                len(points) - 2)
+            fold = _refine_fold(system, points[-2], pt, fold_tol,
+                                len(points) - 2, tol)
         if tln != 0.0:
             tl_sign_prev = tln
 
@@ -555,36 +536,26 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
             ds = min(ds * 1.4, DS_MAX)
         elif iters >= 7:
             ds = max(ds * 0.7, DS_MIN)
-        if fold is not None and (ln < lam_stop or points[-1].u0 > u0_cap):
+        if fold is not None and (pt.lam < lam_stop or pt.u0 > u0_cap):
             break
 
     return Branch(points, fold, aborted)
 
 
-def _refine_fold(con: _GelfandContinuation, p_left: BranchPoint,
-                 p_right: BranchPoint, fold_tol: float, index: int) -> Fold:
+def _refine_fold(system, left: BranchPoint, right: BranchPoint,
+                 fold_tol: float, index: int, tol: float) -> Fold:
     """Bisection in arclength over the sign-change bracket, then a
     parabola vertex through the three highest points seen."""
-    left, right = p_left, p_right
     seen = [(left.u0, left.lam), (right.u0, right.lam)]
     for _ in range(80):
         if abs(left.lam - right.lam) <= fold_tol:
             break
-        ds_mid = 0.5 * (right.s - left.s)
-        du = right.u - left.u
-        dl = right.lam - left.lam
-        nrm = con.norm(du, dl)
-        tu, tl = du / nrm, dl / nrm
-        u_pred = left.u + ds_mid * tu
-        lam_pred = left.lam + ds_mid * tl
+        tu, tl = _secant(left, right)
         try:
-            um, lm, _ = con.corrector(u_pred.copy(), lam_pred, tu, tl,
-                                      u_pred, lam_pred)
-            _, tlm = con.tangent(um, lm, tu, tl)
+            mid, _ = _step(system, left, tu, tl, 0.5 * (right.s - left.s), tol)
+            tlm = _dlam_sign(system, mid, tu, tl)
         except (NonConvergenceError, SingularJacobianError):
             break
-        s_mid = left.s + con.norm(um - left.u, lm - left.lam)
-        mid = BranchPoint(s_mid, lm, con.sys.center_value(um), um)
         seen.append((mid.u0, mid.lam))
         if tlm > 0:
             left = mid
@@ -631,7 +602,7 @@ def solve_on_branch(geometry: Geometry, branch: Branch, lam: float,
         raise EllipticError(f"no branch points on the {side} side")
     best = min(segment, key=lambda pt: abs(pt.lam - lam))
     system = _make_system(geometry, 0.0)
-    u, report = _newton(system, best.u.copy(), lam, 1.0, tol)
+    u, report = _newton(system, best.u, lam, 1.0, tol)
     return system.pack(u), report
 
 

@@ -243,36 +243,6 @@ def _const_int(node: _Node):
     return None
 
 
-# --- printing -----------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 10, 20, 30, 40, 50
-
-
-def _print(node: _Node, ctx: int) -> str:
-    if isinstance(node, _Num):
-        s = repr(node.value)
-        return s if node.value >= 0 else f"({s})"
-    if isinstance(node, _Var):
-        return node.name
-    if isinstance(node, _Call):
-        return f"{node.func}({_print(node.arg, 0)})"
-    if isinstance(node, _Neg):
-        body = f"-{_print(node.operand, _PREC_NEG)}"
-        return body if ctx <= _PREC_NEG else f"({body})"
-    if isinstance(node, _Pow):
-        base = _print(node.base, _PREC_ATOM)
-        exp = str(node.exponent) if node.exponent >= 0 else f"({node.exponent})"
-        body = f"{base}^{exp}"
-        return body  # ^ binds tightest, never needs outer parens
-    if isinstance(node, _BinOp):
-        prec = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        left = _print(node.left, prec)
-        right = _print(node.right, prec + 1)  # left-associative
-        body = f"{left} {node.op} {right}"
-        return body if ctx <= prec else f"({body})"
-    raise TypeError(node)
-
-
 # --- public expression object -------------------------------------------
 
 @dataclass(frozen=True)
@@ -282,9 +252,6 @@ class Expr:
     source: str
     vars: tuple[str, ...]
     ast: _Node
-
-    def __str__(self) -> str:
-        return _print(self.ast, 0)
 
     def snippet(self, node: _Node) -> str:
         return self.source[node.span[0]:node.span[1]]

@@ -140,11 +140,10 @@ class ScalarField2D:
         """Write ``# nx ny x0 y0 hx hy`` then ny comma-separated rows;
         repr() keeps the round trip bit-exact.  ``path`` may be an open
         text stream."""
-        with open_text(path, "w") as fh:
-            fh.write(self.grid.header() + "\n")
-            for row in self.values:
-                fh.write(",".join(repr(float(v)) for v in row))
-                fh.write("\n")
+        # one row at a time: a whole-array tolist() would hold every value
+        # as a Python float at once
+        write_table(path, self.grid.header(),
+                    (row.tolist() for row in self.values))
 
     @classmethod
     def read_csv(cls, path) -> "ScalarField2D":

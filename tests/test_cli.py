@@ -102,6 +102,15 @@ class TestExitCodes:
         assert code == 2
         assert summary_of(out)["error"]["code"] == "elliptic.non_convergence"
 
+    def test_gelfand_needs_two_steps(self):
+        code, out, err = invoke(["gelfand", "--n", "65", "--max-steps", "0"])
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["status"] == "error"
+        assert doc["error"]["code"] == "elliptic.error"
+        assert err.startswith("error:")
+
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],
                               stdin_text="")

@@ -93,6 +93,17 @@ class TestRectangleSolve:
 
 
 class TestDiskSolve:
+    def test_rounding_floor_ends_the_solve(self):
+        # at n = 1025 the residual bottoms out near 6e-10, above the 1e-10
+        # target, after 5 steps; once a full Newton step fails to reduce
+        # it, the solve must end at the floor instead of taking
+        # rounding-level decreases
+        _, report = solve_dirichlet(DirichletProblem(
+            DiskGeometry(1025), LiouvilleParams(1.0, 1.0), 2.0))
+        assert report.converged
+        assert report.iterations <= 8
+        assert report.final_residual <= report.tolerance
+
     def test_matches_radial_family(self):
         fam = gelfand_radial(0.5)
         errs = []
@@ -220,6 +231,10 @@ class TestContinuation:
             continue_branch(DiskGeometry(65), lam_start=-0.5)
         with pytest.raises(EllipticError):
             continue_branch(DiskGeometry(65), ds=0.5)
+        # the two starting points are always computed
+        for max_steps in (-1, 0, 1):
+            with pytest.raises(EllipticError):
+                continue_branch(DiskGeometry(65), max_steps=max_steps)
         with pytest.raises(EllipticError):
             solve_on_branch(DiskGeometry(65), Branch([]), 1.0, "sideways")
 
@@ -229,6 +244,16 @@ class TestBoundaryBlowupApprox:
         profs = boundary_blowup_approx(DiskGeometry(513), [5.0, 8.0, 11.0])
         for prev, cur in zip(profs, profs[1:]):
             assert np.all(cur.values > prev.values)
+        gaps = [LN8 - p.u0 for p in profs]
+        assert all(g > 0 for g in gaps)
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_fine_mesh_reaches_rounding_floor(self):
+        # n = 4097 puts the residual floor near 4e-8; every level must
+        # still converge, and the gaps must shrink as M grows
+        Ms = [5.2869, 8.2869, 11.2869]
+        profs = boundary_blowup_approx(DiskGeometry(4097), Ms)
+        assert [p.values[-1] for p in profs] == Ms
         gaps = [LN8 - p.u0 for p in profs]
         assert all(g > 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))

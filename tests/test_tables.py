@@ -1,6 +1,7 @@
 """Byte-exact pins for the plain CSV tables: the blow-up curve, the
-continuation branch, the radial profile and the march mask.  Each table
-is built from a tiny literal input and written to a string stream."""
+continuation branch, the radial profile, the march mask and the field.
+Each table is built from a tiny literal input and written to a string
+stream."""
 
 import io
 
@@ -42,3 +43,10 @@ def test_march_mask():
     result = MarchResult(ScalarField2D(grid, values), np.isnan(values))
     assert written(result.write_mask_csv) == (
         "# 3 2 0.0 -0.5 0.5 0.25\n0,0,1\n0,1,1\n")
+
+
+def test_field_with_non_finite_and_signed_zero():
+    grid = Grid2D(3, 2, 0.0, -0.5, 0.5, 0.25)
+    values = np.array([[np.nan, np.inf, -0.0], [-np.inf, 0.1, 2.0]])
+    assert written(ScalarField2D(grid, values).write_csv) == (
+        "# 3 2 0.0 -0.5 0.5 0.25\nnan,inf,-0.0\n-inf,0.1,2.0\n")
