@@ -4,7 +4,7 @@ Fields travel as CSV, written to a file or to stdout, so an exact
 solution can be piped straight into ``verify``.  Every run ends with a
 single JSON summary line on stdout carrying a digest of the effective
 inputs and the headline numbers, which is what the acceptance scripts
-parse.  Exit codes: 0 success, 1 domain or usage error, 2 solver
+parse.  Exit codes: 0 success, 1 domain, usage or I/O error, 2 solver
 non-convergence.
 """
 
@@ -27,6 +27,7 @@ from .errors import (
     CliUsageError,
     LiouvilleError,
     NonConvergenceError,
+    NonFiniteResidualError,
     OdeOverflowError,
 )
 from .expr import AxisPair, parse
@@ -195,11 +196,24 @@ def _cmd_verify(ns) -> dict:
         raise CliUsageError("the log form fixes a = 1")
     field = _read_field(ns.infile)
     if ns.eq == "hyperbolic":
-        res = residual_hyperbolic(field, LiouvilleParams(ns.K, ns.a))
+        residual = functools.partial(residual_hyperbolic,
+                                     p=LiouvilleParams(ns.K, ns.a))
     elif ns.eq == "elliptic":
-        res = residual_elliptic(field, LiouvilleParams(ns.K, ns.a))
+        residual = functools.partial(residual_elliptic,
+                                     p=LiouvilleParams(ns.K, ns.a))
     else:
-        res = residual_log(field, ns.K)
+        residual = functools.partial(residual_log, K=ns.K)
+    with np.errstate(all="ignore"):
+        res = residual(field)
+        # the same stencil on 1.0 wherever the input has a value is NaN
+        # exactly at the cells that read a masked input
+        probe = np.where(np.isnan(field.values), np.nan, 1.0)
+        masked = np.isnan(residual(ScalarField2D(field.grid, probe)).values)
+    unexplained = int((~np.isfinite(res.values) & ~masked).sum())
+    if unexplained:
+        raise NonFiniteResidualError(
+            f"residual is non-finite at {unexplained} cell(s) that read no "
+            f"masked (NaN) input")
     nm = norms(res)
     cells = int(np.isfinite(res.values).sum())
     return {"eq": ns.eq, "max_abs": _num(nm.max_abs), "l2": _num(nm.l2),
@@ -541,8 +555,9 @@ def run(argv=None) -> int:
     digest = _digest(inputs)
     try:
         payload = ns.func(ns)
-    except LiouvilleError as exc:
-        payload = {"error": {"code": exc.code, "message": str(exc)}}
+    except (LiouvilleError, OSError) as exc:
+        code = exc.code if isinstance(exc, LiouvilleError) else "io.error"
+        payload = {"error": {"code": code, "message": str(exc)}}
         _print_summary(ns.command, digest, "error", payload)
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, _NONCONVERGENCE) else 1

@@ -82,6 +82,12 @@ class EmptyInteriorError(FieldsError):
     code = "fields.empty_interior"
 
 
+class NonFiniteResidualError(FieldsError):
+    """A residual is non-finite where none of its stencil inputs is masked."""
+
+    code = "fields.non_finite_residual"
+
+
 # --- closedform ---------------------------------------------------------
 
 class ClosedFormError(LiouvilleError):
@@ -163,8 +169,8 @@ class CornerMismatchError(HyperbolicError):
 
 
 class CellIterationDivergenceError(HyperbolicError):
-    """The implicit cell update failed to converge although a bounded
-    solution exists."""
+    """The closed-form (Lambert W) cell update failed to evaluate
+    although a root exists."""
 
     code = "hyperbolic.cell_divergence"
 

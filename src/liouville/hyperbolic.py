@@ -7,10 +7,12 @@ implicit update
 
     u_ij = u_(i-1)j + u_i(j-1) - u_(i-1)(j-1) + hx hy K exp(a ubar)
 
-with ubar the average of the four cell corners, i.e. a scalar root of
-g(z) = z - c - gamma e^(beta (z + s)).  When that root ceases to exist
-the cell has hit the blow-up regime: it is masked (NaN) rather than
-clamped, and everything depending on it is masked too.
+with ubar the average of the four cell corners, i.e. z = c + gamma
+e^(beta (z + s)) with gamma = hx hy K and beta = a/4, in closed form on
+the principal branch of the Lambert W function, one whole anti-diagonal
+at a time.  When that root ceases to exist the cell has hit the blow-up
+regime: it is masked (NaN) rather than clamped, and everything depending
+on it is masked too.
 """
 
 from __future__ import annotations
@@ -61,63 +63,29 @@ class MarchResult:
         write_table(path, self.field.grid.header(), self.mask.astype(int).tolist())
 
 
-def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float,
-                    ) -> np.ndarray:
-    """Roots of g(z) = z - c - gamma e^(beta (z+s)) for one anti-diagonal.
+def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float):
+    """Roots z = c - W(x)/beta of z = c + gamma e^(beta (z+s)) for one
+    anti-diagonal, x = -gamma beta e^(beta (c+s)), on the principal branch
+    of Lambert W (the one continuing z = c from gamma = 0).
 
-    Returns NaN where no root exists (blow-up).  gamma*beta > 0 puts an
-    extremum of g at z* = -ln(gamma beta)/beta - s; a root exists iff g
-    changes sign between c and z*, and the physical root (the one that
-    continues the gamma -> 0 branch) lies in that bracket.  Otherwise g
-    is strictly monotone and c, c + gamma e^(beta (c+s)) bracket the
-    root.
+    Returns the roots, NaN where none exists (x <= -1/e: blow-up) or an
+    input is NaN, and the mask of cells where W itself failed.
+    gamma beta < 0 makes x positive: W(e^v) = omega(v), Wright's omega,
+    never forms e^(beta (c+s)) and so never overflows.
     """
+    from scipy.special import lambertw, wrightomega
+
     gb = gamma * beta
-    g_c = -gamma * np.exp(beta * (c + s))
-    if gb > 0:
-        z_star = -np.log(gb) / beta - s
-        g_star = z_star - c - 1.0 / beta
-        exists = g_c * g_star <= 0
-        lo = np.where(exists, np.minimum(c, z_star), np.nan)
-        hi = np.where(exists, np.maximum(c, z_star), np.nan)
+    t = beta * (c + s)
+    if gb < 0:
+        exists = np.isfinite(t)
+        w = wrightomega(np.log(-gb) + t)
     else:
-        other = c - g_c  # one fixed-point step, on the far side of the root
-        lo = np.minimum(c, other)
-        hi = np.maximum(c, other)
-        exists = np.ones_like(c, dtype=bool)
-
-    z = np.where(exists, np.clip(c - g_c, lo, hi), np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g_lo = lo - c - gamma * np.exp(beta * (lo + s))
-    sign_lo = np.sign(g_lo)
-
-    active = exists.copy()
-    tol = 1e-14 * np.maximum(1.0, np.abs(c))
-    for _ in range(120):
-        if not np.any(active):
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(beta * (z + s))
-            g = z - c - gamma * e
-            gp = 1.0 - gb * e
-        done = active & (np.abs(g) <= tol)
-        done |= active & (hi - lo <= 16 * np.finfo(float).eps
-                          * np.maximum(1.0, np.abs(z)))
-        active &= ~done
-        if not np.any(active):
-            break
-        same = np.sign(g) == sign_lo
-        lo = np.where(active & same, z, lo)
-        hi = np.where(active & ~same, z, hi)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            zn = z - g / gp
-        ok = np.isfinite(zn) & (zn > lo) & (zn < hi)
-        z = np.where(active, np.where(ok, zn, 0.5 * (lo + hi)), z)
-    else:
-        bad = np.argwhere(active)
-        if bad.size:
-            raise CellIterationDivergenceError(-1, -1)
-    return z
+        with np.errstate(over="ignore"):
+            x = -gb * np.exp(t)
+        exists = x > -np.exp(-1.0)  # lambertw is NaN at the float -1/e
+        w = lambertw(np.where(exists, x, 0.0)).real
+    return np.where(exists, c - w / beta, np.nan), exists & ~np.isfinite(w)
 
 
 def march_from_edges(bottom: np.ndarray, left: np.ndarray,
@@ -146,27 +114,18 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
     U[:, 0] = left
     U[0, 0] = bottom[0]
 
+    # a masked (NaN) neighbour makes c and s NaN and so masks the cell:
+    # the mask spreads down the dependency cone by itself
     for d in range(2, nx - 1 + ny - 1 + 1):
         i = np.arange(max(1, d - (ny - 1)), min(nx - 1, d - 1) + 1)
         j = d - i
-        west = U[j, i - 1]
-        south = U[j - 1, i]
-        diag = U[j - 1, i - 1]
-        ready = np.isfinite(west) & np.isfinite(south) & np.isfinite(diag)
-        if not np.any(ready):
-            continue
-        c = west[ready] + south[ready] - diag[ready]
-        s = west[ready] + south[ready] + diag[ready]
-        try:
-            z = _solve_diagonal(c, s, gamma, beta)
-        except CellIterationDivergenceError:
-            # re-raise with a real cell index for the post-mortem
-            ii = i[ready][0]
-            raise CellIterationDivergenceError(int(ii), int(d - ii)) from None
-        z = np.where(z > blowup_threshold, np.nan, z)
-        vals = np.full(i.shape, np.nan)
-        vals[ready] = z
-        U[j, i] = vals
+        west, south, diag = U[j, i - 1], U[j - 1, i], U[j - 1, i - 1]
+        z, failed = _solve_diagonal(west + south - diag, west + south + diag,
+                                    gamma, beta)
+        if failed.any():
+            k = int(np.argmax(failed))
+            raise CellIterationDivergenceError(int(i[k]), int(j[k]))
+        U[j, i] = np.where(z <= blowup_threshold, z, np.nan)
 
     field = ScalarField2D(grid, U)
     return MarchResult(field, np.isnan(U))

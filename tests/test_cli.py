@@ -7,10 +7,12 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from liouville.cli import run
 from liouville.fields import ScalarField2D
@@ -111,6 +113,44 @@ class TestExitCodes:
         assert doc["error"]["code"] == "elliptic.error"
         assert err.startswith("error:")
 
+    def test_march_divergence_is_exit_two(self, monkeypatch):
+        real = scipy.special.lambertw
+
+        def spoiled(x, *args, **kwargs):
+            w = real(x, *args, **kwargs)
+            w[-1] = np.nan
+            return w
+
+        monkeypatch.setattr(scipy.special, "lambertw", spoiled)
+        code, out, err = invoke(["march", "--phi", "0", "--psi", "0",
+                                 "--nx", "9", "--ny", "9"])
+        assert code == 2
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["status"] == "error"
+        assert doc["error"]["code"] == "hyperbolic.cell_divergence"
+        # the first anti-diagonal (d = 2) holds the single cell (1, 1)
+        assert "(i=1, j=1)" in doc["error"]["message"]
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--out", "--in", "--mask-out"])
+    def test_os_errors_keep_the_summary(self, flag, tmp_path):
+        missing = str(tmp_path / "no_such_dir" / "field.csv")
+        args = {
+            "--out": ["exact-h", "--f", "x", "--g", "y", "--out", missing],
+            "--in": ["verify", "--eq", "hyperbolic", "--in", missing],
+            "--mask-out": ["march", "--phi", "0", "--psi", "0",
+                           "--out", "/dev/null", "--mask-out", missing],
+        }[flag]
+        code, out, err = invoke(args)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["status"] == "error"
+        assert doc["command"] == args[0]
+        assert doc["error"]["code"] == "io.error"
+        assert err.startswith("error:")
+
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],
                               stdin_text="")
@@ -133,6 +173,35 @@ class TestPipeFlows:
         assert doc["eq"] == "hyperbolic"
         assert doc["max_abs"] <= 1e-3
         assert doc["cells"] == 64 * 64
+
+    @pytest.mark.parametrize("eq", ["hyperbolic", "elliptic"])
+    def test_verify_fails_when_residual_overflows(self, eq):
+        # no input is masked, yet every residual cell is non-finite: a
+        # verifier that checked nothing must not pass
+        field = "# 3 3 0.0 0.0 0.5 0.5\n" + "1e308,1e308,1e308\n" * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["verify", "--eq", eq], stdin_text=field)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "fields.non_finite_residual"
+        assert err.startswith("error:")
+
+    def test_verify_passes_masked_march(self):
+        code, out, _ = invoke(["march", "--phi", "0", "--psi", "0",
+                               "--domain", "0", "0", "3", "3",
+                               "--nx", "33", "--ny", "33",
+                               "--threshold", "1.0"])
+        assert code == 0
+        assert summary_of(out)["n_masked"] > 0
+        U = ScalarField2D.read_csv(io.StringIO(out)).values
+        corners_finite = (np.isfinite(U[1:, 1:]) & np.isfinite(U[1:, :-1])
+                          & np.isfinite(U[:-1, 1:]) & np.isfinite(U[:-1, :-1]))
+        code, vout, _ = invoke(["verify", "--eq", "hyperbolic"], stdin_text=out)
+        assert code == 0
+        doc = summary_of(vout)
+        assert doc["status"] == "ok"
+        assert doc["cells"] == int(corners_finite.sum())
 
     def test_convert_log_round(self):
         _, out, _ = invoke(self.EXACT)

@@ -2,12 +2,15 @@
 the two-function closed form and each other."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from liouville.closedform import CharacteristicPair, hyperbolic_exact
 from liouville.errors import (
+    CellIterationDivergenceError,
     CornerMismatchError,
     HyperbolicError,
     OdeOverflowError,
@@ -119,6 +122,62 @@ class TestMarchDeterminism:
         full = march(EXP, P11, Grid2D.from_bounds(1.0, 1.0, 2.0, 2.0, 65, 65))
         half = march(EXP, P11, Grid2D.from_bounds(1.0, 1.0, 1.5, 1.5, 33, 33))
         assert np.array_equal(full.field.values[:33, :33], half.field.values)
+
+
+def cell_equation_error(res, p):
+    """Per-cell error of the implicit update U = c + gamma e^(beta (U+s)),
+    relative to max(1, |U|), over the interior nodes (NaN where masked)."""
+    g = res.field.grid
+    U = res.field.values
+    west, south, diag = U[1:, :-1], U[:-1, 1:], U[:-1, :-1]
+    c = west + south - diag
+    s = west + south + diag
+    z = U[1:, 1:]
+    gamma, beta = g.hx * g.hy * p.K, p.a / 4.0
+    return np.abs(z - c - gamma * np.exp(beta * (z + s))) / np.maximum(1.0, np.abs(z))
+
+
+class TestClosedFormCellUpdate:
+    @pytest.mark.parametrize("phi, psi, K, a", [
+        ("0", "0", 1.0, 1.0),
+        ("sin(3*x)", "sin(5*y)", 3.0, 2.0),
+    ])
+    def test_cell_equation_holds_to_rounding(self, phi, psi, K, a):
+        p = LiouvilleParams(K, a)
+        data = GoursatData(parse(phi, ("x",)), parse(psi, ("y",)))
+        res = march(data, p, Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 65, 65))
+        err = cell_equation_error(res, p)
+        kept = err[~np.isnan(err)]  # the sine data blows up in a corner
+        assert kept.size > 500
+        assert kept.max() <= 1e-15
+
+    def test_huge_data_with_negative_K_stays_finite(self):
+        # e^(beta (c+s)) overflows here, but the update is monotone and
+        # every cell has a root
+        data = GoursatData(parse("800+x", ("x",)), parse("800+y", ("y",)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = march(data, LiouvilleParams(-1.0, 1.0),
+                        Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 33, 33))
+        assert res.n_masked == 0
+        assert np.all(np.isfinite(res.field.values))
+
+    def test_divergence_names_the_failing_cell(self, monkeypatch):
+        # one lambertw call per anti-diagonal d = 2, 3, ...; spoil the
+        # fourth cell of d = 11, which on a 17x17 grid is (i, j) = (4, 7)
+        real, calls = scipy.special.lambertw, []
+
+        def spoiled(x, *args, **kwargs):
+            w = real(x, *args, **kwargs)
+            calls.append(x)
+            if len(calls) == 10:
+                w[3] = np.nan
+            return w
+
+        monkeypatch.setattr(scipy.special, "lambertw", spoiled)
+        with pytest.raises(CellIterationDivergenceError) as info:
+            march(ZERO_DATA, P11, Grid2D.from_bounds(0, 0, 1, 1, 17, 17))
+        assert (info.value.i, info.value.j) == (4, 7)
 
 
 class TestMarchValidation:
