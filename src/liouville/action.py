@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldsError
+from .errors import FieldsError, NonFiniteActionError
 from .fields import ScalarField2D
 
 __all__ = ["ActionParams", "action_value", "action_gradient"]
@@ -48,11 +48,18 @@ def _cell_terms(phi: ScalarField2D):
 
 
 def action_value(phi: ScalarField2D, p: ActionParams) -> float:
-    """Midpoint-rule value of the action over the grid's cells."""
+    """Midpoint-rule value of the action over the grid's cells.  A field
+    with masked (NaN) nodes has a NaN action; one without them whose
+    action is not finite raises NonFiniteActionError."""
     g = phi.grid
-    gx, gy, mean = _cell_terms(phi)
-    density = 0.5 * (gx * gx + gy * gy) + p.mu ** 2 * np.exp(mean)
-    return float(p.C * g.hx * g.hy * density.sum())
+    with np.errstate(all="ignore"):
+        gx, gy, mean = _cell_terms(phi)
+        density = 0.5 * (gx * gx + gy * gy) + p.mu ** 2 * np.exp(mean)
+        value = float(p.C * g.hx * g.hy * density.sum())
+    if not np.isfinite(value) and not np.isnan(phi.values).any():
+        raise NonFiniteActionError(
+            f"action is {value} although no node of the field is masked")
+    return value
 
 
 def action_gradient(phi: ScalarField2D, p: ActionParams) -> ScalarField2D:

@@ -89,7 +89,9 @@ def _print_summary(command: Optional[str], digest: str, status: str,
 
 
 def _field_stats(field: ScalarField2D) -> dict:
-    kept = field.values[np.isfinite(field.values)]
+    """Masked (NaN) node count and the extremes of the other nodes; an
+    infinite extreme is reported as null."""
+    kept = field.values[~np.isnan(field.values)]
     return {"n_masked": int(field.values.size - kept.size),
             "u_min": _num(kept.min()) if kept.size else None,
             "u_max": _num(kept.max()) if kept.size else None}

@@ -1,9 +1,11 @@
 """Newton solver and continuation engine for the elliptic Liouville
 equation.
 
-Two geometries: 2D rectangles (5-point Laplacian, sparse LU) and the
-unit disk reduced to a radial profile (tridiagonal, with the regularity
-closure u'(0) = 0 at the center).  On top of the plain Dirichlet solver
+Two geometries: 2D rectangles (matrix-free 5-point Laplacian, Newton
+steps solved by GMRES preconditioned with the exact fast-sine inverse of
+a shifted Laplacian) and the unit disk reduced to a radial profile
+(tridiagonal, banded direct solve, with the regularity closure
+u'(0) = 0 at the center).  On top of the plain Dirichlet solver
 sit a pseudo-arclength continuation of the Gelfand branch
 Delta u + lambda e^u = 0 with fold detection, and the boundary blow-up
 exhaustion u|_boundary = M for increasing M.
@@ -15,9 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
-from scipy.sparse.linalg import splu
 
 from .errors import (
     EllipticError,
@@ -25,7 +24,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expr import Expr, eval_dual
-from .fields import Grid2D, LiouvilleParams, ScalarField2D, write_table
+from .fields import Grid2D, LiouvilleParams, ScalarField2D, laplacian, write_table
 
 __all__ = [
     "RectangleGeometry",
@@ -44,6 +43,9 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-10
+# relative 2-norm tolerance of each rectangle Newton step's GMRES solve
+GMRES_RTOL = 1e-8
+GMRES_RESTART, GMRES_CYCLES = 60, 10
 MAX_NEWTON = 60
 MAX_HALVINGS = 30
 DS_MIN, DS_MAX = 1e-4, 0.1
@@ -162,14 +164,14 @@ class RadialProfile:
 
 
 class _System:
-    """F(u) above; subclasses set ``A``, ``bc_vec`` and ``m``."""
+    """F(u) above; subclasses apply ``A`` and set ``bc_vec`` and ``m``."""
 
     def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
-        return self.A @ u + self.bc_vec + coef * np.exp(a * u)
+        return self.apply_A(u) + self.bc_vec + coef * np.exp(a * u)
 
     def jacobian_matvec(self, u: np.ndarray, coef: float, a: float,
                         v: np.ndarray) -> np.ndarray:
-        return self.A @ v + coef * a * np.exp(a * u) * v
+        return self.apply_A(v) + coef * a * np.exp(a * u) * v
 
 
 class _RadialSystem(_System):
@@ -184,23 +186,31 @@ class _RadialSystem(_System):
         h = geom.h
         m = geom.n - 1
         r = geom.r()[1:m]
-        lo = 1.0 / h ** 2 - 1.0 / (2 * r * h)
-        di = np.full(m, -2.0 / h ** 2)
-        di[0] = -4.0 / h ** 2
-        up = np.append(4.0 / h ** 2, 1.0 / h ** 2 + 1.0 / (2 * r[:-1] * h))
-        self.A = sp.diags([lo, di, up], [-1, 0, 1], format="csr")
+        # the sub-, main and super-diagonal of A
+        self.lo = 1.0 / h ** 2 - 1.0 / (2 * r * h)
+        self.di = np.full(m, -2.0 / h ** 2)
+        self.di[0] = -4.0 / h ** 2
+        self.up = np.append(4.0 / h ** 2, 1.0 / h ** 2 + 1.0 / (2 * r[:-1] * h))
         self.bc_vec = np.zeros(m)
         self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
         self.boundary = boundary
         self.geom = geom
         self.m = m
 
+    def apply_A(self, v: np.ndarray) -> np.ndarray:
+        Av = self.di * v
+        Av[1:] += self.lo * v[:-1]
+        Av[:-1] += self.up * v[1:]
+        return Av
+
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
+        from scipy.linalg import solve_banded
+
         ab = np.zeros((3, self.m))
-        ab[0, 1:] = self.A.diagonal(1)
-        ab[1] = self.A.diagonal(0) + coef * a * np.exp(a * u)
-        ab[2, :-1] = self.A.diagonal(-1)
+        ab[0, 1:] = self.up
+        ab[1] = self.di + coef * a * np.exp(a * u)
+        ab[2, :-1] = self.lo
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             try:
@@ -225,23 +235,23 @@ class _RadialSystem(_System):
 class _RectSystem(_System):
     """5-point Laplacian on the interior nodes of a rectangle grid,
     row-major unknown ordering, Dirichlet ring folded into a constant
-    vector."""
+    vector.  A is never assembled: it is the stencil applied to the
+    ``(nyi, nxi)`` interior array padded with zeros, and the sine
+    transform (DST-I) diagonalizes it exactly."""
 
     def __init__(self, geom: RectangleGeometry, boundary: Union[Expr, float]):
         g = geom.grid
         nxi, nyi = g.nx - 2, g.ny - 2
-        Tx = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nxi, nxi))
-        Ty = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nyi, nyi))
-        self.A = (sp.kron(sp.eye(nyi), Tx) / g.hx ** 2
-                  + sp.kron(Ty, sp.eye(nxi)) / g.hy ** 2).tocsc()
-        bv = self._boundary_values(g, boundary)
-        bc = np.zeros((nyi, nxi))
-        bc[:, 0] += bv[1:-1, 0] / g.hx ** 2
-        bc[:, -1] += bv[1:-1, -1] / g.hx ** 2
-        bc[0, :] += bv[0, 1:-1] / g.hy ** 2
-        bc[-1, :] += bv[-1, 1:-1] / g.hy ** 2
-        self.bc_vec = bc.ravel()
-        self.bv = bv
+        self.bv = self._boundary_values(g, boundary)
+        # A applied to the ring data alone: the interior of bv is zero
+        self.bc_vec = laplacian(self.bv, g.hx, g.hy).ravel()
+        self._padded = np.zeros((g.ny, g.nx))
+        # eigenvalues of A on the DST-I modes; mu1 = -eig[0, 0] > 0 is
+        # the magnitude of the one closest to zero
+        sx = np.sin(0.5 * np.pi * np.arange(1, nxi + 1) / (nxi + 1)) ** 2
+        sy = np.sin(0.5 * np.pi * np.arange(1, nyi + 1) / (nyi + 1)) ** 2
+        self.eig = -4.0 * (sy[:, None] / g.hy ** 2 + sx[None, :] / g.hx ** 2)
+        self.mu1 = float(-self.eig[0, 0])
         self.geom = geom
         self.m = nxi * nyi
         self.nxi, self.nyi = nxi, nyi
@@ -263,20 +273,49 @@ class _RectSystem(_System):
         bv[1:-1, 1:-1] = 0.0
         return bv
 
+    def apply_A(self, v: np.ndarray) -> np.ndarray:
+        g = self.geom.grid
+        self._padded[1:-1, 1:-1] = v.reshape(self.nyi, self.nxi)
+        return laplacian(self._padded, g.hx, g.hy).ravel()
+
+    def shifted_inverse(self, r: np.ndarray, c: float) -> np.ndarray:
+        """(A + c I)^-1 r, exact, by two sine transforms."""
+        from scipy.fft import dstn, idstn
+
+        rhat = dstn(r.reshape(self.nyi, self.nxi), type=1)
+        return idstn(rhat / (self.eig + c), type=1).ravel()
+
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
-        J = self.A + sp.diags(coef * a * np.exp(a * u))
-        try:
-            lu = splu(J.tocsc())
-        except RuntimeError as exc:
-            raise SingularJacobianError(str(exc)) from exc
-        return lu.solve
+        """GMRES on J = A + diag(coef a e^(a u)), preconditioned by
+        (A + c I)^-1 with c the mean of that diagonal, clipped at mu1/2
+        so that A + c I stays negative definite."""
+        from scipy.sparse.linalg import LinearOperator, gmres
+
+        d = coef * a * np.exp(a * u)
+        c = min(float(d.mean()), 0.5 * self.mu1)
+        shape = (self.m, self.m)
+        J = LinearOperator(shape, matvec=lambda v: self.apply_A(v) + d * v,
+                           dtype=float)
+        M = LinearOperator(shape, matvec=lambda r: self.shifted_inverse(r, c),
+                           dtype=float)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x, info = gmres(J, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+                            maxiter=GMRES_CYCLES, M=M)
+            if info != 0:
+                raise SingularJacobianError(
+                    f"GMRES did not converge in {GMRES_CYCLES} cycles of "
+                    f"{GMRES_RESTART} iterations")
+            return x
+
+        return solve
 
     def initial_guess(self) -> np.ndarray:
         if not np.any(self.bc_vec):
             return np.zeros(self.m)
-        # discrete harmonic extension: the Jacobian at coef = 0 is A
-        return self.jacobian_solver(np.zeros(self.m), 0.0, 1.0)(-self.bc_vec)
+        # discrete harmonic extension: A u = -bc_vec
+        return self.shifted_inverse(-self.bc_vec, 0.0)
 
     def center_value(self, u: np.ndarray) -> float:
         """Value at the domain center (mean of the nearest nodes when the
@@ -426,16 +465,18 @@ def _secant(p: BranchPoint, q: BranchPoint) -> tuple[np.ndarray, float]:
 def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
     """Newton on (F, N) = 0 from the predictor (u, lam), where N pins the
     iterate to the plane through the predictor with (scaled-)normal equal
-    to the tangent."""
+    to the tangent.  On failure the report's residuals are max(|F|, |N|)."""
     max_iter = 12
     u_pred, lam_pred = u, lam
-    for it in range(max_iter):
+    history = []
+    for it in range(max_iter + 1):
         F = system.residual(u, lam, 1.0)
         nrm = float(np.abs(F).max())
         N = _dot(u - u_pred, lam - lam_pred, tu, tl)
-        if not np.isfinite(nrm):
+        history.append(max(nrm, abs(N)))
+        if not np.isfinite(nrm) or it == max_iter:
             break
-        if max(nrm, abs(N)) <= tol:
+        if history[-1] <= tol:
             return u, lam, it
         solve = system.jacobian_solver(u, lam, 1.0)
         a_vec = solve(-F)
@@ -449,8 +490,10 @@ def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
         step = _norm(a_vec + dlam * b_vec, dlam)
         if abs(N) <= tol and _at_floor(nrm, step, u):
             return u, lam, it + 1
-    raise NonConvergenceError("continuation corrector did not converge",
-                              SolveReport(max_iter, float("inf"), False), u)
+    report = SolveReport(it, history[-1], False, history, tol)
+    raise NonConvergenceError(
+        f"continuation corrector did not converge (residual "
+        f"{history[-1]:.3e})", report, u)
 
 
 def _step(system, base: BranchPoint, tu, tl, ds: float,

@@ -88,6 +88,14 @@ class NonFiniteResidualError(FieldsError):
     code = "fields.non_finite_residual"
 
 
+# --- action -------------------------------------------------------------
+
+class NonFiniteActionError(FieldsError):
+    """The action is non-finite although no node of the field is masked."""
+
+    code = "action.non_finite"
+
+
 # --- closedform ---------------------------------------------------------
 
 class ClosedFormError(LiouvilleError):

@@ -33,6 +33,7 @@ __all__ = [
     "ScalarField2D",
     "LiouvilleParams",
     "Norms",
+    "laplacian",
     "residual_elliptic",
     "residual_hyperbolic",
     "residual_log",
@@ -200,6 +201,14 @@ def _require(grid: Grid2D, n_min: int, what: str) -> None:
         )
 
 
+def laplacian(v: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """5-point Laplacian of the ``(ny, nx)`` array ``v`` at its interior
+    nodes; the result has shape ``(ny - 2, nx - 2)``."""
+    c = v[1:-1, 1:-1]
+    return ((v[1:-1, 2:] - 2.0 * c + v[1:-1, :-2]) / hx**2
+            + (v[2:, 1:-1] - 2.0 * c + v[:-2, 1:-1]) / hy**2)
+
+
 def residual_elliptic(u: ScalarField2D, p: LiouvilleParams) -> ScalarField2D:
     """Node-centered residual of Delta u = K e^(a u); 5-point Laplacian on
     interior nodes, NaN sentinel on the boundary ring."""
@@ -207,11 +216,8 @@ def residual_elliptic(u: ScalarField2D, p: LiouvilleParams) -> ScalarField2D:
     g = u.grid
     v = u.values
     r = np.full_like(v, np.nan)
-    lap = (
-        (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / g.hx**2
-        + (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / g.hy**2
-    )
-    r[1:-1, 1:-1] = lap - p.K * np.exp(p.a * v[1:-1, 1:-1])
+    r[1:-1, 1:-1] = (laplacian(v, g.hx, g.hy)
+                     - p.K * np.exp(p.a * v[1:-1, 1:-1]))
     return ScalarField2D(g, r)
 
 

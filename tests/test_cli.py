@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -212,6 +213,35 @@ class TestPipeFlows:
         assert code == 0
         assert summary_of(vout)["max_abs"] <= 1e-3
 
+    def test_action_fails_when_value_overflows(self):
+        # no node is masked, yet the action is infinite: exit 1, not ok
+        field = "# 3 3 0.0 0.0 0.5 0.5\n" + "1e308,1e308,1e308\n" * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["action"], stdin_text=field)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "action.non_finite"
+        assert err.startswith("error:")
+
+    def test_action_of_masked_field_is_null(self):
+        field = ("# 3 3 0.0 0.0 0.5 0.5\n" + "0.0,0.0,0.0\n"
+                 + "0.0,nan,0.0\n" + "0.0,0.0,0.0\n")
+        code, out, _ = invoke(["action"], stdin_text=field)
+        assert code == 0
+        assert summary_of(out)["value"] is None
+
+    def test_only_nan_nodes_count_as_masked(self):
+        field = ("# 3 3 0.0 0.0 0.5 0.5\n" + "1.0,1.0,1.0\n"
+                 + "1.0,nan,inf\n" + "1.0,1.0,2.0\n")
+        code, out, _ = invoke(["convert-log", "--direction", "T-to-u"],
+                              stdin_text=field)
+        assert code == 0
+        doc = summary_of(out)
+        assert doc["n_masked"] == 1
+        assert doc["u_min"] == 0.0
+        assert doc["u_max"] is None  # log(inf) = inf has no JSON number
+
     def test_action_on_piped_field(self):
         _, out, _ = invoke(self.EXACT)
         code, aout, _ = invoke(["action", "--fd-check", "10"], stdin_text=out)
@@ -219,6 +249,19 @@ class TestPipeFlows:
         doc = summary_of(aout)
         assert doc["fd_rel_max"] <= 1e-6
         assert doc["value"] > 0
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        # every command pays the CLI's imports; the solvers import scipy
+        # themselves when they first need it
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "import liouville.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestFieldFiles:

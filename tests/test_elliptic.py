@@ -13,13 +13,19 @@ from liouville.elliptic import (
     DiskGeometry,
     GelfandParams,
     RectangleGeometry,
+    _corrector,
     _make_system,
+    _secant,
     boundary_blowup_approx,
     continue_branch,
     solve_dirichlet,
     solve_on_branch,
 )
-from liouville.errors import EllipticError, NonConvergenceError
+from liouville.errors import (
+    EllipticError,
+    NonConvergenceError,
+    SingularJacobianError,
+)
 from liouville.expr import parse
 from liouville.fields import Grid2D, LiouvilleParams
 
@@ -150,6 +156,57 @@ class TestDiskSolve:
         assert np.all(lo.values <= exact) and np.all(exact <= up.values)
 
 
+class TestKrylovSolve:
+    """The matrix-free rectangle solve against dense direct solves of the
+    same discrete system, on a grid with hx != hy."""
+
+    GRID = Grid2D.from_bounds(-0.4, -0.3, 0.4, 0.5, 17, 25)
+
+    def system(self):
+        return _make_system(RectangleGeometry(self.GRID),
+                            parse(BLOWDOWN_TRACE, ("x", "y")))
+
+    @staticmethod
+    def dense_jacobian(system, u, coef, a):
+        eye = np.eye(system.m)
+        return np.column_stack([system.jacobian_matvec(u, coef, a, e)
+                                for e in eye])
+
+    def test_initial_guess_is_dense_poisson_solve(self):
+        system = self.system()
+        A = self.dense_jacobian(system, np.zeros(system.m), 0.0, 1.0)
+        dense = np.linalg.solve(A, -system.bc_vec)
+        assert np.abs(system.initial_guess() - dense).max() <= 1e-12
+
+    def test_matches_dense_newton(self):
+        system = self.system()
+        coef, a = 1.0, 1.0  # Delta u = K e^u with K = -1
+        u = system.initial_guess()
+        for _ in range(8):
+            J = self.dense_jacobian(system, u, coef, a)
+            u = u + np.linalg.solve(J, -system.residual(u, coef, a))
+        assert np.abs(system.residual(u, coef, a)).max() <= 1e-10
+        prob = DirichletProblem(RectangleGeometry(self.GRID),
+                                LiouvilleParams(-1.0, 1.0),
+                                parse(BLOWDOWN_TRACE, ("x", "y")))
+        field, report = solve_dirichlet(prob)
+        assert report.converged
+        krylov = field.values[1:-1, 1:-1].ravel()
+        assert np.abs(krylov - u).max() <= 1e-12
+
+    def test_singular_jacobian_raises(self):
+        # coef = mu1 at u = 0 makes J = A + mu1 I singular, with the
+        # lowest sine mode as null vector; a right-hand side with a
+        # component along it has no solution, so GMRES exhausts its budget
+        system = self.system()
+        g = self.GRID
+        mu1 = sum(4.0 / h ** 2 * math.sin(0.5 * math.pi / (n - 1)) ** 2
+                  for h, n in ((g.hx, g.nx), (g.hy, g.ny)))
+        solve = system.jacobian_solver(np.zeros(system.m), mu1, 1.0)
+        with pytest.raises(SingularJacobianError):
+            solve(np.ones(system.m))
+
+
 class TestJacobian:
     coef, a = 1.3, 0.7
 
@@ -237,6 +294,26 @@ class TestContinuation:
                 continue_branch(DiskGeometry(65), max_steps=max_steps)
         with pytest.raises(EllipticError):
             solve_on_branch(DiskGeometry(65), Branch([]), 1.0, "sideways")
+
+    @pytest.mark.parametrize("geometry", [rect(17), DiskGeometry(65)],
+                             ids=["rectangle", "disk"])
+    def test_corrector_failure_keeps_history(self, geometry):
+        # only an exactly zero residual meets tol = 0, so the corrector
+        # runs out of iterations
+        system = _make_system(geometry, 0.0)
+        start = continue_branch(geometry, max_steps=4).points
+        tu, tl = _secant(start[-2], start[-1])
+        with pytest.raises(NonConvergenceError) as info:
+            _corrector(system, start[-1].u + 0.05 * tu,
+                       start[-1].lam + 0.05 * tl, tu, tl, 0.0)
+        report = info.value.report
+        assert not report.converged
+        assert report.iterations == 12
+        assert len(report.newton_history) == report.iterations + 1
+        assert report.final_residual == report.newton_history[-1]
+        # the Newton iterates did reach the rounding floor
+        assert report.newton_history[0] > 1e-6
+        assert max(report.newton_history[2:]) <= 1e-12
 
 
 class TestBoundaryBlowupApprox:
