@@ -21,8 +21,10 @@ import numpy as np
 from .errors import (
     ClosedFormError,
     DomainViolationError,
+    NonFiniteConversionError,
     NonMonotoneGError,
     NonPositiveBError,
+    NonPositiveFieldError,
     SeedDegenerateError,
     SignError,
     SingularNodeError,
@@ -241,15 +243,21 @@ def convert_log_form(field: ScalarField2D, direction: str) -> ScalarField2D:
     """Pointwise change of unknown between u and T = e^u.
 
     ``direction`` is "u_to_T" or "T_to_u"; NaN sentinels pass through,
-    and T_to_u requires every non-sentinel entry to be positive.
+    and T_to_u requires every non-sentinel entry to be positive.  A
+    finite input whose image is not finite (e^u overflowing) raises
+    NonFiniteConversionError.
     """
     v = field.values
     if direction == "u_to_T":
-        return ScalarField2D(field.grid, np.exp(v))
+        with np.errstate(over="ignore"):
+            out = np.exp(v)
+        overflow = int((np.isfinite(v) & ~np.isfinite(out)).sum())
+        if overflow:
+            raise NonFiniteConversionError(
+                f"T = e^u overflows at {overflow} node(s) where u is finite")
+        return ScalarField2D(field.grid, out)
     if direction == "T_to_u":
-        finite = np.isfinite(v)
-        if np.any(v[finite] <= 0):
-            from .errors import NonPositiveFieldError
+        if np.any(v[~np.isnan(v)] <= 0):
             raise NonPositiveFieldError("T must be positive to form u = log T")
         return ScalarField2D(field.grid, np.log(v))
     raise ClosedFormError(f"direction must be 'u_to_T' or 'T_to_u', got {direction!r}")

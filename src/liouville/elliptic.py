@@ -2,17 +2,18 @@
 equation.
 
 Two geometries: 2D rectangles (matrix-free 5-point Laplacian, Newton
-steps solved by GMRES preconditioned with the exact fast-sine inverse of
-a shifted Laplacian) and the unit disk reduced to a radial profile
-(tridiagonal, banded direct solve, with the regularity closure
-u'(0) = 0 at the center).  On top of the plain Dirichlet solver
-sit a pseudo-arclength continuation of the Gelfand branch
-Delta u + lambda e^u = 0 with fold detection, and the boundary blow-up
-exhaustion u|_boundary = M for increasing M.
+steps solved by restarted GMRES preconditioned with the exact fast-sine
+inverse of a shifted Laplacian, both on numpy alone) and the unit disk
+reduced to a radial profile (tridiagonal, scipy.linalg banded direct
+solve, with the regularity closure u'(0) = 0 at the center).  On top of
+the plain Dirichlet solver sit a pseudo-arclength continuation of the
+Gelfand branch Delta u + lambda e^u = 0 with fold detection, and the
+boundary blow-up exhaustion u|_boundary = M for increasing M.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -20,11 +21,13 @@ import numpy as np
 
 from .errors import (
     EllipticError,
+    GridTooLargeError,
     NonConvergenceError,
     SingularJacobianError,
 )
 from .expr import Expr, eval_dual
-from .fields import Grid2D, LiouvilleParams, ScalarField2D, laplacian, write_table
+from .fields import (MAX_NODES, Grid2D, LiouvilleParams, ScalarField2D,
+                     laplacian, write_table)
 
 __all__ = [
     "RectangleGeometry",
@@ -75,6 +78,9 @@ class DiskGeometry:
     def __post_init__(self):
         if self.n < 3:
             raise EllipticError("disk geometry needs at least 3 radial nodes")
+        if self.n > MAX_NODES:
+            raise GridTooLargeError(
+                f"{self.n} radial nodes exceed the cap of {MAX_NODES}")
 
     @property
     def h(self) -> float:
@@ -232,6 +238,90 @@ class _RadialSystem(_System):
         return RadialProfile(self.geom.r(), full)
 
 
+def _dst2(x: np.ndarray) -> np.ndarray:
+    """Unnormalized 2-D DST-I of the (ny, nx) array ``x``,
+    y_kl = 4 sum_ij x_ij sin(pi (i+1)(k+1)/(ny+1)) sin(pi (j+1)(l+1)/(nx+1)),
+    one axis at a time: the sine transform of a line is -Im of the real
+    FFT of its odd extension [0, x, 0, -x[::-1]].  The two minus signs
+    cancel, so neither is applied."""
+    ny, nx = x.shape
+    z = np.zeros((2 * ny + 2, nx))
+    z[1:ny + 1] = x
+    np.negative(x[::-1], out=z[ny + 2:])
+    x = np.fft.rfft(z, axis=0).imag[1:ny + 1]
+    z = np.zeros((ny, 2 * nx + 2))
+    z[:, 1:nx + 1] = x
+    np.negative(x[:, ::-1], out=z[:, nx + 2:])
+    return np.fft.rfft(z, axis=1).imag[:, 1:nx + 1]
+
+
+def _l2(v: np.ndarray) -> float:
+    """2-norm, computed without BLAS (see ``_gmres``)."""
+    return float(np.sqrt(np.einsum("i,i", v, v)))
+
+
+def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
+           psolve: Callable[[np.ndarray], np.ndarray],
+           b: np.ndarray) -> np.ndarray:
+    """Restarted GMRES (Saad & Schultz 1986) from x = 0, right-
+    preconditioned by ``psolve``, Arnoldi by classical Gram-Schmidt
+    applied twice, the least-squares problem kept triangular by Givens
+    rotations.  Returns x once ||b - J x||_2 <= GMRES_RTOL ||b||_2; raises
+    SingularJacobianError when GMRES_CYCLES cycles of GMRES_RESTART
+    iterations do not get there.
+
+    Products and norms go through einsum, not BLAS: on long vectors
+    OpenBLAS hands each call to worker threads that have gone to sleep
+    during the sine transforms, and waking them costs milliseconds."""
+    tol = GMRES_RTOL * _l2(b)
+    x = np.zeros_like(b)
+    r = b
+    k = GMRES_RESTART
+    for _ in range(GMRES_CYCLES):
+        beta = _l2(r)
+        if beta <= tol:
+            return x
+        V = np.empty((k + 1, b.size))
+        Z = np.empty((k, b.size))
+        R = np.zeros((k, k))
+        cs, sn = np.zeros(k), np.zeros(k)
+        g = np.zeros(k + 1)
+        g[0] = beta
+        V[0] = r / beta
+        for j in range(k):
+            Z[j] = psolve(V[j])
+            w = matvec(Z[j])
+            h = np.einsum("ij,j->i", V[:j + 1], w)
+            w -= np.einsum("i,ij->j", h, V[:j + 1])
+            h2 = np.einsum("ij,j->i", V[:j + 1], w)
+            w -= np.einsum("i,ij->j", h2, V[:j + 1])
+            hn = _l2(w)
+            if hn:
+                V[j + 1] = w / hn
+            col = h + h2
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = float(np.hypot(col[j], hn))
+            cs[j], sn[j] = (col[j] / rho, hn / rho) if rho else (1.0, 0.0)
+            col[j] = rho
+            R[:j + 1, j] = col
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            if abs(g[j + 1]) <= tol or not hn:
+                break
+        try:
+            y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
+        except np.linalg.LinAlgError:
+            break
+        x = x + np.einsum("i,ij->j", y, Z[:j + 1])
+        r = b - matvec(x)
+    if _l2(r) <= tol:
+        return x
+    raise SingularJacobianError(
+        f"GMRES did not converge in {GMRES_CYCLES} cycles of "
+        f"{GMRES_RESTART} iterations")
+
+
 class _RectSystem(_System):
     """5-point Laplacian on the interior nodes of a rectangle grid,
     row-major unknown ordering, Dirichlet ring folded into a constant
@@ -279,37 +369,20 @@ class _RectSystem(_System):
         return laplacian(self._padded, g.hx, g.hy).ravel()
 
     def shifted_inverse(self, r: np.ndarray, c: float) -> np.ndarray:
-        """(A + c I)^-1 r, exact, by two sine transforms."""
-        from scipy.fft import dstn, idstn
-
-        rhat = dstn(r.reshape(self.nyi, self.nxi), type=1)
-        return idstn(rhat / (self.eig + c), type=1).ravel()
+        """(A + c I)^-1 r, exact, by two sine transforms (DST-I applied
+        twice is 4 (nxi+1)(nyi+1) times the identity)."""
+        rhat = _dst2(r.reshape(self.nyi, self.nxi)) / (self.eig + c)
+        return _dst2(rhat).ravel() / (4.0 * (self.nxi + 1) * (self.nyi + 1))
 
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
         """GMRES on J = A + diag(coef a e^(a u)), preconditioned by
         (A + c I)^-1 with c the mean of that diagonal, clipped at mu1/2
         so that A + c I stays negative definite."""
-        from scipy.sparse.linalg import LinearOperator, gmres
-
         d = coef * a * np.exp(a * u)
         c = min(float(d.mean()), 0.5 * self.mu1)
-        shape = (self.m, self.m)
-        J = LinearOperator(shape, matvec=lambda v: self.apply_A(v) + d * v,
-                           dtype=float)
-        M = LinearOperator(shape, matvec=lambda r: self.shifted_inverse(r, c),
-                           dtype=float)
-
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            x, info = gmres(J, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-                            maxiter=GMRES_CYCLES, M=M)
-            if info != 0:
-                raise SingularJacobianError(
-                    f"GMRES did not converge in {GMRES_CYCLES} cycles of "
-                    f"{GMRES_RESTART} iterations")
-            return x
-
-        return solve
+        return functools.partial(_gmres, lambda v: self.apply_A(v) + d * v,
+                                 lambda r: self.shifted_inverse(r, c))
 
     def initial_guess(self) -> np.ndarray:
         if not np.any(self.bc_vec):

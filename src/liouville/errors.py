@@ -74,6 +74,12 @@ class GridTooSmallError(FieldsError):
     code = "fields.grid_too_small"
 
 
+class GridTooLargeError(FieldsError):
+    """More nodes than ``fields.MAX_NODES``."""
+
+    code = "fields.grid_too_large"
+
+
 class NonPositiveFieldError(FieldsError):
     code = "fields.non_positive_field"
 
@@ -142,6 +148,12 @@ class NonPositiveBError(ClosedFormError):
 
 class NonMonotoneGError(ClosedFormError):
     code = "closedform.non_monotone_g"
+
+
+class NonFiniteConversionError(ClosedFormError):
+    """The u <-> T = e^u conversion left a finite input non-finite."""
+
+    code = "closedform.non_finite"
 
 
 # --- elliptic -----------------------------------------------------------

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     EmptyInteriorError,
     FieldsError,
+    GridTooLargeError,
     GridTooSmallError,
     NonPositiveFieldError,
 )
@@ -40,7 +41,13 @@ __all__ = [
     "norms",
     "extrapolate_residual",
     "write_table",
+    "MAX_NODES",
 ]
+
+# Largest node count of a grid (nx * ny) or of a disk's radial mesh: 8 Mi
+# nodes, 64 MB per float64 array.  Checked before anything is allocated,
+# so a mistyped size fails at once instead of exhausting memory.
+MAX_NODES = 2 ** 23
 
 
 @contextmanager
@@ -83,6 +90,9 @@ class Grid2D:
         # 1x1 grids occur as the staggered cell grid of a 2x2 field
         if self.nx < 1 or self.ny < 1:
             raise GridTooSmallError(f"need at least 1x1 nodes, got {self.nx}x{self.ny}")
+        if self.nx * self.ny > MAX_NODES:
+            raise GridTooLargeError(
+                f"{self.nx}x{self.ny} nodes exceed the cap of {MAX_NODES}")
         if not (self.hx > 0 and self.hy > 0):
             raise FieldsError(f"spacings must be positive, got hx={self.hx}, hy={self.hy}")
 

@@ -200,16 +200,19 @@ def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
         """March u over n-1 steps; u0 may be a scalar (edge sweep) or an
         array (all columns/rows at once).  Returns the n states."""
         out = [np.asarray(u0, dtype=float)]
-        for idx in range(n - 1):
-            k0 = 2 * idx
-            u = out[-1]
-            k1 = f(u, k0)
-            k2 = f(u + 0.5 * h * k1, k0 + 1)
-            k3 = f(u + 0.5 * h * k2, k0 + 1)
-            k4 = f(u + h * k3, k0 + 2)
-            nxt = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            _check_ode(nxt, segment(idx))
-            out.append(nxt)
+        # an overflowing exp leaves the step inf or NaN, which _check_ode
+        # reports as OdeOverflowError
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx in range(n - 1):
+                k0 = 2 * idx
+                u = out[-1]
+                k1 = f(u, k0)
+                k2 = f(u + 0.5 * h * k1, k0 + 1)
+                k3 = f(u + 0.5 * h * k2, k0 + 1)
+                k4 = f(u + h * k3, k0 + 2)
+                nxt = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                _check_ode(nxt, segment(idx))
+                out.append(nxt)
         return out
 
     if order == "xy":

@@ -152,6 +152,31 @@ class TestExitCodes:
         assert doc["error"]["code"] == "io.error"
         assert err.startswith("error:")
 
+    HUGE_RECT = ["--nx", "100000", "--ny", "100000"]
+
+    @pytest.mark.parametrize("args", [
+        ["exact-h", "--f", "x", "--g", "y"] + HUGE_RECT,
+        ["exact-e", "--F", "z"] + HUGE_RECT,
+        ["blowup-exact"] + HUGE_RECT,
+        ["march", "--phi", "0", "--psi", "0"] + HUGE_RECT,
+        ["backlund"] + HUGE_RECT,
+        ["solve-elliptic"] + HUGE_RECT,
+        ["gelfand", "--geometry", "rectangle"] + HUGE_RECT,
+        ["solve-elliptic", "--geometry", "disk", "--n", "100000000"],
+        ["gelfand", "--n", "100000000"],
+        ["blowup-approx", "--n", "100000000"],
+    ], ids=["exact-h", "exact-e", "blowup-exact", "march", "backlund",
+            "solve-elliptic", "gelfand-rectangle", "solve-elliptic-disk",
+            "gelfand-disk", "blowup-approx"])
+    def test_grid_cap_is_checked_before_allocating(self, args):
+        # the cap is checked when the grid or disk is built, before any
+        # array; without it these sizes would ask for tens of gigabytes
+        code, out, err = invoke(args)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "fields.grid_too_large"
+        assert err.startswith("error:")
+
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],
                               stdin_text="")
@@ -224,6 +249,18 @@ class TestPipeFlows:
         assert summary_of(out)["error"]["code"] == "action.non_finite"
         assert err.startswith("error:")
 
+    def test_convert_log_fails_when_exp_overflows(self):
+        # no node is masked, yet e^u is infinite everywhere: exit 1, not ok
+        field = "# 3 3 0.0 0.0 0.5 0.5\n" + "1e308,1e308,1e308\n" * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["convert-log", "--direction", "u-to-T"],
+                                    stdin_text=field)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "closedform.non_finite"
+        assert err.startswith("error:")
+
     def test_action_of_masked_field_is_null(self):
         field = ("# 3 3 0.0 0.0 0.5 0.5\n" + "0.0,0.0,0.0\n"
                  + "0.0,nan,0.0\n" + "0.0,0.0,0.0\n")
@@ -262,6 +299,22 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_rectangle_commands_load_no_scipy(self):
+        # rectangle solves run on numpy alone: the fast sine transform and
+        # GMRES are the package's own
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "from liouville.cli import run; "
+                "codes = [run(['solve-elliptic', '--nx', '33', '--ny', '33', "
+                "'--out', '/dev/null']), "
+                "run(['gelfand', '--geometry', 'rectangle', '--nx', '17', "
+                "'--ny', '17', '--out', '/dev/null'])]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 class TestFieldFiles:
@@ -318,6 +371,18 @@ class TestSolverCommands:
         # u = -2 ln(1 - x - y/2) peaks at the (0.5, 0.5) corner
         assert summary_of(out)["u_max"] == pytest.approx(
             -2.0 * math.log(0.25), abs=1e-6)
+
+    def test_backlund_overflow_prints_only_the_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["backlund", "--w-phi", "sin(3*x)",
+                                     "--w-psi", "cos(2*y)", "--bt-a", "1",
+                                     "--domain", "0", "0", "0.5", "0.5",
+                                     "--order", "yx"])
+        assert code == 2
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "hyperbolic.ode_overflow"
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_blowup_approx_blocks_on_stdout(self):
         code, out, _ = invoke(["blowup-approx", "--n", "65", "--M", "3", "4.5"])

@@ -10,6 +10,7 @@ order-window checks to curved pairs.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from liouville.closedform import (
 from liouville.errors import (
     ClosedFormError,
     DomainViolationError,
+    NonFiniteConversionError,
     NonMonotoneGError,
     NonPositiveBError,
     NonPositiveFieldError,
@@ -310,6 +312,24 @@ class TestConvertLogForm:
     def test_negative_entry_rejected(self):
         v = np.ones((3, 3))
         v[0, 1] = -0.5
+        with pytest.raises(NonPositiveFieldError):
+            convert_log_form(ScalarField2D(square(0.0, 1.0, 3), v), "T_to_u")
+
+    def test_overflow_is_an_error(self):
+        # e^u of a finite u overflows; an infinite u passes through
+        v = np.zeros((3, 3))
+        v[1, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteConversionError, match="1 node"):
+                convert_log_form(ScalarField2D(square(0.0, 1.0, 3), v), "u_to_T")
+        v[1, 1] = np.inf
+        T = convert_log_form(ScalarField2D(square(0.0, 1.0, 3), v), "u_to_T")
+        assert T.values[1, 1] == np.inf
+
+    def test_negative_infinity_rejected(self):
+        v = np.ones((3, 3))
+        v[2, 2] = -np.inf
         with pytest.raises(NonPositiveFieldError):
             convert_log_form(ScalarField2D(square(0.0, 1.0, 3), v), "T_to_u")
 

@@ -8,12 +8,14 @@ import pytest
 
 from liouville.closedform import AnalyticSeed, elliptic_exact, gelfand_radial
 from liouville.elliptic import (
+    GMRES_RTOL,
     Branch,
     DirichletProblem,
     DiskGeometry,
     GelfandParams,
     RectangleGeometry,
     _corrector,
+    _dst2,
     _make_system,
     _secant,
     boundary_blowup_approx,
@@ -193,6 +195,27 @@ class TestKrylovSolve:
         assert report.converged
         krylov = field.values[1:-1, 1:-1].ravel()
         assert np.abs(krylov - u).max() <= 1e-12
+
+    def test_solve_meets_true_residual_tolerance(self):
+        # the returned x satisfies the stopping test on the true residual
+        system = self.system()
+        u = system.initial_guess()
+        coef, a = 1.0, 1.0
+        b = -system.residual(u, coef, a)
+        x = system.jacobian_solver(u, coef, a)(b)
+        r = b - system.jacobian_matvec(u, coef, a, x)
+        assert np.linalg.norm(r) <= GMRES_RTOL * np.linalg.norm(b)
+
+    def test_dst2_matches_dense_sine_product(self):
+        ny, nx = 9, 14
+
+        def sine(n):
+            k = np.arange(1, n + 1)
+            return 2.0 * np.sin(np.pi * np.outer(k, k) / (n + 1))
+
+        x = np.random.default_rng(5).normal(size=(ny, nx))
+        dense = sine(ny) @ x @ sine(nx)
+        assert np.abs(_dst2(x) - dense).max() <= 1e-13 * np.abs(dense).max()
 
     def test_singular_jacobian_raises(self):
         # coef = mu1 at u = 0 makes J = A + mu1 I singular, with the
