@@ -7,14 +7,18 @@ list in order in its own empty directory, so commands that read a field
 read the file an earlier command of the same side wrote.  For each argv
 the stdout bytes, the exit code and every file the command wrote are
 compared; one SAME/DIFF line is printed per argv and the exit code is 1
-if any argv differs.
+if any argv differs.  The verdict is byte-based; a DIFF line also gives
+the largest relative difference between the two sides' numbers, once
+over the JSON summary values (matched by key) and once over the CSV
+cells (matched by row and column) of stdout and every written file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python scripts/cli_parity.py --base /tmp/parent
 """
 
 import argparse
-import hashlib
+import json
+import math
 import os
 import pathlib
 import shlex
@@ -69,13 +73,12 @@ ARGVS = [
 
 
 def _snapshot(work: pathlib.Path) -> dict:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in work.iterdir() if p.is_file()}
+    return {p.name: p.read_bytes() for p in work.iterdir() if p.is_file()}
 
 
 def run_side(src: pathlib.Path, work: pathlib.Path) -> list:
     """Run every argv under ``src`` in ``work``; return per-argv
-    (exit code, stdout bytes, {written file: sha256})."""
+    (exit code, stdout bytes, {written file: bytes})."""
     env = dict(os.environ, PYTHONPATH=str(src))
     results = []
     for argv in ARGVS:
@@ -83,10 +86,67 @@ def run_side(src: pathlib.Path, work: pathlib.Path) -> list:
         proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
                               cwd=work, env=env, capture_output=True)
         after = _snapshot(work)
-        written = {name: digest for name, digest in after.items()
-                   if before.get(name) != digest}
+        written = {name: blob for name, blob in after.items()
+                   if before.get(name) != blob}
         results.append((proc.returncode, proc.stdout, written))
     return results
+
+
+def _leaves(doc, path=()):
+    """(key path, number) for every numeric leaf of a JSON value."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _leaves(value, path + (i,))
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, float(doc)
+
+
+def _numbers(blob: bytes) -> dict:
+    """The numbers of one output, keyed by where they stand: JSON lines
+    by key path, CSV lines by (line, column)."""
+    found = {}
+    for i, line in enumerate(blob.decode("utf-8", "replace").splitlines()):
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            doc = None
+        if isinstance(doc, dict):
+            found.update(_leaves(doc, ("json",)))
+            continue
+        for j, cell in enumerate(line.split(",")):
+            try:
+                found[(i, j)] = float(cell)
+            except ValueError:
+                pass
+    return found
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _max_rel_diff(here, base) -> str:
+    """The largest relative difference over the numbers both sides wrote
+    at the same place, for summary values and CSV cells apart, and a
+    note when the sides wrote numbers at different places."""
+    (_, out, files), (_, bout, bfiles) = here, base
+    outputs = [(out, bout)] + [(files.get(n, b""), bfiles.get(n, b""))
+                               for n in sorted(set(files) | set(bfiles))]
+    worst, unmatched = {"summary": 0.0, "csv": 0.0}, 0
+    for mine, theirs in outputs:
+        a, b = _numbers(mine), _numbers(theirs)
+        unmatched += len(a.keys() ^ b.keys())
+        for key in a.keys() & b.keys():
+            kind = "summary" if key[0] == "json" else "csv"
+            worst[kind] = max(worst[kind], _rel(a[key], b[key]))
+    note = f", {unmatched} unmatched" if unmatched else ""
+    return (f"max rel diff summary {worst['summary']:.2g}, "
+            f"csv {worst['csv']:.2g}{note}")
 
 
 def _differences(here, base) -> list:
@@ -120,7 +180,8 @@ def main() -> int:
         diffs = _differences(h, b)
         n_diff += bool(diffs)
         verdict = "DIFF" if diffs else "SAME"
-        detail = f"  [{', '.join(diffs)}]" if diffs else ""
+        detail = (f"  [{', '.join(diffs)}; {_max_rel_diff(h, b)}]"
+                  if diffs else "")
         print(f"{verdict} exit={h[0]} liouville {shlex.join(argv)}{detail}")
     print(f"{len(ARGVS) - n_diff} SAME, {n_diff} DIFF")
     return 1 if n_diff else 0

@@ -146,8 +146,15 @@ def _write(table, out) -> None:
     table.write_csv(sys.stdout if out == "-" else out)
 
 
-def _read_field(infile) -> ScalarField2D:
-    return ScalarField2D.read_csv(sys.stdin if infile == "-" else infile)
+def _read_field(ns) -> ScalarField2D:
+    """The ``--in`` field.  A sha256 of its header and values joins the
+    run's inputs as ``ns.field_sha256``, so the digest covers what was
+    read, from stdin or a file."""
+    field = ScalarField2D.read_csv(sys.stdin if ns.infile == "-" else ns.infile)
+    sha = hashlib.sha256(field.grid.header().encode("utf-8"))
+    sha.update(field.values.tobytes())
+    ns.field_sha256 = sha.hexdigest()
+    return field
 
 
 def _pair(fx: str, gy: str) -> AxisPair:
@@ -196,7 +203,7 @@ def _cmd_blowup_curve(ns) -> dict:
 def _cmd_verify(ns) -> dict:
     if ns.eq == "log" and ns.a != 1.0:
         raise CliUsageError("the log form fixes a = 1")
-    field = _read_field(ns.infile)
+    field = _read_field(ns)
     if ns.eq == "hyperbolic":
         residual = functools.partial(residual_hyperbolic,
                                      p=LiouvilleParams(ns.K, ns.a))
@@ -283,7 +290,7 @@ def _cmd_backlund(ns) -> dict:
 
 
 def _cmd_action(ns) -> dict:
-    field = _read_field(ns.infile)
+    field = _read_field(ns)
     p = action_mod.ActionParams(ns.C, ns.mu)
     value = action_mod.action_value(field, p)
     grad = action_mod.action_gradient(field, p)
@@ -324,7 +331,7 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
 
 
 def _cmd_convert_log(ns) -> dict:
-    field = _read_field(ns.infile)
+    field = _read_field(ns)
     out = closedform.convert_log_form(field, ns.direction.replace("-", "_"))
     _write(out, ns.out)
     return _field_stats(out)
@@ -553,17 +560,19 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
-    inputs = {k: v for k, v in vars(ns).items() if k != "func"}
-    digest = _digest(inputs)
+    def digest() -> str:
+        # after the handler ran: commands that read a field add its hash
+        return _digest({k: v for k, v in vars(ns).items() if k != "func"})
+
     try:
         payload = ns.func(ns)
     except (LiouvilleError, OSError) as exc:
         code = exc.code if isinstance(exc, LiouvilleError) else "io.error"
         payload = {"error": {"code": code, "message": str(exc)}}
-        _print_summary(ns.command, digest, "error", payload)
+        _print_summary(ns.command, digest(), "error", payload)
         sys.stderr.write(f"error: {exc}\n")
         return 2 if isinstance(exc, _NONCONVERGENCE) else 1
-    _print_summary(ns.command, digest, "ok", payload)
+    _print_summary(ns.command, digest(), "ok", payload)
     return 0
 
 

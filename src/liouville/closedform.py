@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     ClosedFormError,
     DomainViolationError,
+    GridTooLargeError,
     NonFiniteConversionError,
     NonMonotoneGError,
     NonPositiveBError,
@@ -30,7 +31,8 @@ from .errors import (
     SingularNodeError,
 )
 from .expr import AxisPair, Expr, eval_complex, eval_dual
-from .fields import Grid2D, LiouvilleParams, ScalarField2D, write_table
+from .fields import (MAX_NODES, Grid2D, LiouvilleParams, ScalarField2D,
+                     write_table)
 
 __all__ = [
     "CharacteristicPair",
@@ -187,12 +189,16 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
     For each sampled x the equation is bracketed on ``y_range`` and
     solved by bisection polished with Newton to ``|f+g| <= tol`` scale.
     g must be strictly monotone on the y-interval (checked via the sign
-    of g' at the samples); a sign change raises NonMonotoneGError.
+    of g' at the samples); a sign change raises NonMonotoneGError.  More
+    than ``MAX_NODES`` samples raise GridTooLargeError.
     """
     xa, xb = x_range
     ya, yb = y_range
     if not (xb > xa and yb > ya and n_samples >= 2):
         raise ClosedFormError("need xb > xa, yb > ya and at least 2 samples")
+    if n_samples > MAX_NODES:
+        raise GridTooLargeError(
+            f"{n_samples} samples exceed the cap of {MAX_NODES}")
     gname = cp.gy.vars[0]
     ys_probe = np.linspace(ya, yb, max(33, n_samples))
     gy = eval_dual(cp.gy, ys_probe, gname)

@@ -3,12 +3,13 @@ equation.
 
 Two geometries: 2D rectangles (matrix-free 5-point Laplacian, Newton
 steps solved by restarted GMRES preconditioned with the exact fast-sine
-inverse of a shifted Laplacian, both on numpy alone) and the unit disk
-reduced to a radial profile (tridiagonal, scipy.linalg banded direct
-solve, with the regularity closure u'(0) = 0 at the center).  On top of
-the plain Dirichlet solver sit a pseudo-arclength continuation of the
-Gelfand branch Delta u + lambda e^u = 0 with fold detection, and the
-boundary blow-up exhaustion u|_boundary = M for increasing M.
+inverse of a shifted Laplacian) and the unit disk reduced to a radial
+profile (tridiagonal, solved directly by cyclic reduction, with the
+regularity closure u'(0) = 0 at the center).  Both run on numpy alone.
+On top of the plain Dirichlet solver sit a pseudo-arclength
+continuation of the Gelfand branch Delta u + lambda e^u = 0 with fold
+detection, whose corrector makes one bordered solve per iteration, and
+the boundary blow-up exhaustion u|_boundary = M for increasing M.
 """
 
 from __future__ import annotations
@@ -180,6 +181,67 @@ class _System:
         return self.apply_A(v) + coef * a * np.exp(a * u) * v
 
 
+def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
+                      ) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the tridiagonal matrix with sub-, main and super-diagonal
+    ``lo``, ``di``, ``up`` by cyclic reduction (Buzbee, Golub & Nielson
+    1970) and return its solve.
+
+    Each level uses the odd-numbered rows to eliminate their unknowns
+    from the even-numbered rows, which halves the system, until one
+    unknown is left: about log2 n levels of a few whole-array operations
+    each.  There is no pivoting; a zero or non-finite pivot, or a
+    non-finite solution, raises SingularJacobianError."""
+    a = np.concatenate(([0.0], lo))  # a[i] x[i-1] + b[i] x[i] + c[i] x[i+1]
+    b = di
+    c = np.append(up, 0.0)
+    levels = []
+    # zero, overflowing or NaN pivots are caught below, not warned about
+    with np.errstate(all="ignore"):
+        while b.size > 1:
+            # ne even rows, no odd rows; odd row 2j+1 sits between even rows
+            # 2j and 2j+2, the last one (n even) has no right neighbour
+            ne, no = (b.size + 1) // 2, b.size // 2
+            ao, bo, co = a[1::2], b[1::2], c[1::2]
+            alpha = a[2::2] / bo[:ne - 1]
+            gamma = c[0:2 * no:2] / bo
+            levels.append((alpha, gamma, ao, bo, co))
+            b = b[0::2].copy()
+            b[1:] -= alpha * co[:ne - 1]
+            b[:no] -= gamma * ao
+            a, c = np.zeros(ne), np.zeros(ne)
+            a[1:] = -alpha * ao[:ne - 1]
+            c[:no] = -gamma * co
+    pivots = np.concatenate([lv[3] for lv in levels] + [b])
+    if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
+        raise SingularJacobianError(
+            "zero or non-finite pivot in the tridiagonal solve")
+
+    @np.errstate(all="ignore")
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        d, kept = rhs, []
+        for alpha, gamma, _, bo, _ in levels:
+            do = d[1::2]
+            kept.append(do)
+            d = d[0::2].copy()
+            d[1:] -= alpha * do[:alpha.size]
+            d[:bo.size] -= gamma * do
+        x = d / b
+        for (alpha, _, ao, bo, co), do in zip(reversed(levels), reversed(kept)):
+            # the odd unknowns from their solved even neighbours
+            xo = do - ao * x[:bo.size]
+            xo[:alpha.size] -= co[:alpha.size] * x[1:]
+            xo /= bo
+            x, x_even = np.empty(x.size + xo.size), x
+            x[0::2], x[1::2] = x_even, xo
+        if not np.all(np.isfinite(x)):
+            raise SingularJacobianError(
+                "non-finite solution of the tridiagonal system")
+        return x
+
+    return solve
+
+
 class _RadialSystem(_System):
     """Tridiagonal discretization of Delta u = u'' + u'/r on [0, 1].
 
@@ -211,20 +273,29 @@ class _RadialSystem(_System):
 
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
-        from scipy.linalg import solve_banded
+        """J = A + diag(coef a e^(a u)), factored once by cyclic
+        reduction; every solve reuses the factors."""
+        return _cyclic_reduction(self.lo, self.di + coef * a * np.exp(a * u),
+                                 self.up)
 
-        ab = np.zeros((3, self.m))
-        ab[0, 1:] = self.up
-        ab[1] = self.di + coef * a * np.exp(a * u)
-        ab[2, :-1] = self.lo
+    def bordered_solver(self, u: np.ndarray, lam: float, tu: np.ndarray,
+                        tl: float) -> Callable:
+        """(f, n) -> (du, dlam) solving [J, e^u; tu/m, tl] [du; dlam] =
+        [f; n] with J the Gelfand Jacobian at (u, lam): one factorisation
+        of J, two back-substitutions, and the Schur complement of the
+        border."""
+        solve = self.jacobian_solver(u, lam, 1.0)
+        b_vec = solve(-np.exp(u))
+        denom = _dot(b_vec, 1.0, tu, tl)
+        if denom == 0.0:
+            raise SingularJacobianError("degenerate bordered system")
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            try:
-                return solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularJacobianError(str(exc)) from exc
+        def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
+            a_vec = solve(f)
+            dlam = (n - _dot(a_vec, 0.0, tu, tl)) / denom
+            return a_vec + dlam * b_vec, dlam
 
-        return solve
+        return bordered
 
     def initial_guess(self) -> np.ndarray:
         # harmonic extension of constant data is the constant itself
@@ -374,15 +445,38 @@ class _RectSystem(_System):
         rhat = _dst2(r.reshape(self.nyi, self.nxi)) / (self.eig + c)
         return _dst2(rhat).ravel() / (4.0 * (self.nxi + 1) * (self.nyi + 1))
 
-    def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-        """GMRES on J = A + diag(coef a e^(a u)), preconditioned by
-        (A + c I)^-1 with c the mean of that diagonal, clipped at mu1/2
-        so that A + c I stays negative definite."""
+    def _jacobian(self, u: np.ndarray, coef: float, a: float) -> tuple:
+        """The product with J = A + diag(coef a e^(a u)) and its
+        preconditioner (A + c I)^-1, c the mean of that diagonal clipped
+        at mu1/2 so that A + c I stays negative definite."""
         d = coef * a * np.exp(a * u)
         c = min(float(d.mean()), 0.5 * self.mu1)
-        return functools.partial(_gmres, lambda v: self.apply_A(v) + d * v,
-                                 lambda r: self.shifted_inverse(r, c))
+        return (lambda v: self.apply_A(v) + d * v,
+                lambda r: self.shifted_inverse(r, c))
+
+    def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
+                        ) -> Callable[[np.ndarray], np.ndarray]:
+        """GMRES on J, preconditioned as in ``_jacobian``."""
+        return functools.partial(_gmres, *self._jacobian(u, coef, a))
+
+    def bordered_solver(self, u: np.ndarray, lam: float, tu: np.ndarray,
+                        tl: float) -> Callable:
+        """(f, n) -> (du, dlam) solving [J, e^u; tu/m, tl] [du; dlam] =
+        [f; n] with J the Gelfand Jacobian at (u, lam): one GMRES on the
+        (m+1)-vector, right-preconditioned by blockdiag((A + c I)^-1, 1)."""
+        jv, psolve = self._jacobian(u, lam, 1.0)
+        eu, w, m = np.exp(u), tu / self.m, self.m
+
+        def matvec(v: np.ndarray) -> np.ndarray:
+            x, dl = v[:m], v[m]
+            return np.append(jv(x) + dl * eu, np.einsum("i,i", w, x) + tl * dl)
+
+        def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
+            x = _gmres(matvec, lambda r: np.append(psolve(r[:m]), r[m]),
+                       np.append(f, n))
+            return x[:m], float(x[m])
+
+        return bordered
 
     def initial_guess(self) -> np.ndarray:
         if not np.any(self.bc_vec):
@@ -444,7 +538,10 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
         alpha = 1.0
         for _ in range(MAX_HALVINGS):
             ut = u + alpha * du
-            if float(np.abs(system.residual(ut, coef, a)).max()) < nrm:
+            # a trial step whose e^(a u) overflows is simply rejected
+            with np.errstate(over="ignore"):
+                trial = float(np.abs(system.residual(ut, coef, a)).max())
+            if trial < nrm:
                 u = ut
                 break
             # at the floor a rejected full step is rounding noise: stop
@@ -538,7 +635,9 @@ def _secant(p: BranchPoint, q: BranchPoint) -> tuple[np.ndarray, float]:
 def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
     """Newton on (F, N) = 0 from the predictor (u, lam), where N pins the
     iterate to the plane through the predictor with (scaled-)normal equal
-    to the tangent.  On failure the report's residuals are max(|F|, |N|)."""
+    to the tangent; each iteration is one solve of the bordered system
+    (``bordered_solver``).  On failure the report's residuals are
+    max(|F|, |N|)."""
     max_iter = 12
     u_pred, lam_pred = u, lam
     history = []
@@ -551,16 +650,10 @@ def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
             break
         if history[-1] <= tol:
             return u, lam, it
-        solve = system.jacobian_solver(u, lam, 1.0)
-        a_vec = solve(-F)
-        b_vec = solve(-np.exp(u))
-        denom = _dot(b_vec, 1.0, tu, tl)
-        if denom == 0.0:
-            raise SingularJacobianError("degenerate bordered system")
-        dlam = (-N - _dot(a_vec, 0.0, tu, tl)) / denom
-        u = u + a_vec + dlam * b_vec
+        du, dlam = system.bordered_solver(u, lam, tu, tl)(-F, -N)
+        u = u + du
         lam = lam + dlam
-        step = _norm(a_vec + dlam * b_vec, dlam)
+        step = _norm(du, dlam)
         if abs(N) <= tol and _at_floor(nrm, step, u):
             return u, lam, it + 1
     report = SolveReport(it, history[-1], False, history, tol)

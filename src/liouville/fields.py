@@ -160,31 +160,43 @@ class ScalarField2D:
     def read_csv(cls, path) -> "ScalarField2D":
         """Inverse of :meth:`write_csv`.  Reads the header plus exactly
         ny rows and leaves the rest of the stream unconsumed, so a field
-        piped together with a trailing summary line still parses."""
+        piped together with a trailing summary line still parses.  The
+        grid is built from the header before any row is read, so an
+        oversized header fails before it allocates; anything malformed
+        raises FieldsError."""
         with open_text(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise FieldsError("missing '# nx ny x0 y0 hx hy' header")
-            parts = header[1:].split()
-            if len(parts) != 6:
-                raise FieldsError(f"malformed header {header!r}")
-            nx, ny = int(parts[0]), int(parts[1])
-            x0, y0, hx, hy = (float(p) for p in parts[2:])
-            rows = []
-            for _ in range(ny):
-                line = fh.readline()
-                if not line:
-                    raise FieldsError(f"expected {ny} rows, file ended early")
-                try:
-                    rows.append([float(v) for v in line.strip().split(",")])
-                except ValueError as exc:
-                    raise FieldsError(f"bad row {len(rows)}: {exc}") from exc
-        values = np.array(rows, dtype=float)
-        if values.shape != (ny, nx):
-            raise FieldsError(
-                f"expected {ny} rows of {nx} values, got shape {values.shape}"
-            )
-        return cls(Grid2D(nx, ny, x0, y0, hx, hy), values)
+            try:
+                grid = _read_header(fh.readline())
+                values = np.empty((grid.ny, grid.nx))
+                for j in range(grid.ny):
+                    line = fh.readline()
+                    if not line:
+                        raise FieldsError(
+                            f"expected {grid.ny} rows, file ended early")
+                    cells = line.strip().split(",")
+                    if len(cells) != grid.nx:
+                        raise FieldsError(f"row {j} holds {len(cells)} "
+                                          f"values, expected {grid.nx}")
+                    values[j] = [float(v) for v in cells]
+            except ValueError as exc:  # UnicodeDecodeError included
+                raise FieldsError(f"bad field text: {exc}") from exc
+        return cls(grid, values)
+
+
+def _read_header(line: str) -> Grid2D:
+    """The grid of a ``# nx ny x0 y0 hx hy`` line."""
+    line = line.strip()
+    if not line.startswith("#"):
+        raise FieldsError("missing '# nx ny x0 y0 hx hy' header")
+    parts = line[1:].split()
+    if len(parts) != 6:
+        raise FieldsError(f"malformed header {line[:80]!r}")
+    try:
+        nx, ny = int(parts[0]), int(parts[1])
+        x0, y0, hx, hy = (float(p) for p in parts[2:])
+    except ValueError as exc:
+        raise FieldsError(f"malformed header {line[:80]!r}: {exc}") from exc
+    return Grid2D(nx, ny, x0, y0, hx, hy)
 
 
 @dataclass(frozen=True)

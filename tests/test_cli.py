@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from liouville.cli import run
 from liouville.fields import ScalarField2D
@@ -28,9 +29,13 @@ HELP_NAMES = [
 
 
 def invoke(args, stdin_text=None):
+    """Run the CLI in-process; ``stdin_text`` may be str or raw bytes
+    (decoded as UTF-8, strictly, like a pipe)."""
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
-    if stdin_text is not None:
+    if isinstance(stdin_text, bytes):
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text), encoding="utf-8")
+    elif stdin_text is not None:
         sys.stdin = io.StringIO(stdin_text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -78,6 +83,20 @@ class TestSummaryContract:
         d17 = summary_of(invoke(self.ARGS)[1])["digest"]
         d33 = summary_of(invoke(self.ARGS[:-1] + ["33"])[1])["digest"]
         assert d17 != d33
+
+    def test_digest_covers_the_field_read(self):
+        # one argv, three piped fields: three digests; the same field
+        # twice: the same digest
+        digests = []
+        for f in ("exp(x)", "x", "x+2", "x"):
+            _, field, _ = invoke(["exact-h", "--f", f, "--g", "exp(y)",
+                                  "--nx", "9", "--ny", "9"])
+            code, out, _ = invoke(["verify", "--eq", "hyperbolic"],
+                                  stdin_text=field)
+            assert code == 0
+            digests.append(summary_of(out)["digest"])
+        assert len(set(digests[:3])) == 3
+        assert digests[3] == digests[1]
 
 
 class TestExitCodes:
@@ -172,6 +191,15 @@ class TestExitCodes:
         # the cap is checked when the grid or disk is built, before any
         # array; without it these sizes would ask for tens of gigabytes
         code, out, err = invoke(args)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "fields.grid_too_large"
+        assert err.startswith("error:")
+
+    def test_blowup_curve_samples_are_capped(self):
+        # without the cap this would run 2^23 + 1 bisections
+        code, out, err = invoke(["blowup-curve", "--f", "x", "--g", "y",
+                                 "--samples", str(2 ** 23 + 1)])
         assert code == 1
         assert out.count("\n") == 1
         assert summary_of(out)["error"]["code"] == "fields.grid_too_large"
@@ -288,6 +316,76 @@ class TestPipeFlows:
         assert doc["value"] > 0
 
 
+FIELD_READERS = [["verify", "--eq", "hyperbolic"], ["action"],
+                 ["convert-log", "--direction", "u-to-T"]]
+READER_IDS = ["verify", "action", "convert-log"]
+
+# near-valid field text: a header and rows drawn from tokens that parse,
+# do not parse, or parse to edge values
+TOKENS = ["0", "1", "-1", "2", "0.5", "2.5", "1e308", "-1e308", "nan",
+          "inf", "-inf", "x", "", " ", "#", "1,2", "\xff"]
+ROW = st.lists(st.sampled_from(TOKENS), min_size=0, max_size=4).map(
+    ",".join)
+NEAR_FIELD = st.builds(
+    lambda head, rows, tail: ("# " + " ".join(head) + "\n"
+                              + "".join(r + "\n" for r in rows) + tail
+                              ).encode("utf-8"),
+    st.lists(st.sampled_from(TOKENS), min_size=4, max_size=7),
+    st.lists(ROW, max_size=4), st.sampled_from(["", "junk\n", "1,2"]))
+
+
+def summary_lines(out):
+    """The stdout lines that are JSON objects."""
+    docs = []
+    for line in out.splitlines():
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict):
+            docs.append(doc)
+    return docs
+
+
+class TestFieldInputContract:
+    """Whatever arrives on stdin, a field reader ends in exactly one JSON
+    summary line, the last line of stdout, and exit code 0, 1 or 2."""
+
+    @pytest.mark.parametrize("args", FIELD_READERS, ids=READER_IDS)
+    @pytest.mark.parametrize("text", [
+        "# 2 2 0 0 1 1\n1,2,3\n3,4\n",  # ragged row
+        "# 2.5 2 0 0 1 1\n1,2\n3,4\n",  # non-integer size
+        "# 2 2 0 0 1 x\n1,2\n3,4\n",  # non-numeric spacing
+    ], ids=["ragged", "size", "spacing"])
+    def test_malformed_field_is_fields_error(self, args, text):
+        code, out, err = invoke(args, stdin_text=text)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "fields.error"
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("args", FIELD_READERS, ids=READER_IDS)
+    def test_oversized_header_is_refused_before_rows(self, args):
+        code, out, _ = invoke(args, stdin_text="# 100000 100000 0 0 1 1\n")
+        assert code == 1
+        assert summary_of(out)["error"]["code"] == "fields.grid_too_large"
+
+    @pytest.mark.parametrize("args", FIELD_READERS, ids=READER_IDS)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.one_of(st.binary(max_size=200), NEAR_FIELD))
+    @example(data=b"# 2 2 0 0 1 1\n1,2\n3,4\n")
+    def test_any_stdin_ends_in_one_summary(self, args, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = invoke(args, stdin_text=data)
+        assert code in (0, 1, 2)
+        docs = summary_lines(out)
+        assert len(docs) == 1
+        assert docs[0] == summary_of(out)
+        assert docs[0]["status"] == ("ok" if code == 0 else "error")
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         # every command pays the CLI's imports; the solvers import scipy
@@ -315,6 +413,22 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, check=True)
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+    def test_disk_commands_load_no_scipy(self):
+        # the disk's tridiagonal solve is the package's own cyclic reduction
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "from liouville.cli import run; "
+                "codes = [run(['solve-elliptic', '--geometry', 'disk', "
+                "'--n', '65', '--out', '/dev/null']), "
+                "run(['gelfand', '--n', '65', '--out', '/dev/null']), "
+                "run(['blowup-approx', '--n', '65', '--M', '5', '--out', "
+                "'/dev/null'])]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
 
 
 class TestFieldFiles:

@@ -15,6 +15,8 @@ from liouville.elliptic import (
     GelfandParams,
     RectangleGeometry,
     _corrector,
+    _cyclic_reduction,
+    _dot,
     _dst2,
     _make_system,
     _secant,
@@ -228,6 +230,106 @@ class TestKrylovSolve:
         solve = system.jacobian_solver(np.zeros(system.m), mu1, 1.0)
         with pytest.raises(SingularJacobianError):
             solve(np.ones(system.m))
+
+
+def disk_jacobian(system, u, coef, a=1.0):
+    return (np.diag(system.di + coef * a * np.exp(a * u))
+            + np.diag(system.lo, -1) + np.diag(system.up, 1))
+
+
+def rel_residual(J, x, rhs):
+    return float(np.abs(J @ x - rhs).max() / np.abs(rhs).max())
+
+
+class TestCyclicReduction:
+    """The disk's tridiagonal solve against pivoted dense LU
+    (numpy.linalg.solve) on the same Jacobian."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_dense_lu_on_small_systems(self, n):
+        # m = n - 1 = 2, 3, 4 unknowns, at random states of both signs of
+        # the exponential term
+        system = _make_system(DiskGeometry(n), 0.0)
+        rng = np.random.default_rng(n)
+        for coef in (-3.0, 0.5, 2.0):
+            u = rng.normal(0.0, 1.0, system.m)
+            rhs = rng.normal(size=system.m)
+            J = disk_jacobian(system, u, coef)
+            x = system.jacobian_solver(u, coef, 1.0)(rhs)
+            dense = np.linalg.solve(J, rhs)
+            assert np.abs(x - dense).max() <= 1e-12 * np.abs(dense).max()
+            assert rel_residual(J, x, rhs) <= 10 * max(
+                rel_residual(J, dense, rhs), np.finfo(float).eps)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 65, 257])
+    def test_residual_along_branch_within_10x_of_lu(self, n, branch257):
+        # every point of a branch traced past its fold, with the bordered
+        # column -e^u and a fixed generic right-hand side
+        geom = DiskGeometry(n)
+        branch = branch257 if n == 257 else continue_branch(geom)
+        assert branch.fold is not None
+        assert branch.points[-1].lam < branch.fold.lam0
+        system = _make_system(geom, 0.0)
+        generic = np.random.default_rng(7).normal(size=system.m)
+        worst_cr = worst_lu = 0.0
+        for pt in branch.points:
+            J = disk_jacobian(system, pt.u, pt.lam)
+            solve = system.jacobian_solver(pt.u, pt.lam, 1.0)
+            for rhs in (-np.exp(pt.u), generic):
+                worst_cr = max(worst_cr, rel_residual(J, solve(rhs), rhs))
+                worst_lu = max(worst_lu, rel_residual(
+                    J, np.linalg.solve(J, rhs), rhs))
+        assert worst_cr <= 10 * worst_lu
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_singular_matrix_raises(self, k):
+        # a zero row keeps every pivot it reaches at exactly zero, odd or
+        # even position alike
+        lo, di, up = np.ones(6), np.full(7, 4.0), np.ones(6)
+        di[k] = 0.0
+        lo[k - 1:k] = 0.0
+        up[k:k + 1] = 0.0
+        with pytest.raises(SingularJacobianError):
+            _cyclic_reduction(lo, di, up)
+
+    def test_singular_jacobian_raises(self):
+        # a non-finite state gives non-finite pivots; an overflowing
+        # right-hand side a non-finite solution
+        system = _make_system(DiskGeometry(65), 0.0)
+        u = np.zeros(system.m)
+        u[5] = np.nan
+        with pytest.raises(SingularJacobianError):
+            system.jacobian_solver(u, 1.0, 1.0)
+        solve = system.jacobian_solver(np.zeros(system.m), 1.0, 1.0)
+        with pytest.raises(SingularJacobianError):
+            solve(np.full(system.m, 1e308))
+
+
+class TestBorderedSolve:
+    """One bordered solve per corrector iteration, against a dense solve
+    of [J, e^u; tu/m, tl] [du; dlam] = [f; n]."""
+
+    @pytest.mark.parametrize("geometry", [
+        RectangleGeometry(Grid2D.from_bounds(-0.4, -0.3, 0.4, 0.5, 17, 25)),
+        DiskGeometry(65)], ids=["rectangle", "disk"])
+    def test_matches_dense_bordered_solve(self, geometry):
+        system = _make_system(geometry, 0.0)
+        start = continue_branch(geometry, max_steps=4).points
+        tu, tl = _secant(start[-2], start[-1])
+        u, lam = start[-1].u, start[-1].lam
+        eye = np.eye(system.m)
+        J = np.column_stack([system.jacobian_matvec(u, lam, 1.0, e)
+                             for e in eye])
+        B = np.block([[J, np.exp(u)[:, None]],
+                      [tu[None, :] / system.m, np.array([[tl]])]])
+        rng = np.random.default_rng(11)
+        f, n = rng.normal(size=system.m), 0.3
+        dense = np.linalg.solve(B, np.append(f, n))
+        du, dlam = system.bordered_solver(u, lam, tu, tl)(f, n)
+        got = np.append(du, dlam)
+        # GMRES stops at a relative residual of 1e-8
+        assert np.abs(got - dense).max() <= 1e-7 * np.abs(dense).max()
+        assert abs(_dot(du, dlam, tu, tl) - n) <= 1e-7
 
 
 class TestJacobian:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from liouville.errors import (
     EmptyInteriorError,
     FieldsError,
+    GridTooLargeError,
     GridTooSmallError,
     NonPositiveFieldError,
 )
@@ -109,6 +110,31 @@ class TestCsvRoundTrip:
     def test_missing_header(self):
         with pytest.raises(FieldsError):
             ScalarField2D.read_csv(io.StringIO("1.0,2.0\n3.0,4.0\n"))
+
+    @pytest.mark.parametrize("text", [
+        "# 2 2 0 0 1 1\n1,2,3\n3,4\n",  # ragged row
+        "# 2 2 0 0 1 1\n1,2\n3\n",  # short row
+        "# 2.5 2 0 0 1 1\n1,2\n3,4\n",  # non-integer size
+        "# 2 2 0 0 1 x\n1,2\n3,4\n",  # non-numeric spacing
+        "# 2 2 0 0 1\n1,2\n3,4\n",  # five header entries
+        "# 2 2 0 0 1 1\n1,2\n3,four\n",  # non-numeric value
+    ], ids=["ragged", "short-row", "size", "spacing", "header-count",
+            "value"])
+    def test_malformed_text_is_fields_error(self, text):
+        with pytest.raises(FieldsError) as info:
+            ScalarField2D.read_csv(io.StringIO(text))
+        assert type(info.value) is FieldsError
+
+    def test_undecodable_bytes_are_fields_error(self):
+        stream = io.TextIOWrapper(io.BytesIO(b"# 1 1 0 0 1 1\n\xff\n"),
+                                  encoding="utf-8")
+        with pytest.raises(FieldsError):
+            ScalarField2D.read_csv(stream)
+
+    def test_size_is_checked_before_rows(self):
+        # the header alone decides: the cap fires although no row follows
+        with pytest.raises(GridTooLargeError):
+            ScalarField2D.read_csv(io.StringIO("# 100000 100000 0 0 1 1\n"))
 
 
 class TestResidualElliptic:
