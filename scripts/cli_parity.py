@@ -47,6 +47,13 @@ ARGVS = [
      "--nx", "33", "--ny", "33", "--threshold", "1.0",
      "--out", "march.csv", "--mask-out", "mask.csv"],
     ["backlund", "--w-phi", "x", "--w-psi", "y", "--nx", "17", "--ny", "17"],
+    ["backlund", "--w-phi", "x/2", "--w-psi=-y/3", "--bt-a", "1",
+     "--nx", "33", "--ny", "33"],
+    # the image blows up inside the domain (exit 2), under both orders
+    ["backlund", "--w-phi", "sin(3*x)", "--w-psi", "cos(2*y)", "--bt-a", "1",
+     "--order", "xy"],
+    ["backlund", "--w-phi", "sin(3*x)", "--w-psi", "cos(2*y)", "--bt-a", "1",
+     "--order", "yx"],
     # elliptic solves: rectangles, disks, a nonconvergent disk (exit 2)
     ["solve-elliptic", "--nx", "129", "--ny", "129", "--out", "rect129.csv"],
     ["solve-elliptic", "--domain", "-0.4", "-0.4", "0.4", "0.4",

@@ -47,6 +47,11 @@ def _cell_terms(phi: ScalarField2D):
     return gx, gy, mean
 
 
+def _potential(mean: np.ndarray, mu: float):
+    """mu^2 e^mean, or exactly 0 for mu = 0 (where e^mean may overflow)."""
+    return mu ** 2 * np.exp(mean) if mu != 0 else 0.0
+
+
 def action_value(phi: ScalarField2D, p: ActionParams) -> float:
     """Midpoint-rule value of the action over the grid's cells.  A field
     with masked (NaN) nodes has a NaN action; one without them whose
@@ -54,7 +59,7 @@ def action_value(phi: ScalarField2D, p: ActionParams) -> float:
     g = phi.grid
     with np.errstate(all="ignore"):
         gx, gy, mean = _cell_terms(phi)
-        density = 0.5 * (gx * gx + gy * gy) + p.mu ** 2 * np.exp(mean)
+        density = 0.5 * (gx * gx + gy * gy) + _potential(mean, p.mu)
         value = float(p.C * g.hx * g.hy * density.sum())
     if not np.isfinite(value) and not np.isnan(phi.values).any():
         raise NonFiniteActionError(
@@ -73,7 +78,7 @@ def action_gradient(phi: ScalarField2D, p: ActionParams) -> ScalarField2D:
     g = phi.grid
     gx, gy, mean = _cell_terms(phi)
     area = p.C * g.hx * g.hy
-    ex = p.mu ** 2 * np.exp(mean) / 4.0
+    ex = _potential(mean, p.mu) / 4.0
     px = gx / (2.0 * g.hx)
     py = gy / (2.0 * g.hy)
     grad = np.zeros_like(phi.values)

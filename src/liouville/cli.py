@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("backlund", _cmd_backlund,
             "Map a wave-equation solution w = phi(x) + psi(y) to a solution "
-            "of u_xy = e^u by integrating the first-order pair along grid "
-            "lines.")
+            "of u_xy = e^u: the Baecklund pair's image in closed form, with "
+            "the integrals of e^phi and e^-psi by Simpson's rule.")
     p.add_argument("--w-phi", default="0",
                    help="phi(x) part of the wave solution "
                         "(default %(default)s)")
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="integration constant u(x0, y0) "
                         "(default %(default)s)")
     p.add_argument("--order", choices=("xy", "yx"), default="xy",
-                   help="integrate along x then y, or y then x "
+                   help="integration order; both give the same field "
                         "(default %(default)s)")
     _add_rect(p, (0.0, 0.0, 0.5, 0.5))
     _add_out(p)

@@ -201,13 +201,16 @@ class CellIterationDivergenceError(HyperbolicError):
 
 
 class OdeOverflowError(HyperbolicError):
-    """A transformed solution escaped to +inf inside the domain."""
+    """A transformed solution escaped to +inf inside the domain; (i, j)
+    is the first such node in row-major order."""
 
     code = "hyperbolic.ode_overflow"
 
-    def __init__(self, segment: str):
-        super().__init__(f"solution overflow while integrating {segment}")
-        self.segment = segment
+    def __init__(self, i: int, j: int, x: float, y: float):
+        super().__init__(
+            f"solution overflow at node (i={i}, j={j}), (x, y) = ({x!r}, {y!r})")
+        self.i = i
+        self.j = j
 
 
 class NotUnivariateError(ClosedFormError, HyperbolicError):

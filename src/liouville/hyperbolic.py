@@ -1,6 +1,8 @@
 """Characteristic (Goursat) marching for u_xy = K e^(a u), with blow-up
-masking, and a Baecklund-transformation integrator mapping wave-equation
-solutions w(x, y) = phi(x) + psi(y) to Liouville solutions.
+masking, and the Baecklund transformation, which maps wave-equation
+solutions w(x, y) = phi(x) + psi(y) to Liouville solutions in closed
+form: u = phi - psi - 2 ln D, with D affine in the integrals of e^phi and
+e^-psi.
 
 The marcher fills the grid along anti-diagonals.  Each cell solves the
 implicit update
@@ -149,35 +151,46 @@ def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,
 
 
 def _doubled(axis: np.ndarray) -> np.ndarray:
-    """Nodes and midpoints interleaved, for the RK4 stages."""
+    """Nodes and midpoints interleaved, for Simpson's rule."""
     out = np.empty(2 * axis.size - 1)
     out[0::2] = axis
     out[1::2] = 0.5 * (axis[:-1] + axis[1:])
     return out
 
 
-def _check_ode(u, segment: str):
-    arr = np.asarray(u)
-    if not np.all(np.isfinite(arr)) or np.any(arr > ODE_CAP):
-        raise OdeOverflowError(segment)
+def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
+    """Integrals from the first node to every node, by Simpson's rule
+    per cell, of ``f`` sampled on nodes and midpoints interleaved."""
+    out = np.zeros((f.size + 1) // 2)
+    np.cumsum(h / 6.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]), out=out[1:])
+    return out
 
 
 def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
              order: str = "xy") -> ScalarField2D:
-    """Integrate the Baecklund pair for w = phi(x) + psi(y), with
-    phi = ``w.fx`` and psi = ``w.gy``,
+    """Image of w = phi(x) + psi(y), with phi = ``w.fx`` and psi =
+    ``w.gy``, under the Baecklund pair
 
         u_x = w_x + bt_a e^((u + w)/2),
         u_y = -w_y + (2/bt_a) e^((u - w)/2)
 
-    from u(x0, y0) = ``u_corner`` with classical RK4: along the bottom
-    edge and then up all columns at once (``order="xy"``), or up the
-    left edge and then across all rows (``order="yx"``).  The two orders
-    agree up to the RK4 error because the pair's cross-derivatives are
-    compatible exactly when u_xy = e^u.
+    from u(x0, y0) = ``u_corner``.  The pair integrates in closed form to
+    Liouville's general solution
 
-    Raises OdeOverflowError if the solution escapes toward +inf inside
-    the domain (the transform's image blows up on a line).
+        u = phi(x) - psi(y) - 2 ln D,
+        D = c - (bt_a/2) Phi(x) - Psi(y)/bt_a,
+        c = e^((phi(x0) - psi(y0) - u_corner)/2),
+
+    with Phi the integral of e^phi from x0 and Psi that of e^-psi from
+    y0; u_xy = e^u holds identically.  Phi and Psi are cumulative
+    Simpson sums over the nodes and cell midpoints, so the field is
+    fourth-order accurate; dividing D by c before the exponentials are
+    taken keeps c itself from overflowing.  ``order`` must be "xy" or
+    "yx"; both give the same field.
+
+    Raises OdeOverflowError, naming the first node in row-major order,
+    if D <= 0 there or u is not finite or exceeds ODE_CAP: the image
+    blows up on a line inside the domain.
     """
     if bt_a == 0:
         raise HyperbolicError("bt_a must be nonzero")
@@ -186,49 +199,18 @@ def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
     if not np.isfinite(u_corner):
         raise HyperbolicError(f"u_corner must be finite, got {u_corner}")
 
-    (phi_v, phi_d), (psi_v, psi_d) = w.sample(_doubled(grid.x()),
-                                              _doubled(grid.y()))
-
-    def f_x(u, k):
-        # k indexes the doubled x-axis; w and w_x at fixed y (psi const)
-        return phi_d[k] + bt_a * np.exp(0.5 * (u + phi_v[k] + psi_ref))
-
-    def f_y(u, k):
-        return -psi_d[k] + (2.0 / bt_a) * np.exp(0.5 * (u - phi_ref - psi_v[k]))
-
-    def rk4_sweep(u0, f, n, h, segment):
-        """March u over n-1 steps; u0 may be a scalar (edge sweep) or an
-        array (all columns/rows at once).  Returns the n states."""
-        out = [np.asarray(u0, dtype=float)]
-        # an overflowing exp leaves the step inf or NaN, which _check_ode
-        # reports as OdeOverflowError
-        with np.errstate(over="ignore", invalid="ignore"):
-            for idx in range(n - 1):
-                k0 = 2 * idx
-                u = out[-1]
-                k1 = f(u, k0)
-                k2 = f(u + 0.5 * h * k1, k0 + 1)
-                k3 = f(u + 0.5 * h * k2, k0 + 1)
-                k4 = f(u + h * k3, k0 + 2)
-                nxt = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                _check_ode(nxt, segment(idx))
-                out.append(nxt)
-        return out
-
-    if order == "xy":
-        psi_ref = psi_v[0]
-        bottom = rk4_sweep(u_corner, f_x, grid.nx, grid.hx,
-                           lambda i: f"bottom edge near x = {grid.x0 + (i + 1) * grid.hx!r}")
-        phi_ref = phi_v[0::2]  # per-column phi values at the nodes
-        cols = rk4_sweep(np.array(bottom, dtype=float), f_y, grid.ny, grid.hy,
-                         lambda j: f"columns near y = {grid.y0 + (j + 1) * grid.hy!r}")
-        values = np.vstack(cols)
-    else:
-        phi_ref = phi_v[0]
-        leftv = rk4_sweep(u_corner, f_y, grid.ny, grid.hy,
-                          lambda j: f"left edge near y = {grid.y0 + (j + 1) * grid.hy!r}")
-        psi_ref = psi_v[0::2]  # per-row psi values at the nodes
-        rows = rk4_sweep(np.array(leftv, dtype=float), f_x, grid.nx, grid.hx,
-                         lambda i: f"rows near x = {grid.x0 + (i + 1) * grid.hx!r}")
-        values = np.vstack(rows).T
-    return ScalarField2D(grid, values)
+    (phi, _), (psi, _) = w.sample(_doubled(grid.x()), _doubled(grid.y()))
+    log_c = 0.5 * (phi[0] - psi[0] - u_corner)
+    # d = D/c; an overflowing exponential or integral leaves d
+    # non-positive or u non-finite, which the test below reports
+    with np.errstate(all="ignore"):
+        Phi = _cumulative_simpson(np.exp(phi - log_c), grid.hx)
+        Psi = _cumulative_simpson(np.exp(-psi - log_c), grid.hy)
+        d = 1.0 - 0.5 * bt_a * Phi - (Psi / bt_a)[:, None]
+        u = (u_corner + (phi[0::2] - phi[0]) - (psi[0::2] - psi[0])[:, None]
+             - 2.0 * np.log(d))
+        blown = ~(d > 0) | ~np.isfinite(u) | (u > ODE_CAP)
+    if blown.any():
+        j, i = divmod(int(np.argmax(blown)), grid.nx)
+        raise OdeOverflowError(i, j, float(grid.x()[i]), float(grid.y()[j]))
+    return ScalarField2D(grid, u)

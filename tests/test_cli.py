@@ -277,6 +277,16 @@ class TestPipeFlows:
         assert summary_of(out)["error"]["code"] == "action.non_finite"
         assert err.startswith("error:")
 
+    def test_action_without_potential_ignores_overflow(self):
+        # mu = 0 drops the potential, so e^1000 is never formed
+        field = "# 3 3 0 0 0.5 0.5\n" + "1000,1000,1000\n" * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = invoke(["action", "--mu", "0"], stdin_text=field)
+        assert code == 0
+        doc = summary_of(out)
+        assert doc["value"] == 0.0 and doc["grad_max"] == 0.0
+
     def test_convert_log_fails_when_exp_overflows(self):
         # no node is masked, yet e^u is infinite everywhere: exit 1, not ok
         field = "# 3 3 0.0 0.0 0.5 0.5\n" + "1e308,1e308,1e308\n" * 3
@@ -497,6 +507,18 @@ class TestSolverCommands:
         assert out.count("\n") == 1
         assert summary_of(out)["error"]["code"] == "hyperbolic.ode_overflow"
         assert err.count("\n") == 1 and err.startswith("error:")
+
+    def test_backlund_overflow_names_one_node_for_both_orders(self):
+        errors = []
+        for order in ("xy", "yx"):
+            code, out, _ = invoke(["backlund", "--w-phi", "sin(3*x)",
+                                   "--w-psi", "cos(2*y)", "--bt-a", "1",
+                                   "--domain", "0", "0", "0.5", "0.5",
+                                   "--order", order])
+            assert code == 2
+            errors.append(summary_of(out)["error"])
+        assert errors[0] == errors[1]
+        assert "(i=64, j=40), (x, y) = (0.5, 0.3125)" in errors[0]["message"]
 
     def test_blowup_approx_blocks_on_stdout(self):
         code, out, _ = invoke(["blowup-approx", "--n", "65", "--M", "3", "4.5"])
