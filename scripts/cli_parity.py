@@ -46,6 +46,12 @@ ARGVS = [
     ["march", "--phi", "0", "--psi", "0", "--domain", "0", "0", "3", "3",
      "--nx", "33", "--ny", "33", "--threshold", "1.0",
      "--out", "march.csv", "--mask-out", "mask.csv"],
+    # K a < 0 (Wright omega), and data where e^(beta (c+s)) overflows
+    ["march", "--phi", "sin(3*x)", "--psi", "sin(5*y)", "--K=-3", "--a", "2",
+     "--out", "march_omega.csv"],
+    ["march", "--phi", "800+x", "--psi", "800+y", "--K=-1",
+     "--nx", "33", "--ny", "33", "--out", "march_huge.csv",
+     "--mask-out", "mask_huge.csv"],
     ["backlund", "--w-phi", "x", "--w-psi", "y", "--nx", "17", "--ny", "17"],
     ["backlund", "--w-phi", "x/2", "--w-psi=-y/3", "--bt-a", "1",
      "--nx", "33", "--ny", "33"],

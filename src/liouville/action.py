@@ -76,16 +76,17 @@ def action_gradient(phi: ScalarField2D, p: ActionParams) -> ScalarField2D:
     of C(-Delta phi + mu^2 e^phi), the Euler-Lagrange operator.
     """
     g = phi.grid
-    gx, gy, mean = _cell_terms(phi)
-    area = p.C * g.hx * g.hy
-    ex = _potential(mean, p.mu) / 4.0
-    px = gx / (2.0 * g.hx)
-    py = gy / (2.0 * g.hy)
-    grad = np.zeros_like(phi.values)
-    grad[:-1, :-1] += area * (-px - py + ex)
-    grad[:-1, 1:] += area * (px - py + ex)
-    grad[1:, :-1] += area * (-px + py + ex)
-    grad[1:, 1:] += area * (px + py + ex)
+    with np.errstate(all="ignore"):
+        gx, gy, mean = _cell_terms(phi)
+        area = p.C * g.hx * g.hy
+        ex = _potential(mean, p.mu) / 4.0
+        px = gx / (2.0 * g.hx)
+        py = gy / (2.0 * g.hy)
+        grad = np.zeros_like(phi.values)
+        grad[:-1, :-1] += area * (-px - py + ex)
+        grad[:-1, 1:] += area * (px - py + ex)
+        grad[1:, :-1] += area * (-px + py + ex)
+        grad[1:, 1:] += area * (px + py + ex)
     grad[0, :] = 0.0
     grad[-1, :] = 0.0
     grad[:, 0] = 0.0

@@ -12,9 +12,10 @@ implicit update
 with ubar the average of the four cell corners, i.e. z = c + gamma
 e^(beta (z + s)) with gamma = hx hy K and beta = a/4, in closed form on
 the principal branch of the Lambert W function, one whole anti-diagonal
-at a time.  When that root ceases to exist the cell has hit the blow-up
-regime: it is masked (NaN) rather than clamped, and everything depending
-on it is masked too.
+at a time.  W and Wright's omega are evaluated here, on numpy alone, by
+two Fritsch-Shafer-Crowley steps.  When that root ceases to exist the
+cell has hit the blow-up regime: it is masked (NaN) rather than clamped,
+and everything depending on it is masked too.
 """
 
 from __future__ import annotations
@@ -65,6 +66,49 @@ class MarchResult:
         write_table(path, self.field.grid.header(), self.mask.astype(int).tolist())
 
 
+def _fsc_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """One Fritsch-Shafer-Crowley step (CACM 16, 1973) for W or omega,
+    given the residual z = ln(x/w) - w = v - w - ln w; fourth order."""
+    # w (1 + z/(1+w) (q-z)/(q-2z)), q = 2 (1+w)(1+w+2z/3), written with
+    # d = q/(1+w) so that q itself cannot overflow
+    wp1 = 1.0 + w
+    r = z / wp1
+    d = 2.0 * wp1 + (4.0 / 3.0) * z
+    return w + w * r * (d - r) / (d - 2.0 * r)
+
+
+def _wright_omega(v: np.ndarray) -> np.ndarray:
+    """Wright's omega(v) = W(e^v), the root of w + ln w = v, for real v;
+    two FSC steps from the guesses of Lawrence, Corless and Jeffrey
+    (ACM TOMS 38, 2012).  The guess is e^v only below v = -2, so no
+    result rests on an overflowed exponential; below v = -40 that guess
+    is omega(v) to rounding (it may underflow to 0) and is returned."""
+    with np.errstate(all="ignore"):
+        lv = np.log(np.maximum(v, 1.0))
+        # e^v below v = -2 and e^(2(v-1)/3) on [-2, 1) meet at v = -2
+        guess = np.where(v < 1.0,
+                         np.exp(np.minimum(v, (v - 1.0) * (2.0 / 3.0))),
+                         v - lv + lv / v)
+        w = guess
+        for _ in range(2):
+            w = _fsc_step(w, v - w - np.log(w))
+        return np.where(v < -40.0, guess, w)
+
+
+def _lambert_w(x: np.ndarray) -> np.ndarray:
+    """Principal branch of Lambert W on (-1/e, 0]: two FSC steps from
+    the branch-point series below x = -1/4 and from x - x^2 above."""
+    with np.errstate(all="ignore"):
+        # the rounding of 1/e only moves the guess; the steps use x
+        p = np.sqrt(2.0 * np.e * (x + np.exp(-1.0)))
+        w = np.where(x < -0.25,
+                     -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0)),
+                     x * (1.0 - x))
+        for _ in range(2):
+            w = _fsc_step(w, np.log(x / w) - w)
+        return np.where(x == 0, 0.0, w)
+
+
 def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float):
     """Roots z = c - W(x)/beta of z = c + gamma e^(beta (z+s)) for one
     anti-diagonal, x = -gamma beta e^(beta (c+s)), on the principal branch
@@ -75,18 +119,16 @@ def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float):
     gamma beta < 0 makes x positive: W(e^v) = omega(v), Wright's omega,
     never forms e^(beta (c+s)) and so never overflows.
     """
-    from scipy.special import lambertw, wrightomega
-
     gb = gamma * beta
     t = beta * (c + s)
     if gb < 0:
         exists = np.isfinite(t)
-        w = wrightomega(np.log(-gb) + t)
+        w = _wright_omega(np.log(-gb) + t)
     else:
         with np.errstate(over="ignore"):
             x = -gb * np.exp(t)
-        exists = x > -np.exp(-1.0)  # lambertw is NaN at the float -1/e
-        w = lambertw(np.where(exists, x, 0.0)).real
+        exists = x > -np.exp(-1.0)  # the float -1/e is below the branch point
+        w = _lambert_w(np.where(exists, x, 0.0))
     return np.where(exists, c - w / beta, np.nan), exists & ~np.isfinite(w)
 
 

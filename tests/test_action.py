@@ -2,6 +2,7 @@
 the hand-coded gradient, and consistency with the elliptic solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ class TestGradient:
         assert np.all(grad[0, :] == 0.0) and np.all(grad[-1, :] == 0.0)
         assert np.all(grad[:, 0] == 0.0) and np.all(grad[:, -1] == 0.0)
         assert np.any(grad[1:-1, 1:-1] != 0.0)
+
+    def test_overflow_leaks_no_warning(self):
+        # e^1000 overflows: the interior entry is +inf, and no warning leaks
+        phi = ScalarField2D(Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 3, 3),
+                            np.full((3, 3), 1000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grad = action_gradient(phi, ActionParams(1.0, 1.0)).values
+        assert grad[1, 1] == np.inf
 
     def test_euler_lagrange_consistency(self):
         # grad / (hx hy) discretizes -Delta phi + mu^2 e^phi at interior

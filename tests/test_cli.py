@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from liouville import hyperbolic
 from liouville.cli import run
 from liouville.fields import ScalarField2D
 
@@ -134,14 +134,14 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_march_divergence_is_exit_two(self, monkeypatch):
-        real = scipy.special.lambertw
+        real = hyperbolic._lambert_w
 
-        def spoiled(x, *args, **kwargs):
-            w = real(x, *args, **kwargs)
+        def spoiled(x):
+            w = real(x)
             w[-1] = np.nan
             return w
 
-        monkeypatch.setattr(scipy.special, "lambertw", spoiled)
+        monkeypatch.setattr(hyperbolic, "_lambert_w", spoiled)
         code, out, err = invoke(["march", "--phi", "0", "--psi", "0",
                                  "--nx", "9", "--ny", "9"])
         assert code == 2
@@ -398,8 +398,7 @@ class TestFieldInputContract:
 
 class TestStartup:
     def test_import_loads_no_scipy(self):
-        # every command pays the CLI's imports; the solvers import scipy
-        # themselves when they first need it
+        # every command pays the CLI's imports
         src = Path(__file__).resolve().parents[1] / "src"
         code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
                 "import liouville.cli; "
@@ -434,6 +433,24 @@ class TestStartup:
                 "run(['gelfand', '--n', '65', '--out', '/dev/null']), "
                 "run(['blowup-approx', '--n', '65', '--M', '5', '--out', "
                 "'/dev/null'])]; "
+                "print(codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+
+    def test_march_and_backlund_load_no_scipy(self):
+        # both Lambert W branches (K a > 0 and, by Wright omega, K a < 0)
+        # are the package's own
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+                "from liouville.cli import run; "
+                "codes = [run(['march', '--phi', '0', '--psi', '0', '--K', '1', "
+                "'--out', '/dev/null']), "
+                "run(['march', '--phi', '0', '--psi', '0', '--K=-1', "
+                "'--out', '/dev/null']), "
+                "run(['backlund', '--w-phi', 'x', '--w-psi', 'y', "
+                "'--out', '/dev/null'])]; "
                 "print(codes, sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -1,6 +1,7 @@
 """Characteristic marching and the Baecklund integrator, checked against
 the two-function closed form and each other."""
 
+import decimal
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from liouville import hyperbolic
 from liouville.closedform import CharacteristicPair, hyperbolic_exact
 from liouville.errors import (
     CellIterationDivergenceError,
@@ -163,21 +165,77 @@ class TestClosedFormCellUpdate:
         assert np.all(np.isfinite(res.field.values))
 
     def test_divergence_names_the_failing_cell(self, monkeypatch):
-        # one lambertw call per anti-diagonal d = 2, 3, ...; spoil the
+        # one Lambert W call per anti-diagonal d = 2, 3, ...; spoil the
         # fourth cell of d = 11, which on a 17x17 grid is (i, j) = (4, 7)
-        real, calls = scipy.special.lambertw, []
+        real, calls = hyperbolic._lambert_w, []
 
-        def spoiled(x, *args, **kwargs):
-            w = real(x, *args, **kwargs)
+        def spoiled(x):
+            w = real(x)
             calls.append(x)
             if len(calls) == 10:
                 w[3] = np.nan
             return w
 
-        monkeypatch.setattr(scipy.special, "lambertw", spoiled)
+        monkeypatch.setattr(hyperbolic, "_lambert_w", spoiled)
         with pytest.raises(CellIterationDivergenceError) as info:
             march(ZERO_DATA, P11, Grid2D.from_bounds(0, 0, 1, 1, 17, 17))
         assert (info.value.i, info.value.j) == (4, 7)
+
+
+class TestLambertW:
+    """The package's own real Lambert W and Wright omega, against scipy's
+    (which the package itself does not load)."""
+
+    V = np.concatenate([np.linspace(-700.0, 700.0, 140001),
+                        np.random.default_rng(0).uniform(-5.0, 5.0, 20000)])
+    EM1 = math.exp(-1.0)  # the double just above 1/e
+    # (-1/e, 0): geometric towards 0, uniform, and the first doubles
+    # above the branch point
+    X = np.concatenate([-np.geomspace(1e-300, EM1, 40000)[:-1],
+                        np.linspace(-EM1, 0.0, 40001)[1:-1],
+                        -EM1 + np.arange(1, 1001) * np.spacing(EM1)])
+
+    def test_omega_within_64_ulps_of_scipy(self):
+        ref = scipy.special.wrightomega(self.V)
+        ulps = np.abs(hyperbolic._wright_omega(self.V) - ref) / np.spacing(ref)
+        assert ulps.max() <= 64
+
+    def test_w_matches_scipy_away_from_the_branch_point(self):
+        x = self.X[1.0 + math.e * self.X >= 1e-6]
+        ref = scipy.special.lambertw(x).real
+        rel = np.abs(hyperbolic._lambert_w(x) - ref) / np.abs(ref)
+        assert rel.max() <= 1e-12
+
+    def test_residuals_at_rounding(self):
+        w = hyperbolic._lambert_w(self.X)
+        assert np.max(np.abs(w * np.exp(w) - self.X) / np.abs(self.X)) <= 1e-15
+        om = hyperbolic._wright_omega(self.V)
+        assert np.max(np.abs(om + np.log(om) - self.V)
+                      / np.maximum(1.0, np.abs(self.V))) <= 1e-15
+
+    def test_edge_cases(self):
+        omega, lambert_w = hyperbolic._wright_omega, hyperbolic._lambert_w
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert omega(np.array([-800.0]))[0] == 0.0  # e^v underflows
+            assert omega(np.array([1e300]))[0] == 1e300
+            assert lambert_w(np.array([0.0]))[0] == 0.0
+            # the first doubles above the branch point, against the series
+            # W(-1/e + d) = -1 + p - p^2/3 + 11 p^3/72 + O(p^4), p = sqrt(2 e d),
+            # with d exact: W' = e/p there, so an ulp of x moves W by
+            # about 1.5e-16/p
+            x = -self.EM1 + np.arange(1, 1001) * np.spacing(self.EM1)
+            w = lambert_w(x)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 40
+                inv_e = decimal.Decimal(-1).exp()
+                d = np.array([float(decimal.Decimal(v) + inv_e) for v in x])
+            p = np.sqrt(2.0 * math.e * d)
+            series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+            assert np.all(w > -1.0)
+            assert np.all(np.abs(w - series) <= 3e-16 / p)
+            assert np.isnan(omega(np.array([np.nan]))[0])
+            assert np.isnan(lambert_w(np.array([np.nan]))[0])
 
 
 class TestMarchValidation:
