@@ -1,7 +1,8 @@
 """Compare this checkout's CLI with another checkout's, byte for byte.
 
 Runs a fixed argv list (every subcommand, the --out, --mask-out and
---grad-out writers, and the elliptic solves at several sizes) once
+--grad-out writers, fields that span several 64-row evaluation blocks,
+and the elliptic solves at several sizes) once
 under ``src/`` here and once under ``BASE/src``.  Each side runs the
 list in order in its own empty directory, so commands that read a field
 read the file an earlier command of the same side wrote.  For each argv
@@ -43,6 +44,21 @@ ARGVS = [
     ["convert-log", "--in", "exact_h.csv", "--direction", "u-to-T",
      "--out", "T.csv"],
     ["verify", "--eq", "log", "--in", "T.csv"],
+    # fields of several 64-row evaluation blocks, ending in a ragged one,
+    # with hx != hy
+    ["exact-e", "--F", "0.8*z+0.1*z^2", "--nx", "200", "--ny", "203",
+     "--out", "exact_e200.csv"],
+    ["verify", "--eq", "elliptic", "--in", "exact_e200.csv"],
+    ["action", "--in", "exact_e200.csv", "--fd-check", "3",
+     "--grad-out", "grad_e200.csv"],
+    ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "301",
+     "--ny", "157", "--out", "exact_h301.csv"],
+    ["convert-log", "--in", "exact_h301.csv", "--direction", "u-to-T",
+     "--out", "T301.csv"],
+    ["verify", "--eq", "log", "--in", "T301.csv"],
+    # masked nodes outside the unit circle, across the block seams
+    ["blowup-exact", "--nx", "301", "--ny", "157", "--out", "blowup301.csv"],
+    ["verify", "--eq", "elliptic", "--in", "blowup301.csv"],
     ["march", "--phi", "0", "--psi", "0", "--domain", "0", "0", "3", "3",
      "--nx", "33", "--ny", "33", "--threshold", "1.0",
      "--out", "march.csv", "--mask-out", "mask.csv"],

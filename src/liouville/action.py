@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldsError, NonFiniteActionError
-from .fields import ScalarField2D
+from .fields import ScalarField2D, _row_blocks
 
 __all__ = ["ActionParams", "action_value", "action_gradient"]
 
@@ -38,11 +38,11 @@ class ActionParams:
             raise FieldsError(f"mu must be finite, got {self.mu}")
 
 
-def _cell_terms(phi: ScalarField2D):
-    v = phi.values
-    g = phi.grid
-    gx = 0.5 * ((v[:-1, 1:] - v[:-1, :-1]) + (v[1:, 1:] - v[1:, :-1])) / g.hx
-    gy = 0.5 * ((v[1:, :-1] - v[:-1, :-1]) + (v[1:, 1:] - v[:-1, 1:])) / g.hy
+def _cell_terms(v: np.ndarray, hx: float, hy: float):
+    """Gradient components and corner mean of the cells between the node
+    rows of ``v``."""
+    gx = 0.5 * ((v[:-1, 1:] - v[:-1, :-1]) + (v[1:, 1:] - v[1:, :-1])) / hx
+    gy = 0.5 * ((v[1:, :-1] - v[:-1, :-1]) + (v[1:, 1:] - v[:-1, 1:])) / hy
     mean = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
     return gx, gy, mean
 
@@ -56,12 +56,14 @@ def action_value(phi: ScalarField2D, p: ActionParams) -> float:
     """Midpoint-rule value of the action over the grid's cells.  A field
     with masked (NaN) nodes has a NaN action; one without them whose
     action is not finite raises NonFiniteActionError."""
-    g = phi.grid
+    g, v = phi.grid, phi.values
+    density = np.empty((g.ny - 1, g.nx - 1))
     with np.errstate(all="ignore"):
-        gx, gy, mean = _cell_terms(phi)
-        density = 0.5 * (gx * gx + gy * gy) + _potential(mean, p.mu)
+        for j0, j1 in _row_blocks(g.ny - 1):  # cell rows j0 .. j1-1
+            gx, gy, mean = _cell_terms(v[j0:j1 + 1], g.hx, g.hy)
+            density[j0:j1] = 0.5 * (gx * gx + gy * gy) + _potential(mean, p.mu)
         value = float(p.C * g.hx * g.hy * density.sum())
-    if not np.isfinite(value) and not np.isnan(phi.values).any():
+    if not np.isfinite(value) and not np.isnan(v).any():
         raise NonFiniteActionError(
             f"action is {value} although no node of the field is masked")
     return value
@@ -75,20 +77,21 @@ def action_gradient(phi: ScalarField2D, p: ActionParams) -> ScalarField2D:
     Dividing by the cell area hx*hy recovers a consistent discretization
     of C(-Delta phi + mu^2 e^phi), the Euler-Lagrange operator.
     """
-    g = phi.grid
+    g, v = phi.grid, phi.values
+    area = p.C * g.hx * g.hy
+    grad = np.zeros_like(v)
     with np.errstate(all="ignore"):
-        gx, gy, mean = _cell_terms(phi)
-        area = p.C * g.hx * g.hy
-        ex = _potential(mean, p.mu) / 4.0
-        px = gx / (2.0 * g.hx)
-        py = gy / (2.0 * g.hy)
-        grad = np.zeros_like(phi.values)
-        grad[:-1, :-1] += area * (-px - py + ex)
-        grad[:-1, 1:] += area * (px - py + ex)
-        grad[1:, :-1] += area * (-px + py + ex)
-        grad[1:, 1:] += area * (px + py + ex)
-    grad[0, :] = 0.0
-    grad[-1, :] = 0.0
-    grad[:, 0] = 0.0
-    grad[:, -1] = 0.0
+        # each interior node gathers its four cells' terms, in the order
+        # lower-left corner of cell (j, i), lower-right of (j, i-1),
+        # upper-left of (j-1, i), upper-right of (j-1, i-1)
+        for j0, j1 in _row_blocks(g.ny - 2):
+            gx, gy, mean = _cell_terms(v[j0:j1 + 2], g.hx, g.hy)
+            ex = _potential(mean, p.mu) / 4.0
+            px = gx / (2.0 * g.hx)
+            py = gy / (2.0 * g.hy)
+            node = grad[j0 + 1:j1 + 1, 1:-1]  # interior rows j0+1 .. j1
+            node += (area * (-px - py + ex))[1:, 1:]
+            node += (area * (px - py + ex))[1:, :-1]
+            node += (area * (-px + py + ex))[:-1, 1:]
+            node += (area * (px + py + ex))[:-1, :-1]
     return ScalarField2D(g, grad)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expr import AxisPair, Expr, eval_complex, eval_dual
 from .fields import (MAX_NODES, Grid2D, LiouvilleParams, ScalarField2D,
-                     write_table)
+                     _row_blocks, write_table)
 
 __all__ = [
     "CharacteristicPair",
@@ -75,19 +75,26 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
     SignError unless a*K*f'*g' > 0 everywhere on the grid.
     """
     (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
-
-    s = gv[:, None] + fv[None, :]
-    zero = np.argwhere(s == 0.0)
-    if zero.size:
-        j, i = zero[0]
-        raise SingularNodeError(int(i), int(j), float(grid.x()[i]), float(grid.y()[j]))
-    q = p.a * p.K * gp[:, None] * fp[None, :]
-    if np.any(q <= 0):
+    u = np.empty((grid.ny, grid.nx))
+    q_min, bad_sign = np.inf, False
+    for j0, j1 in _row_blocks(grid.ny):
+        s = gv[j0:j1, None] + fv[None, :]
+        zero = np.argwhere(s == 0.0)
+        if zero.size:
+            j, i = zero[0]
+            raise SingularNodeError(int(i), j0 + int(j), float(grid.x()[i]),
+                                    float(grid.y()[j0 + j]))
+        q = p.a * p.K * gp[j0:j1, None] * fp[None, :]
+        q_min = np.minimum(q_min, np.min(q))
+        bad_sign = bad_sign or bool(np.any(q <= 0))
+        if not bad_sign:
+            u[j0:j1] = (np.log(2.0 * fp[None, :] * gp[j0:j1, None]
+                               / (p.a * p.K)) - np.log(s * s)) / p.a
+    if bad_sign:
         raise SignError(
             "a*K*f'(x)*g'(y) must be positive on the whole grid "
-            f"(min {float(np.min(q))!r})"
+            f"(min {float(q_min)!r})"
         )
-    u = (np.log(2.0 * fp[None, :] * gp[:, None] / (p.a * p.K)) - np.log(s * s)) / p.a
     return ScalarField2D(grid, u)
 
 
@@ -108,26 +115,36 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
         )
     if a < 0:
         raise SignError("the analytic-seed solution requires a > 0")
-    X, Y = grid.meshgrid()
-    F, Fp = eval_complex(seed.F, X + 1j * Y)
-    F = np.broadcast_to(F, X.shape)
-    Fp = np.broadcast_to(Fp, X.shape)
-    degenerate = np.argwhere(Fp == 0)
-    if degenerate.size:
-        j, i = degenerate[0]
-        raise SeedDegenerateError(int(i), int(j))
-    mod2 = (F * F.conj()).real
-    if seed.sign == "minus":
-        if np.any(mod2 >= 1.0):
-            raise DomainViolationError(
-                "|F(z)| must stay below 1 for the minus sign "
-                f"(max |F|^2 = {float(mod2.max())!r})"
-            )
-        den = 1.0 - mod2
-    else:
-        den = 1.0 + mod2
-    mag2 = (Fp * Fp.conj()).real
-    u = (np.log(8.0 * mag2 / (den * den)) - np.log(a * abs(K))) / a
+    x, y = grid.x(), grid.y()
+    u = np.empty((grid.ny, grid.nx))
+    degenerate, mod2_max, outside = None, -np.inf, False
+    # the checks are raised after the last block, so that an expression
+    # domain error anywhere on the grid still comes first
+    for j0, j1 in _row_blocks(grid.ny):
+        shape = (j1 - j0, grid.nx)
+        F, Fp = (np.broadcast_to(w, shape) for w in
+                 eval_complex(seed.F, x[None, :] + 1j * y[j0:j1, None]))
+        zero = np.argwhere(Fp == 0)
+        if zero.size and degenerate is None:
+            degenerate = (int(zero[0][1]), j0 + int(zero[0][0]))
+        mod2 = (F * F.conj()).real
+        if seed.sign == "minus":
+            mod2_max = np.maximum(mod2_max, mod2.max())
+            outside = outside or bool(np.any(mod2 >= 1.0))
+        if degenerate is None and not outside:
+            den = 1.0 - mod2 if seed.sign == "minus" else 1.0 + mod2
+            mag2 = (Fp * Fp.conj()).real
+            u[j0:j1] = (np.log(8.0 * mag2 / (den * den))
+                        - np.log(a * abs(K))) / a
+        # drop this block's arrays before the next block's jets are built
+        F = Fp = mod2 = den = mag2 = None
+    if degenerate is not None:
+        raise SeedDegenerateError(*degenerate)
+    if outside:
+        raise DomainViolationError(
+            "|F(z)| must stay below 1 for the minus sign "
+            f"(max |F|^2 = {float(mod2_max)!r})"
+        )
     return ScalarField2D(grid, u)
 
 
@@ -160,11 +177,13 @@ def boundary_blowup_exact(grid: Grid2D) -> ScalarField2D:
     """u = ln(8/(1-x^2-y^2)^2), the solution of Delta u = e^u on the unit
     disk that diverges at the boundary circle.  Nodes on or outside the
     circle get the NaN sentinel."""
-    X, Y = grid.meshgrid()
-    r2 = X * X + Y * Y
-    u = np.full(X.shape, np.nan)
-    inside = r2 < 1.0
-    u[inside] = np.log(8.0) - 2.0 * np.log1p(-r2[inside])
+    x, y = grid.x(), grid.y()
+    u = np.full((grid.ny, grid.nx), np.nan)
+    for j0, j1 in _row_blocks(grid.ny):
+        X, Y = np.broadcast_arrays(x[None, :], y[j0:j1, None])
+        r2 = X * X + Y * Y
+        inside = r2 < 1.0
+        u[j0:j1][inside] = np.log(8.0) - 2.0 * np.log1p(-r2[inside])
     return ScalarField2D(grid, u)
 
 
@@ -255,15 +274,19 @@ def convert_log_form(field: ScalarField2D, direction: str) -> ScalarField2D:
     """
     v = field.values
     if direction == "u_to_T":
-        with np.errstate(over="ignore"):
-            out = np.exp(v)
-        overflow = int((np.isfinite(v) & ~np.isfinite(out)).sum())
+        # by row blocks, so the overflow test's masks stay block-sized
+        out, overflow = np.empty_like(v), 0
+        for j0, j1 in _row_blocks(v.shape[0]):
+            vb, ob = v[j0:j1], out[j0:j1]
+            with np.errstate(over="ignore"):
+                np.exp(vb, out=ob)
+            overflow += int((np.isfinite(vb) & ~np.isfinite(ob)).sum())
         if overflow:
             raise NonFiniteConversionError(
                 f"T = e^u overflows at {overflow} node(s) where u is finite")
         return ScalarField2D(field.grid, out)
     if direction == "T_to_u":
-        if np.any(v[~np.isnan(v)] <= 0):
+        if np.any(v <= 0):  # NaN compares false: sentinels pass
             raise NonPositiveFieldError("T must be positive to form u = log T")
         return ScalarField2D(field.grid, np.log(v))
     raise ClosedFormError(f"direction must be 'u_to_T' or 'T_to_u', got {direction!r}")

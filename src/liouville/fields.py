@@ -49,6 +49,19 @@ __all__ = [
 # so a mistyped size fails at once instead of exhausting memory.
 MAX_NODES = 2 ** 23
 
+# Rows per block of the samplers, stencils and action terms: their
+# temporaries stay a few blocks in size instead of a few fields.
+_BLOCK_ROWS = 64
+
+
+def _row_blocks(n: int):
+    """``(j0, j1)`` row ranges of at most ``_BLOCK_ROWS`` rows, in order,
+    tiling ``range(n)``.  Every computation run through them is
+    elementwise per output row, so the assembled array is bit-identical
+    to a whole-array evaluation; callers read their own halo rows."""
+    for j0 in range(0, n, _BLOCK_ROWS):
+        yield j0, min(j0 + _BLOCK_ROWS, n)
+
 
 @contextmanager
 def open_text(path_or_file, mode: str = "r"):
@@ -238,8 +251,10 @@ def residual_elliptic(u: ScalarField2D, p: LiouvilleParams) -> ScalarField2D:
     g = u.grid
     v = u.values
     r = np.full_like(v, np.nan)
-    r[1:-1, 1:-1] = (laplacian(v, g.hx, g.hy)
-                     - p.K * np.exp(p.a * v[1:-1, 1:-1]))
+    for j0, j1 in _row_blocks(g.ny - 2):
+        rows = slice(j0 + 1, j1 + 1)  # interior rows; halo rows j0, j1 + 1
+        r[rows, 1:-1] = (laplacian(v[j0:j1 + 2], g.hx, g.hy)
+                         - p.K * np.exp(p.a * v[rows, 1:-1]))
     return ScalarField2D(g, r)
 
 
@@ -254,8 +269,11 @@ def residual_hyperbolic(u: ScalarField2D, p: LiouvilleParams) -> ScalarField2D:
     with the cell-averaged u inside the exponential."""
     _require(u.grid, 2, "residual_hyperbolic")
     g = u.grid
-    dxy, mean = _cross_and_mean(u.values, g.hx, g.hy)
-    return ScalarField2D(g.cell_centers(), dxy - p.K * np.exp(p.a * mean))
+    r = np.empty((g.ny - 1, g.nx - 1))
+    for j0, j1 in _row_blocks(g.ny - 1):  # cell rows j0 .. j1-1
+        dxy, mean = _cross_and_mean(u.values[j0:j1 + 1], g.hx, g.hy)
+        r[j0:j1] = dxy - p.K * np.exp(p.a * mean)
+    return ScalarField2D(g.cell_centers(), r)
 
 
 def residual_log(T: ScalarField2D, K: float) -> ScalarField2D:
@@ -269,14 +287,17 @@ def residual_log(T: ScalarField2D, K: float) -> ScalarField2D:
     if K == 0:
         raise FieldsError("K must be nonzero")
     v = T.values
-    finite = np.isfinite(v)
-    if np.any(v[finite] <= 0):
+    # finite entries only: NaN and -inf are left to the non-finite cells
+    # they cause
+    if np.any((v <= 0) & (v > -np.inf)):
         raise NonPositiveFieldError("T must be positive everywhere")
     g = T.grid
-    u = np.log(v)
-    dxy, mean = _cross_and_mean(u, g.hx, g.hy)
-    Tbar = np.exp(mean)
-    return ScalarField2D(g.cell_centers(), (dxy - K * Tbar) / Tbar)
+    r = np.empty((g.ny - 1, g.nx - 1))
+    for j0, j1 in _row_blocks(g.ny - 1):  # cell rows j0 .. j1-1
+        dxy, mean = _cross_and_mean(np.log(v[j0:j1 + 1]), g.hx, g.hy)
+        Tbar = np.exp(mean)
+        r[j0:j1] = (dxy - K * Tbar) / Tbar
+    return ScalarField2D(g.cell_centers(), r)
 
 
 def norms(r: ScalarField2D) -> Norms:

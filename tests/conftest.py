@@ -15,3 +15,21 @@ def disk_branch_2049():
     branch = continue_branch(geometry)
     elapsed = time.perf_counter() - t0
     return geometry, branch, elapsed
+
+
+@pytest.fixture
+def per_block_height(monkeypatch):
+    """``run(fn)`` calls ``fn`` once per row-block height of the package's
+    blocked evaluation (1, 7, the default, and one block spanning the
+    whole grid) and returns the results in that order."""
+    from liouville import fields
+
+    def run(fn):
+        results = []
+        for rows in (1, 7, fields._BLOCK_ROWS, 10 ** 9):
+            with monkeypatch.context() as m:
+                m.setattr(fields, "_BLOCK_ROWS", rows)
+                results.append(fn())
+        return results
+    return run
+

@@ -2,6 +2,7 @@
 the hand-coded gradient, and consistency with the elliptic solver."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,6 +114,66 @@ class TestGradient:
             errs.append(err)
         for lo, hi in zip(errs, errs[1:]):
             assert 1.8 <= math.log2(lo / hi) <= 2.2
+
+
+def scatter_gradient(phi: ScalarField2D, p: ActionParams) -> np.ndarray:
+    """The gradient assembled over whole arrays: each cell adds its term
+    to its four corners, lower-left, lower-right, upper-left, upper-right
+    in turn, and the boundary ring is zeroed."""
+    v, g = phi.values, phi.grid
+    with np.errstate(all="ignore"):
+        gx = 0.5 * ((v[:-1, 1:] - v[:-1, :-1]) + (v[1:, 1:] - v[1:, :-1])) / g.hx
+        gy = 0.5 * ((v[1:, :-1] - v[:-1, :-1]) + (v[1:, 1:] - v[:-1, 1:])) / g.hy
+        mean = 0.25 * (v[:-1, :-1] + v[:-1, 1:] + v[1:, :-1] + v[1:, 1:])
+        ex = (p.mu ** 2 * np.exp(mean) if p.mu != 0 else 0.0) / 4.0
+        px, py = gx / (2.0 * g.hx), gy / (2.0 * g.hy)
+        area = p.C * g.hx * g.hy
+        grad = np.zeros_like(v)
+        grad[:-1, :-1] += area * (-px - py + ex)
+        grad[:-1, 1:] += area * (px - py + ex)
+        grad[1:, :-1] += area * (-px + py + ex)
+        grad[1:, 1:] += area * (px + py + ex)
+    grad[0, :] = grad[-1, :] = 0.0
+    grad[:, 0] = grad[:, -1] = 0.0
+    return grad
+
+
+class TestRowBlocks:
+    """Value and gradient run in row blocks on 131 x 200 nodes with
+    hx != hy: the results must have the bits of a single block, and the
+    gathered gradient those of the whole-array scatter."""
+
+    GRID = Grid2D(131, 200, -0.3, 0.2, 0.011, 0.006)
+
+    def phi(self, nan_band=False):
+        v = field(self.GRID, lambda X, Y: np.sin(3 * X) * np.cos(2 * Y) + X * Y).values
+        if nan_band:
+            v[62:66, 10:20] = np.nan
+        return ScalarField2D(self.GRID, v)
+
+    @pytest.mark.parametrize("mu", [0.0, 1.3])
+    @pytest.mark.parametrize("nan_band", [False, True])
+    def test_blocks_match_one_block(self, per_block_height, mu, nan_band):
+        phi, p = self.phi(nan_band), ActionParams(0.7, mu)
+        values = per_block_height(lambda: action_value(phi, p))
+        assert len({np.float64(x).tobytes() for x in values}) == 1
+        assert math.isnan(values[0]) == nan_band
+        grads = per_block_height(lambda: action_gradient(phi, p).values)
+        expect = scatter_gradient(phi, p).tobytes()
+        assert all(gr.tobytes() == expect for gr in grads)
+
+    def test_gradient_memory_is_bounded(self):
+        # 513^2 nodes: the gradient is one field, its blocked cell terms
+        # must stay small beside it
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 513, 513)
+        phi = field(g, lambda X, Y: np.sin(X) * np.cos(Y))
+        tracemalloc.start()
+        try:
+            action_gradient(phi, ActionParams(1.0, 1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * phi.values.nbytes
 
 
 class TestConvexity:

@@ -1,7 +1,9 @@
 """Command-line surface: golden help texts, the JSON summary contract,
 exit codes, and the pipe-friendly CSV flows."""
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from liouville import hyperbolic
-from liouville.cli import run
+from liouville.cli import _read_field, run
 from liouville.fields import ScalarField2D
 
 DATA = Path(__file__).parent / "data"
@@ -240,6 +242,18 @@ class TestPipeFlows:
         assert out.count("\n") == 1
         assert summary_of(out)["error"]["code"] == "fields.non_finite_residual"
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("eq", ["hyperbolic", "elliptic", "log"])
+    def test_verify_fails_when_spacing_underflows(self, eq):
+        # hx * hy and hx^2 underflow to 0, so every stencil divides by
+        # zero; no input is masked, so no cell may count as masked
+        field = ("# 3 3 0 0 1e-170 1e-170\n"
+                 "0.1,0.2,0.3\n0.4,0.5,0.6\n0.7,0.8,0.9\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = invoke(["verify", "--eq", eq], stdin_text=field)
+        assert code == 1
+        assert summary_of(out)["error"]["code"] == "fields.non_finite_residual"
 
     def test_verify_passes_masked_march(self):
         code, out, _ = invoke(["march", "--phi", "0", "--psi", "0",
@@ -471,6 +485,20 @@ class TestFieldFiles:
                                 "--in", str(path)])
         assert code == 0
         assert summary_of(vout)["max_abs"] <= 1e-3
+
+    def test_field_sha256_hashes_header_and_value_bytes(self, tmp_path):
+        # NaN and -0.0 keep their own bytes in the hash
+        path = tmp_path / "u.csv"
+        path.write_text("# 3 2 0.0 -1.5 0.25 0.5\n"
+                        "1.0,nan,-0.0\n"
+                        "0.0,-2.5,1e-300\n")
+        ns = argparse.Namespace(infile=str(path))
+        field = _read_field(ns)
+        header = b"# 3 2 0.0 -1.5 0.25 0.5"
+        values = np.array([[1.0, np.nan, -0.0], [0.0, -2.5, 1e-300]])
+        assert field.values.tobytes() == values.tobytes()
+        assert ns.field_sha256 == hashlib.sha256(
+            header + values.tobytes()).hexdigest()
 
     def test_march_writes_mask(self, tmp_path):
         mask = tmp_path / "mask.csv"

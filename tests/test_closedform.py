@@ -10,6 +10,7 @@ order-window checks to curved pairs.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from liouville.closedform import (
 )
 from liouville.errors import (
     ClosedFormError,
+    LiouvilleError,
     DomainViolationError,
     NonFiniteConversionError,
     NonMonotoneGError,
@@ -173,6 +175,125 @@ class TestEllipticExact:
         r257 = residual_elliptic(elliptic_exact(sd, p.K, p.a, square(-0.3, 0.3, 257)), p)
         assert 1.8 <= math.log2(norms(r129).max_abs / norms(r257).max_abs) <= 2.2
         assert norms(extrapolate_residual(r129, r257)).max_abs <= 1e-8
+
+
+def raised(fn):
+    """The type and message of the error ``fn()`` raises."""
+    with pytest.raises(LiouvilleError) as err:
+        fn()
+    return type(err.value), str(err.value)
+
+
+class TestRowBlocks:
+    """The samplers run in 64-row blocks on 131 x 200 grids with hx != hy:
+    the assembled field, and every check's node or extremum, must be what
+    a single block over the whole grid gives, bit for bit."""
+
+    # x = -16.25 + i/8 and y = -37.5 + j/4 are exact: (0, 0) is node
+    # (130, 150), (0, -2) is node (130, 142)
+    EXACT = Grid2D(131, 200, -16.25, -37.5, 0.125, 0.25)
+
+    SAMPLERS = {
+        "hyperbolic": lambda: hyperbolic_exact(
+            pair("exp(x)", "exp(1.3*y)"), LiouvilleParams(2.0, 1.0),
+            Grid2D(131, 200, 0.5, 0.4, 0.009, 0.006)),
+        "elliptic-minus": lambda: elliptic_exact(
+            seed("0.8*z+0.1*z^2"), 1.0, 1.0,
+            Grid2D(131, 200, -0.45, -0.5, 0.007, 0.005)),
+        "elliptic-plus": lambda: elliptic_exact(
+            seed("z/2 + z^2/4", "plus"), -2.0, 1.5,
+            Grid2D(131, 200, -0.45, -0.5, 0.007, 0.005)),
+        "blowup": lambda: boundary_blowup_exact(
+            Grid2D(131, 200, -1.1, -1.05, 0.017, 0.0105)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_blocks_match_one_block(self, per_block_height, name):
+        results = per_block_height(lambda: self.SAMPLERS[name]().values)
+        assert len({r.tobytes() for r in results}) == 1
+
+    def test_blowup_mask_crosses_seams(self):
+        u = self.SAMPLERS["blowup"]().values
+        masked_rows = np.flatnonzero(np.isnan(u).any(axis=1))
+        assert {63, 64, 127, 128, 191, 192} <= set(masked_rows)
+
+    @pytest.mark.parametrize("direction", ["u_to_T", "T_to_u"])
+    def test_convert_log_form_matches_one_block(self, per_block_height,
+                                                direction):
+        g = Grid2D(131, 200, 0.5, 0.4, 0.009, 0.006)
+        X, Y = g.meshgrid()
+        v = np.sin(3 * X) + Y if direction == "u_to_T" else np.exp(X - Y)
+        v[61:67, 40:90] = np.nan
+        f = ScalarField2D(g, v)
+        results = per_block_height(
+            lambda: convert_log_form(f, direction).values)
+        assert len({r.tobytes() for r in results}) == 1
+        assert np.isnan(results[0][61:67, 40:90]).all()
+
+    def test_overflow_count_spans_blocks(self, per_block_height):
+        v = np.zeros((200, 131))
+        v[[3, 64, 150, 199], [0, 7, 9, 130]] = 1e308
+        f = ScalarField2D(Grid2D(131, 200, 0.0, 0.0, 0.5, 0.25), v)
+        errors = per_block_height(lambda: raised(
+            lambda: convert_log_form(f, "u_to_T")))
+        assert errors == [(NonFiniteConversionError,
+                           "T = e^u overflows at 4 node(s) where u is finite")] * 4
+
+    def test_first_singular_node_in_a_later_block(self, per_block_height):
+        # f + g = x + y^3 first vanishes at row 150; a*K*f'*g' < 0 from
+        # the first block on, but the singular node still comes first
+        errors = per_block_height(lambda: raised(lambda: hyperbolic_exact(
+            pair("x", "y^3"), LiouvilleParams(-1.0, 1.0), self.EXACT)))
+        assert errors == [(SingularNodeError,
+                           "f(x) + g(y) = 0 at node (i=130, j=150), "
+                           "(x, y) = (0.0, 0.0)")] * 4
+
+    def test_sign_error_reports_the_grid_minimum(self, per_block_height):
+        # g' = cos(y) turns negative only from row 148, in the third block
+        g = Grid2D(131, 200, 1.0, 0.1, 0.01, 0.01)
+        errors = per_block_height(lambda: raised(lambda: hyperbolic_exact(
+            pair("x", "sin(y)"), P11, g)))
+        gp = np.cos(g.y())
+        assert errors == [(SignError,
+                           "a*K*f'(x)*g'(y) must be positive on the whole "
+                           f"grid (min {float(gp.min())!r})")] * 4
+
+    def test_first_degenerate_node_in_a_later_block(self, per_block_height):
+        # F' = 4 z (z^2 + 4) vanishes at z = -2i (row 142) and z = 0
+        # (row 150); |F| >= 1 already in the first block, but the
+        # degenerate seed is reported first, as on a single block
+        errors = per_block_height(lambda: raised(lambda: elliptic_exact(
+            seed("(z^2+4)^2"), 1.0, 1.0, self.EXACT)))
+        assert errors == [(SeedDegenerateError,
+                           "F'(z) = 0 at node (i=130, j=142)")] * 4
+
+    def test_domain_violation_reports_the_grid_maximum(self, per_block_height):
+        # |z| >= 1 first at row 182, in the third block
+        g = Grid2D(131, 200, -0.5, -0.5, 0.005, 0.0075)
+        X, Y = g.meshgrid()
+        Z = X + 1j * Y
+        expect = float((Z * Z.conj()).real.max())
+        errors = per_block_height(lambda: raised(lambda: elliptic_exact(
+            seed("z"), 1.0, 1.0, g)))
+        assert errors == [(DomainViolationError,
+                           "|F(z)| must stay below 1 for the minus sign "
+                           f"(max |F|^2 = {expect!r})")] * 4
+
+    @pytest.mark.parametrize("sample", [
+        lambda g: hyperbolic_exact(pair("exp(x)", "exp(y)"), P11, g),
+        lambda g: elliptic_exact(seed("0.8*z"), 1.0, 1.0, g),
+    ], ids=["hyperbolic", "elliptic"])
+    def test_memory_is_bounded(self, sample):
+        # 513^2 nodes: beside the one output field, the blocked temporaries
+        # (order-2 complex jets included) must stay small
+        g = square(-0.45, 0.45, 513)
+        tracemalloc.start()
+        try:
+            sample(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * g.nx * g.ny
 
 
 class TestGelfandRadial:

@@ -8,11 +8,13 @@ staggered cell grid; norms skip NaN sentinels.
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liouville.cli import _reads_masked
 from liouville.errors import (
     EmptyInteriorError,
     FieldsError,
@@ -25,6 +27,7 @@ from liouville.fields import (
     LiouvilleParams,
     ScalarField2D,
     extrapolate_residual,
+    laplacian,
     norms,
     residual_elliptic,
     residual_hyperbolic,
@@ -209,6 +212,24 @@ class TestResidualLog:
         with pytest.raises(NonPositiveFieldError):
             residual_log(ScalarField2D(unit_grid(4), v), 1.0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0])
+    def test_nonpositive_finite_entries_rejected(self, bad):
+        v = np.ones((4, 4))
+        v[3, 3] = bad
+        with pytest.raises(NonPositiveFieldError):
+            residual_log(ScalarField2D(unit_grid(4), v), 1.0)
+
+    @pytest.mark.parametrize("masked", [np.nan, -np.inf])
+    def test_nan_and_minus_inf_are_exempt(self, masked):
+        # only finite entries are checked for sign: -inf, like NaN, gives
+        # non-finite cells instead of an error
+        v = np.ones((4, 4))
+        v[1, 2] = masked
+        with np.errstate(invalid="ignore"):
+            r = residual_log(ScalarField2D(unit_grid(4), v), 1.0)
+        assert np.isnan(r.values[:2, 1:3]).all()
+        assert np.isfinite(r.values).sum() == 9 - 4
+
     def test_agrees_with_hyperbolic_residual(self):
         g = Grid2D.from_bounds(0.5, 0.5, 1.5, 1.5, 33, 33)
         u = ScalarField2D.sample(g, lambda x, y: np.log(2.0) - 2 * np.log(x + y))
@@ -224,6 +245,88 @@ class TestResidualLog:
         amp = (1.0 + float(np.abs(u4).max())) / (g.hx * g.hy * float(tbar.min()))
         bound = 20 * eps * amp
         assert np.all(np.abs(r_log.values - r_h.values / tbar) <= bound)
+
+
+def seam_field(nan_band: bool) -> ScalarField2D:
+    """A smooth field on 131 x 200 nodes with hx != hy: rows cross several
+    64-row blocks and end in a ragged one.  ``nan_band`` masks rows 61-66
+    (across the seam at row 64) in a run of columns, plus single nodes
+    on the first and last rows."""
+    g = Grid2D(131, 200, 0.3, 0.2, 0.011, 0.007)
+    X, Y = g.meshgrid()
+    v = np.log(2.0) - 2.0 * np.log(X + Y) + 0.05 * np.sin(7 * X * Y)
+    if nan_band:
+        v[61:67, 40:90] = np.nan
+        v[0, 5] = v[-1, -3] = np.nan
+    return ScalarField2D(g, v)
+
+
+def _probe_masked(residual, field: ScalarField2D) -> np.ndarray:
+    """The masked cells found by the same residual on a 1.0/NaN probe."""
+    probe = np.where(np.isnan(field.values), np.nan, 1.0)
+    with np.errstate(all="ignore"):
+        return np.isnan(residual(ScalarField2D(field.grid, probe)).values)
+
+
+class TestRowBlocks:
+    """The stencils run in row blocks: the assembled residual must have the
+    bits of a whole-array evaluation, across seams and ragged ends."""
+
+    RESIDUALS = {
+        "elliptic": (lambda f: residual_elliptic(f, LiouvilleParams(2.0, 1.5)),
+                     True),
+        "hyperbolic": (lambda f: residual_hyperbolic(f, LiouvilleParams(-3.0, 0.5)),
+                       False),
+        "log": (lambda f: residual_log(ScalarField2D(f.grid, np.exp(f.values)),
+                                       2.0), False),
+    }
+
+    @pytest.mark.parametrize("eq", sorted(RESIDUALS))
+    @pytest.mark.parametrize("nan_band", [False, True])
+    def test_blocks_match_one_block(self, per_block_height, eq, nan_band):
+        residual, _ = self.RESIDUALS[eq]
+        f = seam_field(nan_band)
+        with np.errstate(invalid="ignore"):
+            results = per_block_height(lambda: residual(f).values)
+        assert len({r.tobytes() for r in results}) == 1
+
+    def test_stencils_match_whole_array_formulas(self):
+        f = seam_field(nan_band=True)
+        v, g = f.values, f.grid
+        p = LiouvilleParams(2.0, 1.5)
+        expect = np.full_like(v, np.nan)
+        expect[1:-1, 1:-1] = (laplacian(v, g.hx, g.hy)
+                              - p.K * np.exp(p.a * v[1:-1, 1:-1]))
+        assert residual_elliptic(f, p).values.tobytes() == expect.tobytes()
+        dxy = (v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]) / (g.hx * g.hy)
+        mean = 0.25 * (v[1:, 1:] + v[1:, :-1] + v[:-1, 1:] + v[:-1, :-1])
+        expect = dxy - p.K * np.exp(p.a * mean)
+        assert residual_hyperbolic(f, p).values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("eq", sorted(RESIDUALS))
+    def test_masked_cells_match_the_probe_residual(self, eq):
+        residual, node = self.RESIDUALS[eq]
+        f = seam_field(nan_band=True)
+        masked = _reads_masked(np.isnan(f.values), node=node)
+        probe = _probe_masked(residual, f)
+        assert np.array_equal(masked, probe)
+        assert masked[1:-1, 1:-1].any()
+
+    def test_residual_log_memory_is_bounded(self):
+        # 513^2 nodes: the residual is one field; its blocked temporaries,
+        # and the positivity test's masks, must stay small beside it
+        g = Grid2D.from_bounds(0.5, 0.5, 1.5, 1.5, 513, 513)
+        X, Y = g.meshgrid()
+        T = ScalarField2D(g, 2.0 / (X + Y) ** 2)
+        del X, Y
+        field_bytes = T.values.nbytes
+        tracemalloc.start()
+        try:
+            residual_log(T, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * field_bytes
 
 
 class TestNorms:
