@@ -94,6 +94,11 @@ ARGVS = [
     ["gelfand", "--geometry", "rectangle", "--nx", "33", "--ny", "33",
      "--out", "branch_rect33.csv"],
     ["gelfand", "--geometry", "rectangle", "--nx", "17", "--ny", "25"],
+    # m = 99 unknowns, not a power of two; the one-node rectangle, whose
+    # fold is lambda = 16/e at u = 1; a branch capped just past its fold
+    ["gelfand", "--n", "100", "--out", "branch100.csv"],
+    ["gelfand", "--geometry", "rectangle", "--nx", "3", "--ny", "3"],
+    ["gelfand", "--n", "257", "--u0-cap", "1.0", "--out", "capped.csv"],
     # boundary blow-up homotopy
     ["blowup-approx", "--n", "1025"],
     ["blowup-approx", "--n", "2049", "--out", "prof2049_{M}.csv"],

@@ -470,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     p.add_argument("--tol", type=float, default=elliptic.NEWTON_TOL,
                    help="corrector residual target (default %(default)s)")
-    p.add_argument("--fold-tol", type=float, default=1e-6,
-                   help="lambda gap for the fold bracket (default "
-                        "%(default)s)")
+    p.add_argument("--fold-tol", type=float, default=elliptic.NEWTON_TOL,
+                   help="fold solve's residual target max(|F|, |sigma|) "
+                        "(default %(default)s)")
     _add_out(p, "branch CSV (s,lambda,u0 rows)")
 
     p = add("blowup-approx", _cmd_blowup_approx,

@@ -7,8 +7,8 @@ inverse of a shifted Laplacian) and the unit disk reduced to a radial
 profile (tridiagonal, solved directly by cyclic reduction, with the
 regularity closure u'(0) = 0 at the center).  Both run on numpy alone.
 On top of the plain Dirichlet solver sit a pseudo-arclength
-continuation of the Gelfand branch Delta u + lambda e^u = 0 with fold
-detection, whose corrector makes one bordered solve per iteration, and
+continuation of the Gelfand branch Delta u + lambda e^u = 0, whose steps
+and fold share one Newton loop of bordered solves, and
 the boundary blow-up exhaustion u|_boundary = M for increasing M.
 """
 
@@ -261,6 +261,8 @@ class _RadialSystem(_System):
         self.up = np.append(4.0 / h ** 2, 1.0 / h ** 2 + 1.0 / (2 * r[:-1] * h))
         self.bc_vec = np.zeros(m)
         self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
+        # the diagonal W that makes W A symmetric: r_i, and h/8 at the center
+        self.weights = np.append(h / 8, r)
         self.boundary = boundary
         self.geom = geom
         self.m = m
@@ -278,22 +280,21 @@ class _RadialSystem(_System):
         return _cyclic_reduction(self.lo, self.di + coef * a * np.exp(a * u),
                                  self.up)
 
-    def bordered_solver(self, u: np.ndarray, lam: float, tu: np.ndarray,
-                        tl: float) -> Callable:
-        """(f, n) -> (du, dlam) solving [J, e^u; tu/m, tl] [du; dlam] =
-        [f; n] with J the Gelfand Jacobian at (u, lam): one factorisation
-        of J, two back-substitutions, and the Schur complement of the
-        border."""
+    def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
+                        row: np.ndarray, corner: float) -> Callable:
+        """(f, n) -> (x, y) solving [J, col; row, corner] [x; y] = [f; n]
+        with J the Gelfand Jacobian at (u, lam): one factorisation of J,
+        two back-substitutions, and the Schur complement of the border."""
         solve = self.jacobian_solver(u, lam, 1.0)
-        b_vec = solve(-np.exp(u))
-        denom = _dot(b_vec, 1.0, tu, tl)
+        b_vec = solve(-col)
+        denom = float(row @ b_vec) + corner
         if denom == 0.0:
             raise SingularJacobianError("degenerate bordered system")
 
         def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
             a_vec = solve(f)
-            dlam = (n - _dot(a_vec, 0.0, tu, tl)) / denom
-            return a_vec + dlam * b_vec, dlam
+            y = (n - float(row @ a_vec)) / denom
+            return a_vec + y * b_vec, y
 
         return bordered
 
@@ -413,6 +414,7 @@ class _RectSystem(_System):
         sy = np.sin(0.5 * np.pi * np.arange(1, nyi + 1) / (nyi + 1)) ** 2
         self.eig = -4.0 * (sy[:, None] / g.hy ** 2 + sx[None, :] / g.hx ** 2)
         self.mu1 = float(-self.eig[0, 0])
+        self.weights = 1.0  # A is symmetric
         self.geom = geom
         self.m = nxi * nyi
         self.nxi, self.nyi = nxi, nyi
@@ -459,22 +461,22 @@ class _RectSystem(_System):
         """GMRES on J, preconditioned as in ``_jacobian``."""
         return functools.partial(_gmres, *self._jacobian(u, coef, a))
 
-    def bordered_solver(self, u: np.ndarray, lam: float, tu: np.ndarray,
-                        tl: float) -> Callable:
-        """(f, n) -> (du, dlam) solving [J, e^u; tu/m, tl] [du; dlam] =
-        [f; n] with J the Gelfand Jacobian at (u, lam): one GMRES on the
+    def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
+                        row: np.ndarray, corner: float) -> Callable:
+        """(f, n) -> (x, y) solving [J, col; row, corner] [x; y] = [f; n]
+        with J the Gelfand Jacobian at (u, lam): one GMRES on the
         (m+1)-vector, right-preconditioned by blockdiag((A + c I)^-1, 1)."""
         jv, psolve = self._jacobian(u, lam, 1.0)
-        eu, w, m = np.exp(u), tu / self.m, self.m
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            x, dl = v[:m], v[m]
-            return np.append(jv(x) + dl * eu, np.einsum("i,i", w, x) + tl * dl)
+            x, y = v[:-1], v[-1]
+            return np.append(jv(x) + y * col,
+                             np.einsum("i,i", row, x) + corner * y)
 
         def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
-            x = _gmres(matvec, lambda r: np.append(psolve(r[:m]), r[m]),
+            x = _gmres(matvec, lambda r: np.append(psolve(r[:-1]), r[-1]),
                        np.append(f, n))
-            return x[:m], float(x[m])
+            return x[:-1], float(x[-1])
 
         return bordered
 
@@ -632,29 +634,27 @@ def _secant(p: BranchPoint, q: BranchPoint) -> tuple[np.ndarray, float]:
     return du / nrm, dl / nrm
 
 
-def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
-    """Newton on (F, N) = 0 from the predictor (u, lam), where N pins the
-    iterate to the plane through the predictor with (scaled-)normal equal
-    to the tangent; each iteration is one solve of the bordered system
+def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, int]:
+    """Newton on (F, N) = 0 from (u, lam), where ``border(u, lam)``
+    returns N and its gradient (row, corner) in (u, lam); each iteration
+    is one solve of J bordered by the column e^u = dF/dlam and that row
     (``bordered_solver``).  On failure the report's residuals are
     max(|F|, |N|)."""
     max_iter = 12
-    u_pred, lam_pred = u, lam
     history = []
     for it in range(max_iter + 1):
         F = system.residual(u, lam, 1.0)
         nrm = float(np.abs(F).max())
-        N = _dot(u - u_pred, lam - lam_pred, tu, tl)
+        N, row, corner = border(u, lam)
         history.append(max(nrm, abs(N)))
         if not np.isfinite(nrm) or it == max_iter:
             break
         if history[-1] <= tol:
             return u, lam, it
-        du, dlam = system.bordered_solver(u, lam, tu, tl)(-F, -N)
-        u = u + du
-        lam = lam + dlam
-        step = _norm(du, dlam)
-        if abs(N) <= tol and _at_floor(nrm, step, u):
+        du, dlam = system.bordered_solver(u, lam, np.exp(u), row,
+                                          corner)(-F, -N)
+        u, lam = u + du, lam + dlam
+        if abs(N) <= tol and _at_floor(nrm, _norm(du, dlam), u):
             return u, lam, it + 1
     report = SolveReport(it, history[-1], False, history, tol)
     raise NonConvergenceError(
@@ -664,33 +664,59 @@ def _corrector(system, u, lam, tu, tl, tol) -> tuple[np.ndarray, float, int]:
 
 def _step(system, base: BranchPoint, tu, tl, ds: float,
           tol: float) -> tuple[BranchPoint, int]:
-    """Predict ``ds`` along the unit tangent (tu, tl) from ``base``, correct."""
-    un, ln, iters = _corrector(system, base.u + ds * tu, base.lam + ds * tl,
-                               tu, tl, tol)
+    """Predict ``ds`` along the unit tangent (tu, tl) from ``base``; correct
+    on the plane through the predictor with the tangent as (scaled) normal."""
+    u_pred, lam_pred = base.u + ds * tu, base.lam + ds * tl
+    row = tu / tu.size
+
+    def plane(u, lam):
+        return _dot(u - u_pred, lam - lam_pred, tu, tl), row, tl
+
+    un, ln, iters = _corrector(system, u_pred, lam_pred, plane, tol)
     s = base.s + _norm(un - base.u, ln - base.lam)
     return BranchPoint(s, ln, system.center_value(un), un), iters
 
 
-def _dlam_sign(system, pt: BranchPoint, tu, tl) -> float:
-    """Sign of d(lambda)/ds at ``pt``, the curve oriented to keep a
-    positive scaled product with the tangent (tu, tl)."""
-    b_vec = system.jacobian_solver(pt.u, pt.lam, 1.0)(-np.exp(pt.u))
-    return 1.0 if _dot(b_vec, 1.0, tu, tl) >= 0 else -1.0
+def _fold_border(system, c: np.ndarray) -> Callable:
+    """(u, lam) -> (sigma, row, corner): sigma is the border entry of
+    [J, c; W c, 0] [v; sigma] = [0; 1], zero exactly where J is singular
+    (Griewank & Reddien 1984).  W J is symmetric, so W v is the left
+    vector of that system and sigma's gradient (row, corner) is
+    -(lam W e^u v^2, sum(W e^u v^2))."""
+    wc, zero = system.weights * c, np.zeros(system.m)
+
+    def sigma(u, lam):
+        v, sig = system.bordered_solver(u, lam, c, wc, 0.0)(zero, 1.0)
+        g = system.weights * np.exp(u) * v * v
+        return sig, -lam * g, -float(g.sum())
+
+    return sigma
+
+
+def _solve_fold(system, points: list[BranchPoint], tol: float) -> Fold:
+    """Solve (F, sigma) = 0 from the highest point points[-2], with c the
+    u part of the secant across it (``_fold_border``)."""
+    top, c = points[-2], points[-1].u - points[-3].u
+    u, lam, _ = _corrector(system, top.u, top.lam,
+                           _fold_border(system, c / _norm(c, 0.0)), tol)
+    u0, k = system.center_value(u), len(points) - 2
+    return Fold(lam, u0, k if u0 >= top.u0 else k - 1)
 
 
 def continue_branch(geometry: Geometry, lam_start: float = 0.0,
                     max_steps: int = 500, ds: float = 0.05, *,
                     lam_stop: Optional[float] = None, u0_cap: float = 15.0,
-                    tol: float = NEWTON_TOL, fold_tol: float = 1e-6,
+                    tol: float = NEWTON_TOL, fold_tol: float = NEWTON_TOL,
                     ) -> Branch:
     """Trace the Gelfand branch from ``lam_start`` through the first fold.
 
     Secant-predictor pseudo-arclength steps with ds adaptive in
-    [1e-4, 0.1]; the fold is detected by a sign change of d(lambda)/ds
-    and refined by bisection in arclength until the bracket's lambda
-    width is below ``fold_tol``.  Stops on ``max_steps`` (at least 2),
-    or once past the fold when lambda falls below ``lam_stop`` (default:
-    lam_start) or the center value exceeds ``u0_cap``.
+    [1e-4, 0.1].  Once lambda falls, the fold is solved from the highest
+    point by the steps' bordered Newton loop to max(|F|, |sigma|) <=
+    ``fold_tol`` (``_solve_fold``); a fold solve that fails raises.
+    Stops on ``max_steps`` (at least 2), or once past the fold when
+    lambda falls below ``lam_stop`` (default: lam_start) or the center
+    value exceeds ``u0_cap``.
 
     A step that still fails after 10 halvings of ds aborts the trace;
     the partial branch is returned with ``aborted = True``.
@@ -714,9 +740,7 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
     points.append(BranchPoint(_norm(u2 - u, dlam0), lam_start + dlam0,
                               system.center_value(u2), u2))
 
-    tl_sign_prev = 1.0  # lambda increases along the natural start
-    fold: Optional[Fold] = None
-    aborted = False
+    fold, aborted = None, False
 
     while len(points) < max_steps:
         tu, tl = _secant(points[-2], points[-1])
@@ -731,15 +755,9 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
             break
         points.append(pt)
 
-        try:
-            tln = _dlam_sign(system, pt, tu, tl)
-        except SingularJacobianError:
-            tln = tl  # exactly at the fold; fall back to the secant
-        if fold is None and tln * tl_sign_prev < 0:
-            fold = _refine_fold(system, points[-2], pt, fold_tol,
-                                len(points) - 2, tol)
-        if tln != 0.0:
-            tl_sign_prev = tln
+        # lambda rises from the natural start until the first fold
+        if fold is None and pt.lam < points[-2].lam:
+            fold = _solve_fold(system, points, fold_tol)
 
         if iters <= 3:
             ds = min(ds * 1.4, DS_MAX)
@@ -751,54 +769,13 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
     return Branch(points, fold, aborted)
 
 
-def _refine_fold(system, left: BranchPoint, right: BranchPoint,
-                 fold_tol: float, index: int, tol: float) -> Fold:
-    """Bisection in arclength over the sign-change bracket, then a
-    parabola vertex through the three highest points seen."""
-    seen = [(left.u0, left.lam), (right.u0, right.lam)]
-    for _ in range(80):
-        if abs(left.lam - right.lam) <= fold_tol:
-            break
-        tu, tl = _secant(left, right)
-        try:
-            mid, _ = _step(system, left, tu, tl, 0.5 * (right.s - left.s), tol)
-            tlm = _dlam_sign(system, mid, tu, tl)
-        except (NonConvergenceError, SingularJacobianError):
-            break
-        seen.append((mid.u0, mid.lam))
-        if tlm > 0:
-            left = mid
-        else:
-            right = mid
-    lam0, u0 = _parabola_vertex(seen)
-    return Fold(lam0, u0, index)
-
-
-def _parabola_vertex(seen: list[tuple[float, float]]) -> tuple[float, float]:
-    """Vertex of the parabola lam(u0) through the three highest-lam
-    samples (divided differences; exact for a quadratic)."""
-    pts = sorted(set(seen), key=lambda t: -t[1])[:3]
-    if len(pts) < 3:
-        u0, lam0 = pts[0]
-        return lam0, u0
-    (x1, y1), (x2, y2), (x3, y3) = pts
-    d12 = (y1 - y2) / (x1 - x2)
-    d23 = (y2 - y3) / (x2 - x3)
-    c2 = (d12 - d23) / (x1 - x3)
-    if not np.isfinite(c2) or c2 >= 0:
-        return y1, x1
-    x_star = 0.5 * (x2 + x3) - d23 / (2 * c2)
-    lam0 = y3 + d23 * (x_star - x3) + c2 * (x_star - x2) * (x_star - x3)
-    return float(lam0), float(x_star)
-
-
 def solve_on_branch(geometry: Geometry, branch: Branch, lam: float,
                     side: str = "lower", tol: float = NEWTON_TOL,
                     ) -> tuple[Union[ScalarField2D, RadialProfile], SolveReport]:
     """Solve the Gelfand problem at a prescribed lambda on one side of
     the fold, seeding Newton from the nearest branch point.
 
-    ``side`` is "lower" (points up to the fold bracket) or "upper"
+    ``side`` is "lower" (points up to ``fold.index``) or "upper"
     (points past it).
     """
     if side not in ("lower", "upper"):

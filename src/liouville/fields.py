@@ -306,11 +306,12 @@ def norms(r: ScalarField2D) -> Norms:
     finite = ~np.isnan(v)
     if not finite.any():
         raise EmptyInteriorError("all entries are sentinels")
+    # one copy, squared in place; abs() gives -0.0 the bits of np.abs
     kept = v[finite]
-    return Norms(
-        float(np.abs(kept).max()),
-        float(math.sqrt(r.grid.hx * r.grid.hy * float((kept * kept).sum()))),
-    )
+    max_abs = float(abs(max(kept.max(), -kept.min())))
+    kept *= kept
+    return Norms(max_abs,
+                 float(math.sqrt(r.grid.hx * r.grid.hy * float(kept.sum()))))
 
 
 def extrapolate_residual(coarse: ScalarField2D, fine: ScalarField2D,

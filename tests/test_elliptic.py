@@ -18,7 +18,9 @@ from liouville.elliptic import (
     _cyclic_reduction,
     _dot,
     _dst2,
+    _fold_border,
     _make_system,
+    _norm,
     _secant,
     boundary_blowup_approx,
     continue_branch,
@@ -43,6 +45,12 @@ BLOWDOWN_TRACE = "ln(8/(1+x^2+y^2)^2)"
 
 def rect(n):
     return RectangleGeometry(Grid2D.from_bounds(-0.4, -0.4, 0.4, 0.4, n, n))
+
+
+def dense_jacobian(system, u, coef, a=1.0):
+    eye = np.eye(system.m)
+    return np.column_stack([system.jacobian_matvec(u, coef, a, e)
+                            for e in eye])
 
 
 @pytest.fixture(scope="module")
@@ -170,15 +178,9 @@ class TestKrylovSolve:
         return _make_system(RectangleGeometry(self.GRID),
                             parse(BLOWDOWN_TRACE, ("x", "y")))
 
-    @staticmethod
-    def dense_jacobian(system, u, coef, a):
-        eye = np.eye(system.m)
-        return np.column_stack([system.jacobian_matvec(u, coef, a, e)
-                                for e in eye])
-
     def test_initial_guess_is_dense_poisson_solve(self):
         system = self.system()
-        A = self.dense_jacobian(system, np.zeros(system.m), 0.0, 1.0)
+        A = dense_jacobian(system, np.zeros(system.m), 0.0, 1.0)
         dense = np.linalg.solve(A, -system.bc_vec)
         assert np.abs(system.initial_guess() - dense).max() <= 1e-12
 
@@ -187,7 +189,7 @@ class TestKrylovSolve:
         coef, a = 1.0, 1.0  # Delta u = K e^u with K = -1
         u = system.initial_guess()
         for _ in range(8):
-            J = self.dense_jacobian(system, u, coef, a)
+            J = dense_jacobian(system, u, coef, a)
             u = u + np.linalg.solve(J, -system.residual(u, coef, a))
         assert np.abs(system.residual(u, coef, a)).max() <= 1e-10
         prob = DirichletProblem(RectangleGeometry(self.GRID),
@@ -305,31 +307,118 @@ class TestCyclicReduction:
             solve(np.full(system.m, 1e308))
 
 
-class TestBorderedSolve:
-    """One bordered solve per corrector iteration, against a dense solve
-    of [J, e^u; tu/m, tl] [du; dlam] = [f; n]."""
+BORDER_GEOMETRIES = [
+    RectangleGeometry(Grid2D.from_bounds(-0.4, -0.3, 0.4, 0.5, 17, 25)),
+    DiskGeometry(65)]
 
-    @pytest.mark.parametrize("geometry", [
-        RectangleGeometry(Grid2D.from_bounds(-0.4, -0.3, 0.4, 0.5, 17, 25)),
-        DiskGeometry(65)], ids=["rectangle", "disk"])
-    def test_matches_dense_bordered_solve(self, geometry):
+
+class TestBorderedSolve:
+    """The bordered solve [J, col; row, corner] [x; y] = [f; n] against a
+    dense solve, with the continuation's border (e^u, tu/m, tl) and the
+    fold's (c, W c, 0)."""
+
+    @staticmethod
+    def check(geometry, border):
         system = _make_system(geometry, 0.0)
         start = continue_branch(geometry, max_steps=4).points
         tu, tl = _secant(start[-2], start[-1])
         u, lam = start[-1].u, start[-1].lam
-        eye = np.eye(system.m)
-        J = np.column_stack([system.jacobian_matvec(u, lam, 1.0, e)
-                             for e in eye])
-        B = np.block([[J, np.exp(u)[:, None]],
-                      [tu[None, :] / system.m, np.array([[tl]])]])
+        col, row, corner = border(system, u, tu, tl)
+        B = np.block([[dense_jacobian(system, u, lam), col[:, None]],
+                      [row[None, :], np.array([[corner]])]])
         rng = np.random.default_rng(11)
         f, n = rng.normal(size=system.m), 0.3
         dense = np.linalg.solve(B, np.append(f, n))
-        du, dlam = system.bordered_solver(u, lam, tu, tl)(f, n)
-        got = np.append(du, dlam)
+        x, y = system.bordered_solver(u, lam, col, row, corner)(f, n)
+        got = np.append(x, y)
         # GMRES stops at a relative residual of 1e-8
         assert np.abs(got - dense).max() <= 1e-7 * np.abs(dense).max()
-        assert abs(_dot(du, dlam, tu, tl) - n) <= 1e-7
+        assert abs(float(row @ x) + corner * y - n) <= 1e-7
+
+    @pytest.mark.parametrize("geometry", BORDER_GEOMETRIES,
+                             ids=["rectangle", "disk"])
+    def test_matches_dense_bordered_solve(self, geometry):
+        self.check(geometry,
+                   lambda system, u, tu, tl: (np.exp(u), tu / system.m, tl))
+
+    @pytest.mark.parametrize("geometry", BORDER_GEOMETRIES,
+                             ids=["rectangle", "disk"])
+    def test_matches_dense_fold_border(self, geometry):
+        def fold(system, u, tu, tl):
+            c = tu / _norm(tu, 0.0)
+            return c, system.weights * c, 0.0
+        self.check(geometry, fold)
+
+    @pytest.mark.parametrize("geometry", [
+        DiskGeometry(3), DiskGeometry(4), DiskGeometry(65),
+        RectangleGeometry(Grid2D.from_bounds(-0.4, -0.3, 0.4, 0.5, 9, 13))],
+        ids=["disk3", "disk4", "disk65", "rectangle"])
+    def test_weighted_laplacian_is_symmetric(self, geometry):
+        # the fold's gradient formula rests on W A = (W A)^T
+        system = _make_system(geometry, 0.0)
+        WA = np.reshape(system.weights, (-1, 1)) * dense_jacobian(
+            system, np.zeros(system.m), 0.0)
+        assert np.abs(WA - WA.T).max() <= 1e-14 * np.abs(WA).max()
+
+    @pytest.mark.parametrize("geometry", BORDER_GEOMETRIES,
+                             ids=["rectangle", "disk"])
+    def test_fold_gradient_matches_differences(self, geometry):
+        # central differences of sigma near the fold, along a random u
+        # direction and along lambda
+        system = _make_system(geometry, 0.0)
+        points = continue_branch(geometry, u0_cap=1.0).points
+        fold_at = max(range(len(points)), key=lambda i: points[i].lam)
+        u, lam = points[fold_at].u, points[fold_at].lam
+        c = points[fold_at + 1].u - points[fold_at - 1].u
+        sigma = _fold_border(system, c / _norm(c, 0.0))
+        _, row, corner = sigma(u, lam)
+        du = np.random.default_rng(2).normal(size=system.m)
+        t = 1e-4
+        fd_u = (sigma(u + t * du, lam)[0] - sigma(u - t * du, lam)[0]) / (2 * t)
+        fd_lam = (sigma(u, lam + t)[0] - sigma(u, lam - t)[0]) / (2 * t)
+        assert abs(fd_u - float(row @ du)) <= 1e-5 * abs(fd_u)
+        assert abs(fd_lam - corner) <= 1e-5 * abs(fd_lam)
+
+
+class TestFold:
+    """The fold solved as (F, sigma) = 0 by the corrector's Newton loop,
+    with the default flags."""
+
+    @pytest.mark.parametrize("nx, ny, y1, neighbours", [
+        (3, 3, 1.0, 0), (4, 4, 1.0, 1), (3, 3, 0.6, 0)],
+        ids=["3x3", "4x4", "3x3-hx-ne-hy"])
+    def test_exact_on_tiny_grids(self, nx, ny, y1, neighbours):
+        # the branch is constant, u = U, over the interior, and A U =
+        # -kappa U with kappa = (2 - neighbours) (1/hx^2 + 1/hy^2), each
+        # node having that many interior neighbours per axis; the fold
+        # of -kappa U + lambda e^U = 0 is U = 1, lambda = kappa / e
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, y1, nx, ny)
+        kappa = (2 - neighbours) * (1 / g.hx ** 2 + 1 / g.hy ** 2)
+        branch = continue_branch(RectangleGeometry(g))
+        fold = branch.fold
+        assert abs(fold.lam0 - kappa / math.e) <= 1e-13 * kappa / math.e
+        assert abs(fold.u0 - 1.0) <= 1e-13
+        pts = branch.points
+        assert pts[fold.index].u0 <= fold.u0 <= pts[fold.index + 1].u0
+
+    def test_disk_fold_has_a_clean_h4_term(self, branch257):
+        # lambda0_h = 2 - (7/9) h^2 + C h^4: the h^4 coefficient read at
+        # three meshes must agree, which a fold error above ~1e-11 at
+        # n = 257 would spoil
+        coefs = []
+        for n in (65, 129, 257):
+            branch = branch257 if n == 257 else continue_branch(DiskGeometry(n))
+            h = 1.0 / (n - 1)
+            coefs.append(((2.0 - branch.fold.lam0) / h ** 2 - 7 / 9) / h ** 2)
+        assert max(coefs) - min(coefs) <= 0.01
+
+    def test_solves_just_below_the_fold_at_n1025(self):
+        geom = DiskGeometry(1025)
+        branch = continue_branch(geom)
+        lam = branch.fold.lam0 - 1e-9
+        for side in ("lower", "upper"):
+            _, report = solve_on_branch(geom, branch, lam, side)
+            assert report.converged
 
 
 class TestJacobian:
@@ -428,9 +517,13 @@ class TestContinuation:
         system = _make_system(geometry, 0.0)
         start = continue_branch(geometry, max_steps=4).points
         tu, tl = _secant(start[-2], start[-1])
+        u_pred, lam_pred = start[-1].u + 0.05 * tu, start[-1].lam + 0.05 * tl
+
+        def plane(u, lam):
+            return _dot(u - u_pred, lam - lam_pred, tu, tl), tu / system.m, tl
+
         with pytest.raises(NonConvergenceError) as info:
-            _corrector(system, start[-1].u + 0.05 * tu,
-                       start[-1].lam + 0.05 * tl, tu, tl, 0.0)
+            _corrector(system, u_pred, lam_pred, plane, 0.0)
         report = info.value.report
         assert not report.converged
         assert report.iterations == 12

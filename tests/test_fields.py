@@ -348,6 +348,33 @@ class TestNorms:
         with pytest.raises(EmptyInteriorError):
             norms(ScalarField2D(unit_grid(3), np.full((3, 3), np.nan)))
 
+    @pytest.mark.parametrize("values", [
+        [-0.0, -0.0], [0.0, -0.0], [-3.0, 2.0, np.nan], [1.5, -np.inf]],
+        ids=["negative-zeros", "mixed-zeros", "nan", "infinite"])
+    def test_bits_match_abs_and_squares(self, values):
+        v = np.full(9, np.nan)
+        v[:len(values)] = values
+        got = norms(ScalarField2D(unit_grid(3), v.reshape(3, 3)))
+        kept = v[~np.isnan(v)]
+        l2 = math.sqrt(0.25 * float((kept * kept).sum()))
+        assert np.float64(got.max_abs).tobytes() == \
+            np.abs(kept).max().tobytes()
+        assert np.float64(got.l2).tobytes() == np.float64(l2).tobytes()
+
+    def test_memory_is_one_copy(self):
+        # 1024^2 nodes with NaNs: the kept entries are copied once (plus
+        # the mask), not twice more for |kept| and kept^2
+        v = np.random.default_rng(1).standard_normal((1024, 1024))
+        v[::7, ::3] = np.nan
+        f = ScalarField2D(unit_grid(1024), v)
+        tracemalloc.start()
+        try:
+            norms(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * v.nbytes
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-1e6, 1e6).filter(lambda c: c == c), st.integers(0, 10 ** 6))
