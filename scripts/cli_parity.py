@@ -99,6 +99,14 @@ ARGVS = [
     ["gelfand", "--n", "100", "--out", "branch100.csv"],
     ["gelfand", "--geometry", "rectangle", "--nx", "3", "--ny", "3"],
     ["gelfand", "--n", "257", "--u0-cap", "1.0", "--out", "capped.csv"],
+    # fold solves that drive the disk Jacobian to an exactly singular
+    # one, a branch whose e^u overflows in a rejected corrector iterate,
+    # and a rectangle fold whose border is tiny next to J
+    ["gelfand", "--n", "8", "--ds", "0.01"],
+    ["gelfand", "--n", "3", "--ds", "0.1"],
+    ["gelfand", "--n", "63", "--ds", "0.02"],
+    ["gelfand", "--geometry", "rectangle", "--nx", "97", "--ny", "97",
+     "--u0-cap", "1.5"],
     # boundary blow-up homotopy
     ["blowup-approx", "--n", "1025"],
     ["blowup-approx", "--n", "2049", "--out", "prof2049_{M}.csv"],

@@ -283,18 +283,32 @@ class _RadialSystem(_System):
     def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
                         row: np.ndarray, corner: float) -> Callable:
         """(f, n) -> (x, y) solving [J, col; row, corner] [x; y] = [f; n]
-        with J the Gelfand Jacobian at (u, lam): one factorisation of J,
-        two back-substitutions, and the Schur complement of the border."""
-        solve = self.jacobian_solver(u, lam, 1.0)
-        b_vec = solve(-col)
-        denom = float(row @ b_vec) + corner
-        if denom == 0.0:
+        with J the Gelfand Jacobian at (u, lam), which may be singular:
+        the fold solve drives it there.  The factored matrix is
+        K = J + alpha e0 e0^T with alpha = di[0] = -4/h^2.  W K is
+        symmetric, and K is negative definite wherever J's top eigenvalue
+        is <= 0, because a null vector v of a tridiagonal J has v_0 != 0.
+        With x = K^-1 f + alpha x_0 K^-1 e0 - y K^-1 col, the unknowns
+        (x_0, y) solve a 2x2 system: one factorisation and three
+        back-substitutions."""
+        alpha = float(self.di[0])
+        d = self.di + lam * np.exp(u)
+        d[0] += alpha
+        solve = _cyclic_reduction(self.lo, d, self.up)
+        e0 = np.zeros(self.m)
+        e0[0] = 1.0
+        e, b = solve(e0), solve(col)
+        m00, m01 = 1.0 - alpha * float(e[0]), float(b[0])
+        m10, m11 = alpha * float(row @ e), corner - float(row @ b)
+        det = m00 * m11 - m01 * m10
+        if det == 0.0 or not np.isfinite(det):
             raise SingularJacobianError("degenerate bordered system")
 
         def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
-            a_vec = solve(f)
-            y = (n - float(row @ a_vec)) / denom
-            return a_vec + y * b_vec, y
+            a = solve(f)
+            a0, r = float(a[0]), n - float(row @ a)
+            x0, y = (m11 * a0 - m01 * r) / det, (m00 * r - m10 * a0) / det
+            return a + (alpha * x0) * e - y * b, y
 
         return bordered
 
@@ -469,12 +483,14 @@ class _RectSystem(_System):
         jv, psolve = self._jacobian(u, lam, 1.0)
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            x, y = v[:-1], v[-1]
-            return np.append(jv(x) + y * col,
-                             np.einsum("i,i", row, x) + corner * y)
+            x, y, out = v[:-1], v[-1], np.empty(v.size)
+            np.add(jv(x), y * col, out=out[:-1])
+            out[-1] = np.einsum("i,i", row, x) + corner * y
+            return out
 
         def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
-            x = _gmres(matvec, lambda r: np.append(psolve(r[:-1]), r[-1]),
+            x = _gmres(matvec,
+                       lambda r: np.concatenate((psolve(r[:-1]), r[-1:])),
                        np.append(f, n))
             return x[:-1], float(x[-1])
 
@@ -627,32 +643,54 @@ def _norm(du, dl) -> float:
     return float(np.sqrt(_dot(du, dl, du, dl)))
 
 
-def _secant(p: BranchPoint, q: BranchPoint) -> tuple[np.ndarray, float]:
-    """Unit (scaled) secant from ``p`` to ``q``."""
-    du, dl = q.u - p.u, q.lam - p.lam
-    nrm = _norm(du, dl)
-    return du / nrm, dl / nrm
+def _predict(points: list[BranchPoint], ds: float) -> tuple:
+    """(u, lam, tu, tl): the Lagrange polynomial P in s through the last
+    min(3, len(points)) branch points, at s + ds past the last one, and
+    its unit (scaled) derivative there.  With two points this is the
+    secant.  P is in Newton's divided-difference form on the newest
+    nodes first, evaluated with its derivative by Horner's rule."""
+    pts = points[:-4:-1]
+    s = [q.s for q in pts]
+    f = [np.append(q.u, q.lam) for q in pts]
+    coefs = [f[0]]
+    for k in range(1, len(f)):
+        f = [(f[i] - f[i + 1]) / (s[i] - s[i + k]) for i in range(len(f) - 1)]
+        coefs.append(f[0])
+    x = s[0] + ds
+    p, dp = coefs[-1], 0.0
+    for c, sk in zip(coefs[-2::-1], s[-2::-1]):
+        p, dp = c + (x - sk) * p, p + (x - sk) * dp
+    t = dp / _norm(dp[:-1], dp[-1])
+    return p[:-1], float(p[-1]), t[:-1], float(t[-1])
 
 
 def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, int]:
     """Newton on (F, N) = 0 from (u, lam), where ``border(u, lam)``
     returns N and its gradient (row, corner) in (u, lam); each iteration
     is one solve of J bordered by the column e^u = dF/dlam and that row
-    (``bordered_solver``).  On failure the report's residuals are
-    max(|F|, |N|)."""
+    (``bordered_solver``), with the border equation scaled to unit
+    max(|row|, |corner|) so that a tiny fold gradient does not stall
+    the Krylov solve.  On failure the report's residuals are
+    max(|F|, |N|), unscaled."""
     max_iter = 12
     history = []
     for it in range(max_iter + 1):
-        F = system.residual(u, lam, 1.0)
+        # an overflowing e^u is a non-finite residual, handled below
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = system.residual(u, lam, 1.0)
         nrm = float(np.abs(F).max())
+        if not np.isfinite(nrm):
+            history.append(nrm)
+            break
         N, row, corner = border(u, lam)
         history.append(max(nrm, abs(N)))
-        if not np.isfinite(nrm) or it == max_iter:
+        if it == max_iter:
             break
         if history[-1] <= tol:
             return u, lam, it
-        du, dlam = system.bordered_solver(u, lam, np.exp(u), row,
-                                          corner)(-F, -N)
+        scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
+        du, dlam = system.bordered_solver(u, lam, np.exp(u), scale * row,
+                                          scale * corner)(-F, -scale * N)
         u, lam = u + du, lam + dlam
         if abs(N) <= tol and _at_floor(nrm, _norm(du, dlam), u):
             return u, lam, it + 1
@@ -662,17 +700,19 @@ def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, int]:
         f"{history[-1]:.3e})", report, u)
 
 
-def _step(system, base: BranchPoint, tu, tl, ds: float,
+def _step(system, points: list[BranchPoint], ds: float,
           tol: float) -> tuple[BranchPoint, int]:
-    """Predict ``ds`` along the unit tangent (tu, tl) from ``base``; correct
-    on the plane through the predictor with the tangent as (scaled) normal."""
-    u_pred, lam_pred = base.u + ds * tu, base.lam + ds * tl
+    """Predict ``ds`` past points[-1] (``_predict``); correct on the
+    plane through the predictor with the predicted tangent as (scaled)
+    normal."""
+    u_pred, lam_pred, tu, tl = _predict(points, ds)
     row = tu / tu.size
 
     def plane(u, lam):
         return _dot(u - u_pred, lam - lam_pred, tu, tl), row, tl
 
     un, ln, iters = _corrector(system, u_pred, lam_pred, plane, tol)
+    base = points[-1]
     s = base.s + _norm(un - base.u, ln - base.lam)
     return BranchPoint(s, ln, system.center_value(un), un), iters
 
@@ -710,10 +750,11 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
                     ) -> Branch:
     """Trace the Gelfand branch from ``lam_start`` through the first fold.
 
-    Secant-predictor pseudo-arclength steps with ds adaptive in
-    [1e-4, 0.1].  Once lambda falls, the fold is solved from the highest
-    point by the steps' bordered Newton loop to max(|F|, |sigma|) <=
-    ``fold_tol`` (``_solve_fold``); a fold solve that fails raises.
+    Pseudo-arclength steps with ds adaptive in [1e-4, 0.1], predicted by
+    the quadratic in s through the last three points (``_predict``).
+    Once lambda falls, the fold is solved from the highest point by the
+    steps' bordered Newton loop to max(|F|, |sigma|) <= ``fold_tol``
+    (``_solve_fold``); a fold solve that fails raises.
     Stops on ``max_steps`` (at least 2), or once past the fold when
     lambda falls below ``lam_stop`` (default: lam_start) or the center
     value exceeds ``u0_cap``.
@@ -743,10 +784,9 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
     fold, aborted = None, False
 
     while len(points) < max_steps:
-        tu, tl = _secant(points[-2], points[-1])
         for _ in range(10):
             try:
-                pt, iters = _step(system, points[-1], tu, tl, ds, tol)
+                pt, iters = _step(system, points, ds, tol)
                 break
             except (NonConvergenceError, SingularJacobianError):
                 ds = max(ds / 2.0, DS_MIN)

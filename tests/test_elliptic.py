@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from liouville import elliptic
 from liouville.closedform import AnalyticSeed, elliptic_exact, gelfand_radial
 from liouville.elliptic import (
     GMRES_RTOL,
     Branch,
+    BranchPoint,
     DirichletProblem,
     DiskGeometry,
     GelfandParams,
@@ -21,7 +23,7 @@ from liouville.elliptic import (
     _fold_border,
     _make_system,
     _norm,
-    _secant,
+    _predict,
     boundary_blowup_approx,
     continue_branch,
     solve_dirichlet,
@@ -51,6 +53,13 @@ def dense_jacobian(system, u, coef, a=1.0):
     eye = np.eye(system.m)
     return np.column_stack([system.jacobian_matvec(u, coef, a, e)
                             for e in eye])
+
+
+def secant(p, q):
+    """Unit (scaled) secant from branch point ``p`` to ``q``."""
+    du, dl = q.u - p.u, q.lam - p.lam
+    nrm = _norm(du, dl)
+    return du / nrm, dl / nrm
 
 
 @pytest.fixture(scope="module")
@@ -321,7 +330,7 @@ class TestBorderedSolve:
     def check(geometry, border):
         system = _make_system(geometry, 0.0)
         start = continue_branch(geometry, max_steps=4).points
-        tu, tl = _secant(start[-2], start[-1])
+        tu, tl = secant(start[-2], start[-1])
         u, lam = start[-1].u, start[-1].lam
         col, row, corner = border(system, u, tu, tl)
         B = np.block([[dense_jacobian(system, u, lam), col[:, None]],
@@ -348,6 +357,20 @@ class TestBorderedSolve:
             c = tu / _norm(tu, 0.0)
             return c, system.weights * c, 0.0
         self.check(geometry, fold)
+
+    def test_disk_solves_with_singular_jacobian(self):
+        # n = 3: J = [[-16 + 8 e^u0, 16], [2, -8 + 8 e^u1]] is exactly
+        # singular at lam = 8, u = (0, -ln 2), with null vector (2, 1)
+        system = _make_system(DiskGeometry(3), 0.0)
+        u, lam = np.array([0.0, -math.log(2.0)]), 8.0
+        J = disk_jacobian(system, u, lam)
+        assert J[0, 0] * J[1, 1] == J[0, 1] * J[1, 0]
+        col, row, corner = np.exp(u), np.array([0.3, -0.7]), 0.2
+        B = np.block([[J, col[:, None]], [row[None, :], np.array([[corner]])]])
+        f, n = np.array([1.0, -2.0]), 0.5
+        dense = np.linalg.solve(B, np.append(f, n))
+        x, y = system.bordered_solver(u, lam, col, row, corner)(f, n)
+        assert np.abs(np.append(x, y) - dense).max() <= 1e-14 * np.abs(dense).max()
 
     @pytest.mark.parametrize("geometry", [
         DiskGeometry(3), DiskGeometry(4), DiskGeometry(65),
@@ -401,6 +424,26 @@ class TestFold:
         pts = branch.points
         assert pts[fold.index].u0 <= fold.u0 <= pts[fold.index + 1].u0
 
+    @pytest.mark.parametrize("ds", [0.01, 0.045, 0.05, 0.1])
+    def test_small_disks_pass_the_fold(self, ds):
+        # the fold solve drives J to singularity, which the disk's
+        # bordered solve must survive
+        for n in range(3, 13):
+            branch = continue_branch(DiskGeometry(n), ds=ds)
+            assert branch.fold is not None and not branch.aborted
+            assert branch.points[-1].lam < branch.fold.lam0 < 2.0
+
+    def test_rectangle_fold_at_97(self):
+        # the fold's border (row ~1e-6, corner ~1e-4) is tiny next to
+        # J ~ 4/h^2; the discrete folds of the unit square rise towards
+        # the continuum one, about 6.80812, as h^2
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 97, 97)
+        branch = continue_branch(RectangleGeometry(g), u0_cap=1.5)
+        fold, pts = branch.fold, branch.points
+        assert fold is not None and not branch.aborted
+        assert 6.8079 < fold.lam0 < 6.8081
+        assert pts[fold.index].u0 <= fold.u0 <= pts[fold.index + 1].u0
+
     def test_disk_fold_has_a_clean_h4_term(self, branch257):
         # lambda0_h = 2 - (7/9) h^2 + C h^4: the h^4 coefficient read at
         # three meshes must agree, which a fold error above ~1e-11 at
@@ -419,6 +462,58 @@ class TestFold:
         for side in ("lower", "upper"):
             _, report = solve_on_branch(geom, branch, lam, side)
             assert report.converged
+
+
+def quadratic_points(s_nodes, m=5):
+    rng = np.random.default_rng(5)
+    a, b, c = rng.normal(size=(3, m))
+
+    def at(s):
+        return a + b * s + c * s * s, 1.0 + 2.0 * s - s * s
+
+    def d_at(s):
+        return b + 2.0 * c * s, 2.0 - 2.0 * s
+
+    pts = [BranchPoint(s, at(s)[1], 0.0, at(s)[0]) for s in s_nodes]
+    return pts, at, d_at
+
+
+class TestPredictor:
+    def test_reproduces_a_quadratic_branch(self):
+        pts, at, d_at = quadratic_points([0.0, 0.1, 0.3, 0.7])
+        u, lam, tu, tl = _predict(pts, 0.25)
+        u_exact, lam_exact = at(0.95)
+        du, dl = d_at(0.95)
+        nrm = _norm(du, dl)
+        assert np.abs(u - u_exact).max() <= 1e-13 * np.abs(u_exact).max()
+        assert abs(lam - lam_exact) <= 1e-13
+        assert np.abs(tu - du / nrm).max() <= 1e-13
+        assert abs(tl - dl / nrm) <= 1e-13
+
+    def test_two_points_give_the_secant(self):
+        pts, _, _ = quadratic_points([0.0, 1.0])
+        p, q = pts
+        q.s = _norm(q.u - p.u, q.lam - p.lam)
+        tu, tl = secant(p, q)
+        got = _predict([p, q], 0.05)
+        want = (q.u + 0.05 * tu, q.lam + 0.05 * tl, tu, tl)
+        for g, w in zip(got, want):
+            assert np.allclose(g, w, rtol=1e-14, atol=1e-15)
+
+    def test_rectangle_branch_krylov_count(self, monkeypatch):
+        # the secant predictor needed 428 GMRES solves on this branch
+        calls = []
+        gmres = elliptic._gmres
+
+        def counted(*args):
+            calls.append(1)
+            return gmres(*args)
+
+        monkeypatch.setattr(elliptic, "_gmres", counted)
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 33, 33)
+        branch = continue_branch(RectangleGeometry(g))
+        assert branch.fold is not None
+        assert len(calls) < 400
 
 
 class TestJacobian:
@@ -509,6 +604,19 @@ class TestContinuation:
         with pytest.raises(EllipticError):
             solve_on_branch(DiskGeometry(65), Branch([]), 1.0, "sideways")
 
+    @pytest.mark.filterwarnings("error")
+    def test_corrector_overflow_is_silent(self):
+        # e^1000 overflows: a non-finite residual, reported, not warned
+        system = _make_system(DiskGeometry(65), 0.0)
+        u = np.full(system.m, 1000.0)
+
+        def plane(u, lam):
+            return 0.0, np.full(system.m, 1.0 / system.m), 0.0
+
+        with pytest.raises(NonConvergenceError) as info:
+            _corrector(system, u, 1.0, plane, 1e-10)
+        assert not np.isfinite(info.value.report.final_residual)
+
     @pytest.mark.parametrize("geometry", [rect(17), DiskGeometry(65)],
                              ids=["rectangle", "disk"])
     def test_corrector_failure_keeps_history(self, geometry):
@@ -516,7 +624,7 @@ class TestContinuation:
         # runs out of iterations
         system = _make_system(geometry, 0.0)
         start = continue_branch(geometry, max_steps=4).points
-        tu, tl = _secant(start[-2], start[-1])
+        tu, tl = secant(start[-2], start[-1])
         u_pred, lam_pred = start[-1].u + 0.05 * tu, start[-1].lam + 0.05 * tl
 
         def plane(u, lam):
