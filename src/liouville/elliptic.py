@@ -299,14 +299,15 @@ class _RadialSystem(_System):
         e0[0] = 1.0
         e, b = solve(e0), solve(col)
         m00, m01 = 1.0 - alpha * float(e[0]), float(b[0])
-        m10, m11 = alpha * float(row @ e), corner - float(row @ b)
+        m10 = alpha * float(np.einsum("i,i", row, e))
+        m11 = corner - float(np.einsum("i,i", row, b))
         det = m00 * m11 - m01 * m10
         if det == 0.0 or not np.isfinite(det):
             raise SingularJacobianError("degenerate bordered system")
 
         def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
             a = solve(f)
-            a0, r = float(a[0]), n - float(row @ a)
+            a0, r = float(a[0]), n - float(np.einsum("i,i", row, a))
             x0, y = (m11 * a0 - m01 * r) / det, (m00 * r - m10 * a0) / det
             return a + (alpha * x0) * e - y * b, y
 
@@ -356,9 +357,12 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     SingularJacobianError when GMRES_CYCLES cycles of GMRES_RESTART
     iterations do not get there.
 
-    Products and norms go through einsum, not BLAS: on long vectors
-    OpenBLAS hands each call to worker threads that have gone to sleep
-    during the sine transforms, and waking them costs milliseconds."""
+    Products and norms go through einsum, not BLAS.  The package loads
+    OpenBLAS with one thread unless the caller sets OPENBLAS_NUM_THREADS
+    (see ``liouville/__init__.py``).  With more, OpenBLAS would hand each
+    long product to workers that fell asleep during the sine transforms,
+    at milliseconds a wake-up, and its split sums would round
+    differently; einsum gives the same bits at any thread count."""
     tol = GMRES_RTOL * _l2(b)
     x = np.zeros_like(b)
     r = b
@@ -632,11 +636,12 @@ class Branch:
 
 # The continuation works on F(u, lam) = A u + lam e^u with zero boundary
 # data.  Its inner product gives the u block weight 1/u.size so that grid
-# refinement does not change the meaning of an arclength step.
+# refinement does not change the meaning of an arclength step.  It is an
+# einsum, like ``_l2``, so its bits do not depend on the BLAS thread count.
 
 
 def _dot(du1, dl1, du2, dl2) -> float:
-    return float(du1 @ du2) / du1.size + dl1 * dl2
+    return float(np.einsum("i,i", du1, du2)) / du1.size + dl1 * dl2
 
 
 def _norm(du, dl) -> float:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +37,21 @@ def per_block_height(monkeypatch):
         return results
     return run
 
+
+@pytest.fixture
+def fresh_python():
+    """``run(code, **env)`` runs ``code`` in a new interpreter that imports
+    the package from this checkout's ``src/`` and returns its stdout.  The
+    interpreter's environment is this one without the variables OpenBLAS
+    takes its thread count from, plus ``env``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def run(code, **env):
+        base = {k: v for k, v in os.environ.items() if k not in blas}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; sys.path.insert(0, {src!r}); {code}"],
+            capture_output=True, text=True, check=True, env={**base, **env})
+        return proc.stdout
+    return run

@@ -7,8 +7,8 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -410,66 +410,86 @@ class TestFieldInputContract:
         assert docs[0]["status"] == ("ok" if code == 0 else "error")
 
 
-class TestStartup:
-    def test_import_loads_no_scipy(self):
-        # every command pays the CLI's imports
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "import liouville.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+# OpenBLAS starts its pool when numpy loads; /proc/self/task lists the
+# process's threads
+multicore = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc/self/task and two CPUs")
+THREADS = "len(os.listdir('/proc/self/task'))"
 
-    def test_rectangle_commands_load_no_scipy(self):
+
+class TestStartup:
+    def test_import_loads_no_scipy(self, fresh_python):
+        # every command pays the CLI's imports
+        out = fresh_python(
+            "import liouville.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert out.strip() == "[]"
+
+    def test_rectangle_commands_load_no_scipy(self, fresh_python):
         # rectangle solves run on numpy alone: the fast sine transform and
         # GMRES are the package's own
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "from liouville.cli import run; "
-                "codes = [run(['solve-elliptic', '--nx', '33', '--ny', '33', "
-                "'--out', '/dev/null']), "
-                "run(['gelfand', '--geometry', 'rectangle', '--nx', '17', "
-                "'--ny', '17', '--out', '/dev/null'])]; "
-                "print(codes, sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+        out = fresh_python(
+            "from liouville.cli import run; "
+            "codes = [run(['solve-elliptic', '--nx', '33', '--ny', '33', "
+            "'--out', '/dev/null']), "
+            "run(['gelfand', '--geometry', 'rectangle', '--nx', '17', "
+            "'--ny', '17', '--out', '/dev/null'])]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines()[-1] == "[0, 0] []"
 
-    def test_disk_commands_load_no_scipy(self):
+    def test_disk_commands_load_no_scipy(self, fresh_python):
         # the disk's tridiagonal solve is the package's own cyclic reduction
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "from liouville.cli import run; "
-                "codes = [run(['solve-elliptic', '--geometry', 'disk', "
-                "'--n', '65', '--out', '/dev/null']), "
-                "run(['gelfand', '--n', '65', '--out', '/dev/null']), "
-                "run(['blowup-approx', '--n', '65', '--M', '5', '--out', "
-                "'/dev/null'])]; "
-                "print(codes, sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+        out = fresh_python(
+            "from liouville.cli import run; "
+            "codes = [run(['solve-elliptic', '--geometry', 'disk', "
+            "'--n', '65', '--out', '/dev/null']), "
+            "run(['gelfand', '--n', '65', '--out', '/dev/null']), "
+            "run(['blowup-approx', '--n', '65', '--M', '5', '--out', "
+            "'/dev/null'])]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines()[-1] == "[0, 0, 0] []"
 
-    def test_march_and_backlund_load_no_scipy(self):
+    def test_march_and_backlund_load_no_scipy(self, fresh_python):
         # both Lambert W branches (K a > 0 and, by Wright omega, K a < 0)
         # are the package's own
-        src = Path(__file__).resolve().parents[1] / "src"
-        code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
-                "from liouville.cli import run; "
-                "codes = [run(['march', '--phi', '0', '--psi', '0', '--K', '1', "
-                "'--out', '/dev/null']), "
-                "run(['march', '--phi', '0', '--psi', '0', '--K=-1', "
-                "'--out', '/dev/null']), "
-                "run(['backlund', '--w-phi', 'x', '--w-psi', 'y', "
-                "'--out', '/dev/null'])]; "
-                "print(codes, sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, check=True)
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0] []"
+        out = fresh_python(
+            "from liouville.cli import run; "
+            "codes = [run(['march', '--phi', '0', '--psi', '0', '--K', '1', "
+            "'--out', '/dev/null']), "
+            "run(['march', '--phi', '0', '--psi', '0', '--K=-1', "
+            "'--out', '/dev/null']), "
+            "run(['backlund', '--w-phi', 'x', '--w-psi', 'y', "
+            "'--out', '/dev/null'])]; "
+            "print(codes, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+        assert out.splitlines()[-1] == "[0, 0, 0] []"
+
+    @multicore
+    def test_import_starts_no_blas_pool(self, fresh_python):
+        # the variable lives only as long as numpy's import, so child
+        # processes do not inherit it
+        out = fresh_python(
+            "import os, liouville.cli; "
+            f"print({THREADS}, 'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert out.strip() == "1 False"
+
+    @multicore
+    def test_caller_thread_count_is_kept(self, fresh_python):
+        out = fresh_python(
+            "import os, liouville.cli; "
+            f"print({THREADS}, os.environ['OPENBLAS_NUM_THREADS'])",
+            OPENBLAS_NUM_THREADS="2")
+        assert out.strip() == "2 2"
+
+    @multicore
+    def test_numpy_imported_first_is_left_alone(self, fresh_python):
+        out = fresh_python(
+            "import os, numpy; env = dict(os.environ); import liouville.cli; "
+            f"print({THREADS}, dict(os.environ) == env)")
+        assert out.strip() == "2 True"
 
 
 class TestFieldFiles:

@@ -556,6 +556,18 @@ class TestContinuation:
         # the discrete fold lies below the continuum one
         assert fold.lam0 < 2.0
 
+    def test_inner_product_does_not_depend_on_blas_threads(self,
+                                                           fresh_python):
+        # OpenBLAS splits ddot across its threads above 10,000 entries,
+        # which changes the summation order and so the rounding; the
+        # lambda terms are zero so that adding them rounds nothing away
+        code = ("import numpy as np; from liouville.elliptic import _dot; "
+                "v = np.random.default_rng(0).standard_normal((2, 100_000)); "
+                "print(_dot(v[0], 0.0, v[1], 0.0).hex())")
+        one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=t)
+                    for t in ("1", "2"))
+        assert one == two
+
     def test_not_aborted(self, branch257):
         assert not branch257.aborted
         s = [pt.s for pt in branch257.points]
