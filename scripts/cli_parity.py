@@ -38,6 +38,12 @@ ARGVS = [
     ["blowup-exact", "--nx", "17", "--ny", "17"],
     ["blowup-curve", "--f", "x", "--g", "y - 0.5", "--samples", "11",
      "--out", "curve.csv"],
+    # end-point zeros at both ends of the y-interval, and rows with no
+    # crossing (NA)
+    ["blowup-curve", "--f", "x", "--g", "y", "--x-range", "-1", "1",
+     "--y-range", "-1", "1", "--samples", "2001"],
+    ["blowup-curve", "--f", "x^2-0.6", "--g", "exp(y)-1", "--samples", "1001",
+     "--out", "curve1001.csv"],
     ["verify", "--eq", "hyperbolic", "--in", "exact_h.csv"],
     ["action", "--in", "exact_h.csv", "--fd-check", "5",
      "--grad-out", "grad.csv"],

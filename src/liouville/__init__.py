@@ -40,7 +40,6 @@ from .elliptic import (
     DirichletProblem,
     DiskGeometry,
     Fold,
-    GelfandParams,
     RadialProfile,
     RectangleGeometry,
     SolveReport,
@@ -85,7 +84,6 @@ __all__ = [
     "DiskGeometry",
     "Expr",
     "Fold",
-    "GelfandParams",
     "GelfandRadial",
     "GoursatData",
     "Grid2D",

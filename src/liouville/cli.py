@@ -11,6 +11,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -246,7 +247,7 @@ def _cmd_solve_elliptic(ns) -> dict:
     solution, report = elliptic.solve_dirichlet(problem, tol=ns.tol,
                                                 max_iter=ns.max_iter)
     _write(solution, ns.out)
-    payload = {"report": report.to_dict()}
+    payload = {"report": dataclasses.asdict(report)}
     if isinstance(solution, elliptic.RadialProfile):
         payload["u_center"] = _num(solution.u0)
     else:

@@ -206,10 +206,12 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
     f = ``cp.fx`` and g = ``cp.gy``.
 
     For each sampled x the equation is bracketed on ``y_range`` and
-    solved by bisection polished with Newton to ``|f+g| <= tol`` scale.
+    solved by bisection polished with Newton to ``|f+g| <= tol`` scale;
+    all samples bisect in lockstep, one evaluation of g per step.
     g must be strictly monotone on the y-interval (checked via the sign
     of g' at the samples); a sign change raises NonMonotoneGError.  More
-    than ``MAX_NODES`` samples raise GridTooLargeError.
+    than ``MAX_NODES`` samples raise GridTooLargeError, and a crossing
+    that is not finite raises ClosedFormError.
     """
     xa, xb = x_range
     ya, yb = y_range
@@ -219,49 +221,50 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
         raise GridTooLargeError(
             f"{n_samples} samples exceed the cap of {MAX_NODES}")
     gname = cp.gy.vars[0]
-    ys_probe = np.linspace(ya, yb, max(33, n_samples))
-    gy = eval_dual(cp.gy, ys_probe, gname)
-    gp = np.broadcast_to(gy.d1, ys_probe.shape)
-    if np.any(gp == 0) or (gp.min() < 0 < gp.max()):
-        raise NonMonotoneGError(
-            f"g' changes sign on [{ya}, {yb}] "
-            f"(range [{float(gp.min())!r}, {float(gp.max())!r}])"
-        )
-
-    def g_of(y):
-        return eval_dual(cp.gy, float(y), gname)
-
-    fname = cp.fx.vars[0]
-    samples: list[tuple[float, Optional[float]]] = []
-    for x in np.linspace(xa, xb, n_samples):
-        fv = eval_dual(cp.fx, float(x), fname).value
-        ga, gb = g_of(ya).value, g_of(yb).value
-        lo, hi = ya, yb
-        flo, fhi = fv + ga, fv + gb
-        if flo == 0.0:
-            samples.append((float(x), float(ya)))
-            continue
-        if fhi == 0.0:
-            samples.append((float(x), float(yb)))
-            continue
-        if np.sign(flo) == np.sign(fhi):
-            samples.append((float(x), None))
-            continue
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = fv + g_of(mid).value
-            if abs(fm) <= tol or hi - lo <= 4e-16 * max(1.0, abs(mid)):
-                break
-            if np.sign(fm) == np.sign(flo):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        # one Newton polish (g' bounded away from zero by the probe above)
-        res = g_of(mid)
-        mid = mid - (fv + res.value) / res.d1
-        mid = float(np.clip(mid, ya, yb))
-        samples.append((float(x), mid))
-    return BlowupCurve(samples, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ys_probe = np.linspace(ya, yb, max(33, n_samples))
+        gy = eval_dual(cp.gy, ys_probe, gname)
+        gp = np.broadcast_to(gy.d1, ys_probe.shape)
+        if np.any(gp == 0) or (gp.min() < 0 < gp.max()):
+            raise NonMonotoneGError(
+                f"g' changes sign on [{ya}, {yb}] "
+                f"(range [{float(gp.min())!r}, {float(gp.max())!r}])"
+            )
+        ya, yb = float(ya), float(yb)
+        xs = np.linspace(xa, xb, n_samples)
+        fv = np.broadcast_to(eval_dual(cp.fx, xs, cp.fx.vars[0]).value,
+                             xs.shape)
+        flo = fv + eval_dual(cp.gy, ya, gname).value
+        fhi = fv + eval_dual(cp.gy, yb, gname).value
+        # an exact zero at ya comes first, then one at yb
+        y = np.where(flo == 0.0, ya, yb)
+        ends = (flo == 0.0) | (fhi == 0.0)
+        # NaN signs compare unequal, so such lanes bisect as before
+        live = ~ends & (np.sign(flo) != np.sign(fhi))
+        if live.any():
+            fv, flo = fv[live], flo[live]
+            lo, hi = np.full(flo.shape, ya), np.full(flo.shape, yb)
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                fm = fv + eval_dual(cp.gy, mid, gname).value
+                # a stopped lane keeps lo, hi and so its midpoint
+                go = ~((np.abs(fm) <= tol)
+                       | (hi - lo <= 4e-16 * np.maximum(1.0, np.abs(mid))))
+                if not go.any():
+                    break
+                left = go & (np.sign(fm) == np.sign(flo))
+                lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
+                hi = np.where(go & ~left, mid, hi)
+            # one Newton polish (g' bounded away from zero by the probe above)
+            res = eval_dual(cp.gy, mid, gname)
+            y[live] = np.clip(mid - (fv + res.value) / res.d1, ya, yb)
+    found = ends | live
+    bad = np.flatnonzero(found & ~np.isfinite(y))
+    if bad.size:
+        raise ClosedFormError(f"the crossing at sample {bad[0]} (x = "
+                              f"{float(xs[bad[0]])!r}) is not finite")
+    return BlowupCurve([(x, v if ok else None) for x, v, ok in
+                        zip(xs.tolist(), y.tolist(), found.tolist())], tol)
 
 
 def convert_log_form(field: ScalarField2D, direction: str) -> ScalarField2D:

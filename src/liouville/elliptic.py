@@ -33,7 +33,6 @@ from .fields import (MAX_NODES, Grid2D, LiouvilleParams, ScalarField2D,
 __all__ = [
     "RectangleGeometry",
     "DiskGeometry",
-    "GelfandParams",
     "DirichletProblem",
     "SolveReport",
     "RadialProfile",
@@ -91,20 +90,7 @@ class DiskGeometry:
         return self.h * np.arange(self.n)
 
 
-@dataclass(frozen=True)
-class GelfandParams:
-    """Parameters of Delta u + lambda e^u = 0 (Liouville with K = -lambda,
-    a = 1)."""
-
-    lam: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.lam):
-            raise EllipticError(f"lambda must be finite, got {self.lam}")
-
-
 Geometry = Union[RectangleGeometry, DiskGeometry]
-Params = Union[LiouvilleParams, GelfandParams]
 
 
 @dataclass(frozen=True)
@@ -113,7 +99,7 @@ class DirichletProblem:
     on rectangles, an expression in (x, y) evaluated along the edge."""
 
     geometry: Geometry
-    params: Params
+    params: LiouvilleParams
     boundary: Union[Expr, float] = 0.0
 
     def __post_init__(self):
@@ -135,15 +121,6 @@ class SolveReport:
     converged: bool
     newton_history: list[float] = field(default_factory=list)
     tolerance: float = NEWTON_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "newton_history": list(self.newton_history),
-            "tolerance": self.tolerance,
-        }
 
 
 @dataclass
@@ -530,12 +507,6 @@ def _make_system(geometry: Geometry, boundary: Union[Expr, float]):
     raise EllipticError(f"unsupported geometry {type(geometry).__name__}")
 
 
-def _coef_a(params: Params) -> tuple[float, float]:
-    if isinstance(params, GelfandParams):
-        return params.lam, 1.0
-    return -params.K, params.a
-
-
 def _at_floor(nrm: float, step: float, u: np.ndarray) -> bool:
     """A small residual with a negligible update: the rounding floor."""
     return nrm <= STALL_RESIDUAL_CAP and \
@@ -583,22 +554,18 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
         report, u)
 
 
-def solve_dirichlet(p: DirichletProblem, initial: Optional[np.ndarray] = None,
-                    tol: float = NEWTON_TOL, max_iter: int = MAX_NEWTON,
+def solve_dirichlet(p: DirichletProblem, tol: float = NEWTON_TOL,
+                    max_iter: int = MAX_NEWTON,
                     ) -> tuple[Union[ScalarField2D, RadialProfile], SolveReport]:
-    """Solve the Dirichlet problem by damped Newton iteration.
+    """Solve the Dirichlet problem by damped Newton iteration from the
+    discrete harmonic extension of the boundary data.
 
-    The initial guess is the discrete harmonic extension of the boundary
-    data unless ``initial`` supplies the unknown vector directly.
     Raises NonConvergenceError (with the report attached) if the
     iteration stalls, SingularJacobianError if a linear solve fails.
     """
     system = _make_system(p.geometry, p.boundary)
-    coef, a = _coef_a(p.params)
-    u0 = system.initial_guess() if initial is None else np.asarray(initial, float)
-    if u0.shape != (system.m,):
-        raise EllipticError(f"initial guess must have shape ({system.m},)")
-    u, report = _newton(system, u0, coef, a, tol, max_iter)
+    u, report = _newton(system, system.initial_guess(), -p.params.K,
+                        p.params.a, tol, max_iter)
     return system.pack(u), report
 
 

@@ -420,17 +420,6 @@ def _as_mapping(expr: Expr, at) -> Mapping:
     return {expr.vars[0]: at}
 
 
-def _detect_complex(values: Mapping) -> bool:
-    for v in values.values():
-        if isinstance(v, complex):
-            return True
-        if isinstance(v, np.ndarray) and np.iscomplexobj(v):
-            return True
-        if isinstance(v, (np.complexfloating,)):
-            return True
-    return False
-
-
 def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
     """Evaluate ``expr`` with value, d/d(wrt) and d2/d(wrt)2.
 
@@ -442,7 +431,8 @@ def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
     values = _as_mapping(expr, at)
     if wrt not in expr.vars:
         raise ExprError(f"cannot differentiate with respect to {wrt!r}")
-    jet = _Evaluator(expr, values, wrt, _detect_complex(values)).run(expr.ast)
+    jet = _Evaluator(expr, values, wrt,
+                     any(map(np.iscomplexobj, values.values()))).run(expr.ast)
     return EvalResult(jet.v, jet.d, jet.dd)
 
 

@@ -314,10 +314,10 @@ def norms(r: ScalarField2D) -> Norms:
                  float(math.sqrt(r.grid.hx * r.grid.hy * float(kept.sum()))))
 
 
-def extrapolate_residual(coarse: ScalarField2D, fine: ScalarField2D,
-                         order: float = 2.0) -> ScalarField2D:
-    """Pointwise Richardson extrapolation of a residual field under one
-    dyadic refinement.
+def extrapolate_residual(coarse: ScalarField2D,
+                         fine: ScalarField2D) -> ScalarField2D:
+    """Pointwise Richardson extrapolation of a second-order residual
+    field under one dyadic refinement.
 
     Node-centered pairs (fine has 2n-1 nodes per axis, same origin) are
     compared on the shared coarse nodes; cell-centered pairs (fine has 2n
@@ -339,5 +339,4 @@ def extrapolate_residual(coarse: ScalarField2D, fine: ScalarField2D,
         fine_on_coarse = 0.25 * (v[0::2, 0::2] + v[0::2, 1::2] + v[1::2, 0::2] + v[1::2, 1::2])
     else:
         raise FieldsError("grids are not one dyadic refinement apart")
-    w = 2.0 ** order
-    return ScalarField2D(cg, (w * fine_on_coarse - coarse.values) / (w - 1.0))
+    return ScalarField2D(cg, (4.0 * fine_on_coarse - coarse.values) / 3.0)

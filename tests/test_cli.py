@@ -207,6 +207,22 @@ class TestExitCodes:
         assert summary_of(out)["error"]["code"] == "fields.grid_too_large"
         assert err.startswith("error:")
 
+    def test_blowup_curve_non_finite_crossing_is_data_error(self):
+        # past x = 709/800, f = e^(800 x) overflows and f + g at the
+        # bracket's upper end is inf - inf: the crossing would be NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke([
+                "blowup-curve", "--f", "exp(800*x)", "--g=-exp(800*y)",
+                "--x-range", "0.8", "1.0", "--y-range", "0.8", "1.0",
+                "--samples", "5"])
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "closedform.error"
+        assert "sample 2 (x = 0.9)" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],
                               stdin_text="")

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liouville import closedform
 from liouville.closedform import (
     AnalyticSeed,
     CharacteristicPair,
@@ -378,6 +379,44 @@ class TestBoundaryBlowup:
         assert norms(extrapolate_residual(r129, r257)).max_abs <= 1e-8
 
 
+def scalar_blowup_curve(cp, x_range, y_range, n, tol=1e-12):
+    """Reference for ``blowup_curve``: one scalar bisection per sample,
+    with the same stopping rules and Newton polish, and without the
+    checks made before the samples are traced."""
+    (xa, xb), (ya, yb) = x_range, y_range
+
+    def g_of(y):
+        return eval_dual(cp.gy, float(y), "y")
+
+    samples = []
+    for x in np.linspace(xa, xb, n):
+        fv = eval_dual(cp.fx, float(x), "x").value
+        lo, hi = ya, yb
+        flo, fhi = fv + g_of(ya).value, fv + g_of(yb).value
+        if flo == 0.0:
+            samples.append((float(x), float(ya)))
+            continue
+        if fhi == 0.0:
+            samples.append((float(x), float(yb)))
+            continue
+        if np.sign(flo) == np.sign(fhi):
+            samples.append((float(x), None))
+            continue
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = fv + g_of(mid).value
+            if abs(fm) <= tol or hi - lo <= 4e-16 * max(1.0, abs(mid)):
+                break
+            if np.sign(fm) == np.sign(flo):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        res = g_of(mid)
+        mid = mid - (fv + res.value) / res.d1
+        samples.append((float(x), float(np.clip(mid, ya, yb))))
+    return samples
+
+
 class TestBlowupCurve:
     def test_linear_case(self):
         curve = blowup_curve(pair("x", "y"), (-1.0, 1.0), (-1.5, 1.5), 21)
@@ -391,6 +430,13 @@ class TestBlowupCurve:
 
     def test_no_root_markers(self):
         curve = blowup_curve(pair("x", "exp(y)"), (0.5, 1.0), (-3.0, 3.0), 11)
+        assert all(y is None for _, y in curve.samples)
+        # f overflows to +inf: both ends of every bracket are +inf, and
+        # the overflow is handled without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = blowup_curve(pair("exp(800*x)", "y"), (0.9, 1.0),
+                                 (0.0, 1.0), 5)
         assert all(y is None for _, y in curve.samples)
 
     def test_nonmonotone_g(self):
@@ -406,6 +452,37 @@ class TestBlowupCurve:
             fx = math.exp(x)
             gy = y ** 3 + y
             assert abs(fx + gy) <= 1e-12 * (abs(fx) + abs(gy) + 1.0)
+
+    def test_eval_calls_do_not_grow_with_samples(self, monkeypatch):
+        # all samples bisect in lockstep: the probe, f, g at both ends,
+        # at most 200 bisection steps and one polish
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return eval_dual(*args)
+
+        monkeypatch.setattr(closedform, "eval_dual", counting)
+        curve = blowup_curve(pair("exp(x)", "y^3 + y"), (-1.0, 1.0),
+                             (-2.0, 0.0), 10001)
+        assert len(curve.samples) == 10001
+        assert len(calls) <= 205
+
+    @pytest.mark.parametrize("fsrc, gsrc, x_range, y_range", [
+        ("x^2-0.6", "exp(y)-1", (0.0, 1.0), (0.0, 1.0)),    # NA rows
+        ("x", "y", (-1.0, 1.0), (-1.0, 1.0)),             # end-point zeros
+        ("sin(3*x)", "y", (-1.0, 1.0), (-0.5, 0.5)),      # NA on both sides
+        ("1", "-2*y", (0.0, 1.0), (0.0, 2.0)),            # constant f
+        ("exp(x)", "-2*y", (0.0, 1.0), (0.0, 2.0)),       # linear g
+        ("cosh(x)-2", "sinh(y)", (-2.0, 2.0), (-1.0, 1.0)),
+    ])
+    def test_matches_per_sample_bisection_bitwise(self, fsrc, gsrc,
+                                                  x_range, y_range):
+        cp = pair(fsrc, gsrc)
+        expect = scalar_blowup_curve(cp, x_range, y_range, 1001)
+        got = blowup_curve(cp, x_range, y_range, 1001).samples
+        assert [(x, None if y is None else y.hex()) for x, y in got] \
+            == [(x, None if y is None else y.hex()) for x, y in expect]
 
     def test_log_divergence_rate_near_curve(self):
         # u = ln 2 - 2 ln(x+y); at distance delta from x+y=0 this is
