@@ -14,7 +14,10 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from liouville import DiskGeometry, boundary_blowup_approx  # noqa: E402
+from liouville.elliptic import (  # noqa: E402
+    DiskGeometry,
+    boundary_blowup_approx,
+)
 
 
 def main() -> None:

@@ -18,20 +18,21 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from liouville import (  # noqa: E402
+from liouville.closedform import (  # noqa: E402
     AnalyticSeed,
-    AxisPair,
+    elliptic_exact,
+    hyperbolic_exact,
+)
+from liouville.expr import AxisPair, parse  # noqa: E402
+from liouville.fields import (  # noqa: E402
     Grid2D,
     LiouvilleParams,
     ScalarField2D,
-    elliptic_exact,
-    hyperbolic_exact,
-    march,
     norms,
-    parse,
     residual_elliptic,
     residual_hyperbolic,
 )
+from liouville.hyperbolic import march  # noqa: E402
 
 P11 = LiouvilleParams(1.0, 1.0)
 

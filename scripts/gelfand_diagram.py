@@ -11,7 +11,7 @@ import pathlib
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from liouville import DiskGeometry, continue_branch  # noqa: E402
+from liouville.elliptic import DiskGeometry, continue_branch  # noqa: E402
 
 
 def main() -> None:

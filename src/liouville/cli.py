@@ -6,6 +6,9 @@ single JSON summary line on stdout carrying a digest of the effective
 inputs and the headline numbers, which is what the acceptance scripts
 parse.  Exit codes: 0 success, 1 domain, usage or I/O error, 2 solver
 non-convergence.
+
+Each handler imports the modules it runs, so a process loads no solver
+it does not call (``verify`` needs ``fields`` alone).
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import action as action_mod
-from . import closedform, elliptic, hyperbolic
 from .errors import (
     CellIterationDivergenceError,
     CliUsageError,
@@ -31,8 +32,10 @@ from .errors import (
     NonFiniteResidualError,
     OdeOverflowError,
 )
-from .expr import AxisPair, parse
 from .fields import (
+    BLOWUP_THRESHOLD,
+    MAX_NEWTON,
+    NEWTON_TOL,
     Grid2D,
     LiouvilleParams,
     ScalarField2D,
@@ -137,6 +140,7 @@ def _grid(ns) -> Grid2D:
 
 
 def _geometry(ns):
+    from . import elliptic
     if ns.geometry == "disk":
         return elliptic.DiskGeometry(ns.n)
     return elliptic.RectangleGeometry(_grid(ns))
@@ -158,7 +162,8 @@ def _read_field(ns) -> ScalarField2D:
     return field
 
 
-def _pair(fx: str, gy: str) -> AxisPair:
+def _pair(fx: str, gy: str):
+    from .expr import AxisPair, parse
     return AxisPair(parse(fx, ("x",)), parse(gy, ("y",)))
 
 
@@ -167,6 +172,7 @@ def _boundary(text: str):
     try:
         return float(text)
     except ValueError:
+        from .expr import parse
         return parse(text, ("x", "y"))
 
 
@@ -174,6 +180,7 @@ def _boundary(text: str):
 
 
 def _cmd_exact_h(ns) -> dict:
+    from . import closedform
     field = closedform.hyperbolic_exact(_pair(ns.f, ns.g),
                                         LiouvilleParams(ns.K, ns.a), _grid(ns))
     _write(field, ns.out)
@@ -181,6 +188,8 @@ def _cmd_exact_h(ns) -> dict:
 
 
 def _cmd_exact_e(ns) -> dict:
+    from . import closedform
+    from .expr import parse
     seed = closedform.AnalyticSeed(parse(ns.F, ("z",)), ns.sign)
     field = closedform.elliptic_exact(seed, ns.K, ns.a, _grid(ns))
     _write(field, ns.out)
@@ -188,12 +197,14 @@ def _cmd_exact_e(ns) -> dict:
 
 
 def _cmd_blowup_exact(ns) -> dict:
+    from . import closedform
     field = closedform.boundary_blowup_exact(_grid(ns))
     _write(field, ns.out)
     return _field_stats(field)
 
 
 def _cmd_blowup_curve(ns) -> dict:
+    from . import closedform
     curve = closedform.blowup_curve(_pair(ns.f, ns.g), tuple(ns.x_range),
                                     tuple(ns.y_range), ns.samples, ns.tol)
     _write(curve, ns.out)
@@ -241,6 +252,7 @@ def _reads_masked(nan: np.ndarray, node: bool) -> np.ndarray:
 
 
 def _cmd_solve_elliptic(ns) -> dict:
+    from . import elliptic
     problem = elliptic.DirichletProblem(_geometry(ns),
                                         LiouvilleParams(ns.K, ns.a),
                                         _boundary(ns.boundary))
@@ -256,6 +268,7 @@ def _cmd_solve_elliptic(ns) -> dict:
 
 
 def _cmd_gelfand(ns) -> dict:
+    from . import elliptic
     branch = elliptic.continue_branch(
         _geometry(ns), ns.lam_start, ns.max_steps, ns.ds, lam_stop=ns.lam_stop,
         u0_cap=ns.u0_cap, tol=ns.tol, fold_tol=ns.fold_tol)
@@ -267,16 +280,19 @@ def _cmd_gelfand(ns) -> dict:
 
 
 def _cmd_blowup_approx(ns) -> dict:
+    from . import elliptic
     Ms = list(ns.M)
-    if ns.out != "-" and len(Ms) > 1 and "{M}" not in ns.out:
+    outs = [ns.out.replace("{M}", format(M, "g")) for M in Ms]
+    if ns.out != "-" and len(set(outs)) < len(outs):
         raise CliUsageError(
-            "--out needs a {M} placeholder when several M values are given")
+            "--out must name one file per M value: give it a {M} "
+            "placeholder, which is written with 6 significant digits")
     profiles = elliptic.boundary_blowup_approx(elliptic.DiskGeometry(ns.n),
                                                Ms, tol=ns.tol)
-    for i, (M, prof) in enumerate(zip(Ms, profiles)):
+    for i, (out, prof) in enumerate(zip(outs, profiles)):
         if ns.out == "-" and i:  # blank-line separated blocks (gnuplot index)
             sys.stdout.write("\n")
-        _write(prof, ns.out.replace("{M}", format(M, "g")))
+        _write(prof, out)
     limit = math.log(8.0)
     centers = [prof.u0 for prof in profiles]
     return {"M": Ms, "centers": [_num(c) for c in centers],
@@ -284,6 +300,7 @@ def _cmd_blowup_approx(ns) -> dict:
 
 
 def _cmd_march(ns) -> dict:
+    from . import hyperbolic
     result = hyperbolic.march(_pair(ns.phi, ns.psi),
                               LiouvilleParams(ns.K, ns.a), _grid(ns),
                               ns.threshold)
@@ -294,6 +311,7 @@ def _cmd_march(ns) -> dict:
 
 
 def _cmd_backlund(ns) -> dict:
+    from . import hyperbolic
     field = hyperbolic.backlund(_pair(ns.w_phi, ns.w_psi), ns.bt_a,
                                 ns.u_corner, _grid(ns), ns.order)
     _write(field, ns.out)
@@ -301,10 +319,11 @@ def _cmd_backlund(ns) -> dict:
 
 
 def _cmd_action(ns) -> dict:
+    from .action import ActionParams, action_gradient, action_value
     field = _read_field(ns)
-    p = action_mod.ActionParams(ns.C, ns.mu)
-    value = action_mod.action_value(field, p)
-    grad = action_mod.action_gradient(field, p)
+    p = ActionParams(ns.C, ns.mu)
+    value = action_value(field, p)
+    grad = action_gradient(field, p)
     if ns.grad_out is not None:
         grad.write_csv(ns.grad_out)
     # the largest |gradient| without an |.| copy of the field
@@ -320,6 +339,7 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
                        n_probe: int) -> float:
     """Central-difference probe of the gradient at up to ``n_probe``
     interior nodes, chosen by a fixed-seed generator so reruns agree."""
+    from .action import action_value
     ny, nx = field.values.shape
     if nx < 3 or ny < 3:
         raise CliUsageError("--fd-check needs at least a 3x3 grid")
@@ -333,9 +353,9 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
         step = 1e-6 * (1.0 + abs(field.values[j, i]))
         bumped = field.values.copy()
         bumped[j, i] += step
-        plus = action_mod.action_value(ScalarField2D(field.grid, bumped), p)
+        plus = action_value(ScalarField2D(field.grid, bumped), p)
         bumped[j, i] -= 2.0 * step
-        minus = action_mod.action_value(ScalarField2D(field.grid, bumped), p)
+        minus = action_value(ScalarField2D(field.grid, bumped), p)
         fd = (plus - minus) / (2.0 * step)
         scale = max(abs(fd), abs(grad.values[j, i]), 1e-30)
         worst = max(worst, abs(fd - grad.values[j, i]) / scale)
@@ -343,6 +363,7 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
 
 
 def _cmd_convert_log(ns) -> dict:
+    from . import closedform
     field = _read_field(ns)
     out = closedform.convert_log_form(field, ns.direction.replace("-", "_"))
     _write(out, ns.out)
@@ -439,9 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Dirichlet data: a number, or an expression in x and "
                         "y (rectangle only; default %(default)s)")
     _add_params(p)
-    p.add_argument("--tol", type=float, default=elliptic.NEWTON_TOL,
+    p.add_argument("--tol", type=float, default=NEWTON_TOL,
                    help="residual max-norm target (default %(default)s)")
-    p.add_argument("--max-iter", type=int, default=elliptic.MAX_NEWTON,
+    p.add_argument("--max-iter", type=int, default=MAX_NEWTON,
                    help="Newton iteration cap (default %(default)s)")
     _add_out(p, "solution CSV (field, or r,u rows for the disk)")
 
@@ -469,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u0-cap", type=float, default=15.0,
                    help="stop once u(center) exceeds this "
                         "(default %(default)s)")
-    p.add_argument("--tol", type=float, default=elliptic.NEWTON_TOL,
+    p.add_argument("--tol", type=float, default=NEWTON_TOL,
                    help="corrector residual target (default %(default)s)")
-    p.add_argument("--fold-tol", type=float, default=elliptic.NEWTON_TOL,
+    p.add_argument("--fold-tol", type=float, default=NEWTON_TOL,
                    help="fold solve's residual target max(|F|, |sigma|) "
                         "(default %(default)s)")
     _add_out(p, "branch CSV (s,lambda,u0 rows)")
@@ -484,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", nargs="+", type=float, default=[5.0, 8.0, 11.0],
                    help="strictly increasing boundary values "
                         "(default %(default)s)")
-    p.add_argument("--tol", type=float, default=elliptic.NEWTON_TOL,
+    p.add_argument("--tol", type=float, default=NEWTON_TOL,
                    help="residual max-norm target (default %(default)s)")
     _add_out(p, "profile CSV; with several M give a {M} placeholder, or "
                 "'-' for blank-line separated blocks")
@@ -500,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     _add_rect(p, (0.0, 0.0, 1.0, 1.0))
     p.add_argument("--threshold", type=float,
-                   default=hyperbolic.BLOWUP_THRESHOLD,
+                   default=BLOWUP_THRESHOLD,
                    help="u value treated as blown up (default %(default)s)")
     p.add_argument("--mask-out", default=None,
                    help="optional CSV path for the 0/1 blow-up mask")

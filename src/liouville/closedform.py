@@ -106,8 +106,8 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
     |F| < 1 on the grid; "plus" solves it for K < 0.  Requires a > 0 (the
     additive normalization ln(a|K|) has no real value otherwise).
     """
-    if K == 0 or a == 0:
-        raise ClosedFormError("K and a must be nonzero")
+    if not all(np.isfinite(c) and c != 0 for c in (K, a)):
+        raise ClosedFormError("K and a must be finite and nonzero")
     if (seed.sign == "minus") != (K > 0):
         raise SignError(
             f"sign '{seed.sign}' pairs with K {'>' if seed.sign == 'minus' else '<'} 0, "

@@ -27,8 +27,8 @@ from .errors import (
     SingularJacobianError,
 )
 from .expr import Expr, eval_dual
-from .fields import (MAX_NODES, Grid2D, LiouvilleParams, ScalarField2D,
-                     laplacian, write_table)
+from .fields import (MAX_NEWTON, MAX_NODES, NEWTON_TOL, Grid2D,
+                     LiouvilleParams, ScalarField2D, laplacian, write_table)
 
 __all__ = [
     "RectangleGeometry",
@@ -45,11 +45,9 @@ __all__ = [
     "boundary_blowup_approx",
 ]
 
-NEWTON_TOL = 1e-10
 # relative 2-norm tolerance of each rectangle Newton step's GMRES solve
 GMRES_RTOL = 1e-8
 GMRES_RESTART, GMRES_CYCLES = 60, 10
-MAX_NEWTON = 60
 MAX_HALVINGS = 30
 DS_MIN, DS_MAX = 1e-4, 0.1
 # A residual of order (1/h^2)|u| eps cannot be beaten in double precision,
@@ -507,6 +505,14 @@ def _make_system(geometry: Geometry, boundary: Union[Expr, float]):
     raise EllipticError(f"unsupported geometry {type(geometry).__name__}")
 
 
+def _require_finite(**values) -> None:
+    """Reject non-finite tolerances and boundary values before any solve:
+    a NaN target is never met, and an infinite one is met at once."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise EllipticError(f"{name} must be finite, got {value}")
+
+
 def _at_floor(nrm: float, step: float, u: np.ndarray) -> bool:
     """A small residual with a negligible update: the rounding floor."""
     return nrm <= STALL_RESIDUAL_CAP and \
@@ -563,6 +569,7 @@ def solve_dirichlet(p: DirichletProblem, tol: float = NEWTON_TOL,
     Raises NonConvergenceError (with the report attached) if the
     iteration stalls, SingularJacobianError if a linear solve fails.
     """
+    _require_finite(tol=tol)
     system = _make_system(p.geometry, p.boundary)
     u, report = _newton(system, system.initial_guess(), -p.params.K,
                         p.params.a, tol, max_iter)
@@ -740,6 +747,7 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
         raise EllipticError(f"ds must lie in [{DS_MIN}, {DS_MAX}], got {ds}")
     if max_steps < 2:
         raise EllipticError(f"max_steps must be >= 2, got {max_steps}")
+    _require_finite(tol=tol, fold_tol=fold_tol)
     if lam_stop is None:
         lam_stop = lam_start
     system = _make_system(geometry, 0.0)
@@ -790,6 +798,7 @@ def solve_on_branch(geometry: Geometry, branch: Branch, lam: float,
     ``side`` is "lower" (points up to ``fold.index``) or "upper"
     (points past it).
     """
+    _require_finite(tol=tol)
     if side not in ("lower", "upper"):
         raise EllipticError(f"side must be 'lower' or 'upper', got {side!r}")
     if branch.fold is None and side == "upper":
@@ -810,6 +819,7 @@ def boundary_blowup_approx(geometry: DiskGeometry, M_list: list[float],
     solving with constant boundary data M for each M in the increasing
     ``M_list``, continuing in M with unit-sized homotopy steps."""
     Ms = [float(M) for M in M_list]
+    _require_finite(M=Ms, tol=tol)
     if any(b <= a for a, b in zip(Ms, Ms[1:])):
         raise EllipticError(f"M_list must be strictly increasing, got {Ms}")
     out = []

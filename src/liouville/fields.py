@@ -42,12 +42,22 @@ __all__ = [
     "extrapolate_residual",
     "write_table",
     "MAX_NODES",
+    "NEWTON_TOL",
+    "MAX_NEWTON",
+    "BLOWUP_THRESHOLD",
 ]
 
 # Largest node count of a grid (nx * ny) or of a disk's radial mesh: 8 Mi
 # nodes, 64 MB per float64 array.  Checked before anything is allocated,
 # so a mistyped size fails at once instead of exhausting memory.
 MAX_NODES = 2 ** 23
+
+# Solver defaults, kept here so the CLI can show them in its help without
+# importing the solvers: the elliptic Newton residual target and
+# iteration cap, and the u value past which the marcher masks a node.
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 60
+BLOWUP_THRESHOLD = 25.0
 
 # Rows per block of the samplers, stencils and action terms: their
 # temporaries stay a few blocks in size instead of a few fields.
@@ -220,8 +230,9 @@ class LiouvilleParams:
     a: float
 
     def __post_init__(self):
-        if self.K == 0 or self.a == 0:
-            raise FieldsError(f"K and a must be nonzero, got K={self.K}, a={self.a}")
+        if not all(math.isfinite(c) and c != 0 for c in (self.K, self.a)):
+            raise FieldsError(
+                f"K and a must be finite and nonzero, got K={self.K}, a={self.a}")
 
 
 class Norms(NamedTuple):
@@ -284,8 +295,8 @@ def residual_log(T: ScalarField2D, K: float) -> ScalarField2D:
     of u = log T divided by that average.
     """
     _require(T.grid, 2, "residual_log")
-    if K == 0:
-        raise FieldsError("K must be nonzero")
+    if K == 0 or not math.isfinite(K):
+        raise FieldsError(f"K must be finite and nonzero, got {K}")
     v = T.values
     # finite entries only: NaN and -inf are left to the non-finite cells
     # they cause

@@ -31,7 +31,8 @@ from .errors import (
     OdeOverflowError,
 )
 from .expr import AxisPair
-from .fields import Grid2D, LiouvilleParams, ScalarField2D, write_table
+from .fields import (BLOWUP_THRESHOLD, Grid2D, LiouvilleParams, ScalarField2D,
+                     write_table)
 
 __all__ = [
     "GoursatData",
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 CORNER_TOL = 1e-12
-BLOWUP_THRESHOLD = 25.0
 ODE_CAP = 500.0
 
 

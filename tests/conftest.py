@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liouville import DiskGeometry, continue_branch
+from liouville.elliptic import DiskGeometry, continue_branch
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from liouville import hyperbolic
+from liouville import elliptic, hyperbolic
 from liouville.cli import _read_field, run
 from liouville.fields import ScalarField2D
 
@@ -221,6 +221,69 @@ class TestExitCodes:
         doc = summary_of(out)
         assert doc["error"]["code"] == "closedform.error"
         assert "sample 2 (x = 0.9)" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, code", [
+        (["exact-h", "--f", "x", "--g", "y", "--K", "inf"], "fields.error"),
+        (["exact-h", "--f", "x", "--g", "y", "--a", "nan"], "fields.error"),
+        (["march", "--phi", "0", "--psi", "0", "--K", "nan",
+          "--nx", "9", "--ny", "9"], "fields.error"),
+        (["solve-elliptic", "--nx", "9", "--ny", "9", "--a", "nan"],
+         "fields.error"),
+        (["solve-elliptic", "--geometry", "disk", "--n", "9", "--K=-inf"],
+         "fields.error"),
+        (["exact-e", "--F", "z", "--K", "inf"], "closedform.error"),
+        (["verify", "--eq", "hyperbolic", "--K", "inf"], "fields.error"),
+        (["verify", "--eq", "elliptic", "--a", "nan"], "fields.error"),
+        (["verify", "--eq", "log", "--K", "inf"], "fields.error"),
+    ], ids=["exact-h-K", "exact-h-a", "march", "solve-elliptic",
+            "solve-elliptic-disk", "exact-e", "verify-hyperbolic",
+            "verify-elliptic", "verify-log"])
+    def test_non_finite_params_are_rejected(self, args, code):
+        # a NaN K masked most of a march, an infinite one made every
+        # exact value -inf; both under status: ok
+        field = "# 3 3 0.0 0.0 0.5 0.5\n" + "1.0,1.0,1.0\n" * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exit_code, out, err = invoke(args, stdin_text=field)
+        assert exit_code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == code
+        assert "finite" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["solve-elliptic", "--nx", "9", "--ny", "9", "--tol", "nan"],
+        ["solve-elliptic", "--geometry", "disk", "--n", "9", "--tol", "inf"],
+        ["gelfand", "--n", "9", "--tol", "nan"],
+        ["gelfand", "--n", "9", "--fold-tol", "nan"],
+        ["blowup-approx", "--n", "9", "--M", "3", "--tol", "nan"],
+    ], ids=["solve-elliptic", "solve-elliptic-disk", "gelfand-tol",
+            "gelfand-fold-tol", "blowup-approx"])
+    def test_non_finite_tolerances_are_rejected(self, args):
+        code, out, err = invoke(args)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "elliptic.error"
+        assert "must be finite" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("M", [["nan"], ["3", "inf"]])
+    def test_non_finite_M_is_rejected(self, M, monkeypatch):
+        # the homotopy steps until it reaches M, which a NaN or infinite
+        # M never lets it do: the check must come before any solve
+        def solve(*args):
+            raise AssertionError("solved before M was checked")
+
+        monkeypatch.setattr(elliptic, "_newton", solve)
+        code, out, err = invoke(["blowup-approx", "--n", "65", "--M", *M])
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "elliptic.error"
+        assert "M must be finite" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_log_form_pins_a(self):
@@ -432,6 +495,7 @@ multicore = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir() or len(os.sched_getaffinity(0)) < 2,
     reason="needs /proc/self/task and two CPUs")
 THREADS = "len(os.listdir('/proc/self/task'))"
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'liouville')"
 
 
 class TestStartup:
@@ -482,6 +546,29 @@ class TestStartup:
             "print(codes, sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
         assert out.splitlines()[-1] == "[0, 0, 0] []"
+
+    def test_verify_imports_only_fields(self, fresh_python):
+        # a verify in a pipe runs one stencil: it loads no solver, no
+        # marcher, no action and no expression parser
+        out = fresh_python(
+            "import io; sys.stdin = io.StringIO("
+            "'# 3 3 0.0 0.0 0.5 0.5\\n' + '0.0,0.0,0.0\\n' * 3); "
+            "from liouville.cli import run; "
+            "code = run(['verify', '--eq', 'hyperbolic']); "
+            f"print(code, {LOADED})")
+        assert out.splitlines()[-1] == (
+            "0 ['liouville', 'liouville.cli', 'liouville.errors', "
+            "'liouville.fields']")
+
+    def test_exact_h_imports_no_solver(self, fresh_python):
+        out = fresh_python(
+            "from liouville.cli import run; "
+            "code = run(['exact-h', '--f', 'x', '--g', 'y', '--nx', '5', "
+            "'--ny', '5', '--out', '/dev/null']); "
+            f"print(code, [m for m in {LOADED} if m in "
+            "('liouville.elliptic', 'liouville.hyperbolic', "
+            "'liouville.action')])")
+        assert out.splitlines()[-1] == "0 []"
 
     @multicore
     def test_import_starts_no_blas_pool(self, fresh_python):
@@ -616,6 +703,16 @@ class TestSolverCommands:
                                "--out", str(tmp_path / "prof.csv")])
         assert code == 1
         assert "{M}" in summary_of(out)["error"]["message"]
+
+    def test_blowup_approx_needs_distinct_files(self, tmp_path):
+        # {M} is written with format(M, "g"): both values read "5"
+        code, out, _ = invoke(["blowup-approx", "--n", "65",
+                               "--M", "5.0000001", "5.0000002",
+                               "--out", str(tmp_path / "p_{M}.csv")])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "cli.usage"
+        assert list(tmp_path.iterdir()) == []
 
     def test_blowup_approx_placeholder_files(self, tmp_path):
         out_pat = tmp_path / "prof_{M}.csv"

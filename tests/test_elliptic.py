@@ -672,6 +672,17 @@ class TestBoundaryBlowupApprox:
         assert prof.values[-1] == 3.0
         assert prof.u0 < 3.0
 
+    @pytest.mark.parametrize("Ms", [[math.nan], [3.0, math.inf]])
+    def test_rejects_non_finite_levels(self, Ms, monkeypatch):
+        # cur >= M never holds for these: without the check the homotopy
+        # steps forever, so it must come before any solve
+        def solve(*args):
+            raise AssertionError("solved before the levels were checked")
+
+        monkeypatch.setattr(elliptic, "_newton", solve)
+        with pytest.raises(EllipticError, match="M must be finite"):
+            boundary_blowup_approx(DiskGeometry(65), Ms)
+
     def test_rejects_non_increasing_levels(self):
         with pytest.raises(EllipticError):
             boundary_blowup_approx(DiskGeometry(65), [5.0, 5.0])
@@ -685,6 +696,19 @@ class TestValidation:
             DiskGeometry(2)
         with pytest.raises(EllipticError):
             RectangleGeometry(Grid2D.from_bounds(0, 0, 1, 1, 2, 5))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerances(self, value):
+        # a NaN target is never met and an infinite one at once
+        disk = DiskGeometry(9)
+        problem = DirichletProblem(disk, LiouvilleParams(-1.0, 1.0), 0.0)
+        for call in (lambda: solve_dirichlet(problem, tol=value),
+                     lambda: continue_branch(disk, tol=value),
+                     lambda: continue_branch(disk, fold_tol=value),
+                     lambda: solve_on_branch(disk, Branch([]), 1.0,
+                                             tol=value)):
+            with pytest.raises(EllipticError, match="must be finite"):
+                call()
 
     def test_disk_rejects_expression_boundary(self):
         with pytest.raises(EllipticError):
