@@ -50,6 +50,7 @@ GMRES_RTOL = 1e-8
 GMRES_RESTART, GMRES_CYCLES = 60, 10
 MAX_HALVINGS = 30
 DS_MIN, DS_MAX = 1e-4, 0.1
+_THETA = 0.125  # the corrector contraction Theta_0 that ds aims at
 # A residual of order (1/h^2)|u| eps cannot be beaten in double precision,
 # so a rejected full Newton step that is negligible counts as converged
 # at the rounding floor (the report then carries the achieved residual as
@@ -530,7 +531,7 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
         history.append(nrm)
         if not np.isfinite(nrm):
             report = SolveReport(it, nrm, False, history, tol)
-            raise NonConvergenceError("residual became non-finite", report, u)
+            raise NonConvergenceError("residual became non-finite", report)
         if nrm <= tol:
             return u, SolveReport(it, nrm, True, history, tol)
         du = system.jacobian_solver(u, coef, a)(-F)
@@ -550,14 +551,14 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
         else:
             report = SolveReport(it, nrm, False, history, tol)
             raise NonConvergenceError(
-                f"line search stalled at residual {nrm:.3e}", report, u)
+                f"line search stalled at residual {nrm:.3e}", report)
     F = system.residual(u, coef, a)
     nrm = float(np.abs(F).max())
     history.append(nrm)
     report = SolveReport(max_iter, nrm, False, history, tol)
     raise NonConvergenceError(
         f"no convergence in {max_iter} iterations (residual {nrm:.3e})",
-        report, u)
+        report)
 
 
 def solve_dirichlet(p: DirichletProblem, tol: float = NEWTON_TOL,
@@ -643,16 +644,18 @@ def _predict(points: list[BranchPoint], ds: float) -> tuple:
     return p[:-1], float(p[-1]), t[:-1], float(t[-1])
 
 
-def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, int]:
+def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, float]:
     """Newton on (F, N) = 0 from (u, lam), where ``border(u, lam)``
     returns N and its gradient (row, corner) in (u, lam); each iteration
     is one solve of J bordered by the column e^u = dF/dlam and that row
     (``bordered_solver``), with the border equation scaled to unit
     max(|row|, |corner|) so that a tiny fold gradient does not stall
-    the Krylov solve.  On failure the report's residuals are
-    max(|F|, |N|), unscaled."""
+    the Krylov solve.  Returns (u, lam, Theta_0), Theta_0 = |dx_1|/|dx_0|
+    or 0 when one correction sufficed.  Fails at the first correction no
+    shorter than the one before (Deuflhard 2004, ch. 5), with the
+    report's residuals max(|F|, |N|), unscaled."""
     max_iter = 12
-    history = []
+    history, steps, theta0 = [], [], 0.0
     for it in range(max_iter + 1):
         # an overflowing e^u is a non-finite residual, handled below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -666,34 +669,41 @@ def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, int]:
         if it == max_iter:
             break
         if history[-1] <= tol:
-            return u, lam, it
+            return u, lam, theta0
         scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
         du, dlam = system.bordered_solver(u, lam, np.exp(u), scale * row,
                                           scale * corner)(-F, -scale * N)
+        steps.append(_norm(du, dlam))
         u, lam = u + du, lam + dlam
-        if abs(N) <= tol and _at_floor(nrm, _norm(du, dlam), u):
-            return u, lam, it + 1
+        theta0 = steps[1] / steps[0] if it else 0.0
+        if abs(N) <= tol and _at_floor(nrm, steps[-1], u):
+            return u, lam, theta0
+        if it and steps[-1] >= steps[-2]:
+            break
     report = SolveReport(it, history[-1], False, history, tol)
     raise NonConvergenceError(
         f"continuation corrector did not converge (residual "
-        f"{history[-1]:.3e})", report, u)
+        f"{history[-1]:.3e})", report)
 
 
 def _step(system, points: list[BranchPoint], ds: float,
-          tol: float) -> tuple[BranchPoint, int]:
+          tol: float) -> tuple[BranchPoint, float]:
     """Predict ``ds`` past points[-1] (``_predict``); correct on the
     plane through the predictor with the predicted tangent as (scaled)
-    normal."""
+    normal; a corrected point farther than ``ds`` from the predictor has
+    left the branch.  Returns the point and the corrector's Theta_0."""
     u_pred, lam_pred, tu, tl = _predict(points, ds)
     row = tu / tu.size
 
     def plane(u, lam):
         return _dot(u - u_pred, lam - lam_pred, tu, tl), row, tl
 
-    un, ln, iters = _corrector(system, u_pred, lam_pred, plane, tol)
+    un, ln, theta0 = _corrector(system, u_pred, lam_pred, plane, tol)
+    if _norm(un - u_pred, ln - lam_pred) > ds:
+        raise NonConvergenceError("continuation corrector left the branch")
     base = points[-1]
     s = base.s + _norm(un - base.u, ln - base.lam)
-    return BranchPoint(s, ln, system.center_value(un), un), iters
+    return BranchPoint(s, ln, system.center_value(un), un), theta0
 
 
 def _fold_border(system, c: np.ndarray) -> Callable:
@@ -729,17 +739,17 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
                     ) -> Branch:
     """Trace the Gelfand branch from ``lam_start`` through the first fold.
 
-    Pseudo-arclength steps with ds adaptive in [1e-4, 0.1], predicted by
-    the quadratic in s through the last three points (``_predict``).
-    Once lambda falls, the fold is solved from the highest point by the
-    steps' bordered Newton loop to max(|F|, |sigma|) <= ``fold_tol``
-    (``_solve_fold``); a fold solve that fails raises.
+    Pseudo-arclength steps with ds in [1e-4, 0.1] aimed at a corrector
+    contraction Theta_0 of 1/8, predicted through the last three points
+    (``_predict``).  Once lambda falls, the fold is solved from the
+    highest point by the steps' bordered Newton loop to max(|F|, |sigma|)
+    <= ``fold_tol`` (``_solve_fold``); a fold solve that fails raises.
     Stops on ``max_steps`` (at least 2), or once past the fold when
     lambda falls below ``lam_stop`` (default: lam_start) or the center
     value exceeds ``u0_cap``.
 
-    A step that still fails after 10 halvings of ds aborts the trace;
-    the partial branch is returned with ``aborted = True``.
+    A failed step halves ds, and one that fails at ds = 1e-4 aborts the
+    trace; the partial branch is returned with ``aborted = True``.
     """
     if lam_start < 0:
         raise EllipticError(f"lam_start must be >= 0, got {lam_start}")
@@ -747,9 +757,10 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
         raise EllipticError(f"ds must lie in [{DS_MIN}, {DS_MAX}], got {ds}")
     if max_steps < 2:
         raise EllipticError(f"max_steps must be >= 2, got {max_steps}")
-    _require_finite(tol=tol, fold_tol=fold_tol)
     if lam_stop is None:
         lam_stop = lam_start
+    _require_finite(lam_start=lam_start, lam_stop=lam_stop, u0_cap=u0_cap,
+                    tol=tol, fold_tol=fold_tol)
     system = _make_system(geometry, 0.0)
 
     u, _ = _newton(system, np.zeros(system.m), lam_start, 1.0, tol)
@@ -764,25 +775,23 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
     fold, aborted = None, False
 
     while len(points) < max_steps:
-        for _ in range(10):
-            try:
-                pt, iters = _step(system, points, ds, tol)
+        try:
+            pt, theta0 = _step(system, points, ds, tol)
+        except (NonConvergenceError, SingularJacobianError):
+            if ds == DS_MIN:
+                aborted = True
                 break
-            except (NonConvergenceError, SingularJacobianError):
-                ds = max(ds / 2.0, DS_MIN)
-        else:
-            aborted = True
-            break
+            ds = max(ds / 2.0, DS_MIN)
+            continue
         points.append(pt)
 
         # lambda rises from the natural start until the first fold
         if fold is None and pt.lam < points[-2].lam:
             fold = _solve_fold(system, points, fold_tol)
 
-        if iters <= 3:
-            ds = min(ds * 1.4, DS_MAX)
-        elif iters >= 7:
-            ds = max(ds * 0.7, DS_MIN)
+        # Theta_0 grows as ds^3 under the three-point predictor
+        ds = DS_MAX if theta0 == 0.0 else float(
+            np.clip(ds * (_THETA / theta0) ** (1 / 3), DS_MIN, DS_MAX))
         if fold is not None and (pt.lam < lam_stop or pt.u0 > u0_cap):
             break
 

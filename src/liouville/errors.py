@@ -163,15 +163,14 @@ class EllipticError(LiouvilleError):
 
 
 class NonConvergenceError(EllipticError):
-    """Newton exhausted its iteration or damping budget.  Carries the
-    final ``SolveReport`` (and the last iterate) for post-mortems."""
+    """Newton exhausted its iteration or damping budget, or stopped
+    contracting.  Carries the final ``SolveReport`` for post-mortems."""
 
     code = "elliptic.non_convergence"
 
-    def __init__(self, message: str, report=None, last_iterate=None):
+    def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
-        self.last_iterate = last_iterate
 
 
 class SingularJacobianError(EllipticError):

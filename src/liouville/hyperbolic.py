@@ -145,6 +145,8 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
             f"got {bottom.shape} and {left.shape}")
     if not (np.all(np.isfinite(bottom)) and np.all(np.isfinite(left))):
         raise HyperbolicError("Goursat edge data must be finite")
+    if not np.isfinite(blowup_threshold):
+        raise HyperbolicError("the blow-up threshold must be finite")
     if abs(bottom[0] - left[0]) > CORNER_TOL:
         raise CornerMismatchError(
             f"phi(x0) = {bottom[0]!r} but psi(y0) = {left[0]!r} "
@@ -234,8 +236,8 @@ def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
     if D <= 0 there or u is not finite or exceeds ODE_CAP: the image
     blows up on a line inside the domain.
     """
-    if bt_a == 0:
-        raise HyperbolicError("bt_a must be nonzero")
+    if bt_a == 0 or not np.isfinite(bt_a):
+        raise HyperbolicError(f"bt_a must be finite and nonzero, got {bt_a}")
     if order not in ("xy", "yx"):
         raise HyperbolicError(f"order must be 'xy' or 'yx', got {order!r}")
     if not np.isfinite(u_corner):

@@ -236,9 +236,19 @@ class TestExitCodes:
         (["verify", "--eq", "hyperbolic", "--K", "inf"], "fields.error"),
         (["verify", "--eq", "elliptic", "--a", "nan"], "fields.error"),
         (["verify", "--eq", "log", "--K", "inf"], "fields.error"),
+        (["march", "--phi", "0", "--psi", "0", "--threshold", "nan",
+          "--nx", "9", "--ny", "9"], "hyperbolic.error"),
+        (["backlund", "--w-phi", "x", "--w-psi", "y", "--bt-a", "nan",
+          "--nx", "9", "--ny", "9"], "hyperbolic.error"),
+        (["gelfand", "--n", "9", "--lam-stop", "nan", "--u0-cap", "1e9"],
+         "elliptic.error"),
+        (["gelfand", "--n", "9", "--u0-cap", "inf"], "elliptic.error"),
+        (["gelfand", "--n", "9", "--lam-start", "nan"], "elliptic.error"),
     ], ids=["exact-h-K", "exact-h-a", "march", "solve-elliptic",
             "solve-elliptic-disk", "exact-e", "verify-hyperbolic",
-            "verify-elliptic", "verify-log"])
+            "verify-elliptic", "verify-log", "march-threshold",
+            "backlund-bt-a", "gelfand-lam-stop", "gelfand-u0-cap",
+            "gelfand-lam-start"])
     def test_non_finite_params_are_rejected(self, args, code):
         # a NaN K masked most of a march, an infinite one made every
         # exact value -inf; both under status: ok

@@ -61,6 +61,15 @@ def secant(p, q):
     return du / nrm, dl / nrm
 
 
+# (n, index into DS_SWEEP) of disk traces on which a corrector that is
+# not checked against its predictor jumps branches, with chords in s of
+# 2 to 3.9, and the trace ends at lambda < 0
+DS_SWEEP = np.linspace(0.005, 0.1, 11)
+BRANCH_JUMPS = [(57, 0), (57, 1), (58, 3), (58, 6), (61, 8), (62, 4),
+                (62, 7), (62, 10), (63, 8), (64, 9), (66, 6), (67, 0),
+                (67, 1), (67, 6), (67, 7), (67, 8), (68, 4), (68, 5)]
+
+
 @pytest.fixture(scope="module")
 def branch257():
     return continue_branch(DiskGeometry(257))
@@ -598,6 +607,17 @@ class TestContinuation:
         assert capped.points[-1].u0 < 2.0
         assert branch257.points[-1].u0 > 15.0
 
+    @pytest.mark.parametrize("n, k", BRANCH_JUMPS,
+                             ids=[f"n{n}-ds{DS_SWEEP[k]:.4g}"
+                                  for n, k in BRANCH_JUMPS])
+    def test_steps_stay_on_the_branch(self, n, k):
+        branch = continue_branch(DiskGeometry(n), ds=DS_SWEEP[k])
+        pts = branch.points
+        assert branch.fold is not None and not branch.aborted
+        assert pts[-1].lam > 0 and pts[-1].u0 > 15.0
+        assert max(_norm(q.u - p.u, q.lam - p.lam)
+                   for p, q in zip(pts, pts[1:])) <= 0.5
+
     def test_parameter_validation(self):
         with pytest.raises(EllipticError):
             continue_branch(DiskGeometry(65), lam_start=-0.5)
@@ -623,11 +643,38 @@ class TestContinuation:
             _corrector(system, u, 1.0, plane, 1e-10)
         assert not np.isfinite(info.value.report.final_residual)
 
+    def test_diverging_corrector_stops_after_two_solves(self):
+        # four units of arclength past the start lies far off the branch:
+        # the second correction is the longer, and no third is made
+        geom = DiskGeometry(65)
+        system = _make_system(geom, 0.0)
+        u_pred, lam_pred, tu, tl = _predict(
+            continue_branch(geom, max_steps=4).points, 4.0)
+        solves, bordered_solver = [], system.bordered_solver
+
+        def counted(*factors):
+            solve = bordered_solver(*factors)
+
+            def bordered(*rhs):
+                solves.append(rhs)
+                return solve(*rhs)
+
+            return bordered
+
+        def plane(u, lam):
+            return _dot(u - u_pred, lam - lam_pred, tu, tl), tu / system.m, tl
+
+        system.bordered_solver = counted
+        with pytest.raises(NonConvergenceError) as info:
+            _corrector(system, u_pred, lam_pred, plane, 1e-10)
+        assert len(solves) == 2
+        assert info.value.report.iterations == 1
+
     @pytest.mark.parametrize("geometry", [rect(17), DiskGeometry(65)],
                              ids=["rectangle", "disk"])
     def test_corrector_failure_keeps_history(self, geometry):
         # only an exactly zero residual meets tol = 0, so the corrector
-        # runs out of iterations
+        # runs until a correction at the rounding floor stops contracting
         system = _make_system(geometry, 0.0)
         start = continue_branch(geometry, max_steps=4).points
         tu, tl = secant(start[-2], start[-1])
@@ -640,7 +687,7 @@ class TestContinuation:
             _corrector(system, u_pred, lam_pred, plane, 0.0)
         report = info.value.report
         assert not report.converged
-        assert report.iterations == 12
+        assert report.iterations < 12
         assert len(report.newton_history) == report.iterations + 1
         assert report.final_residual == report.newton_history[-1]
         # the Newton iterates did reach the rounding floor
