@@ -82,8 +82,14 @@ ARGVS = [
      "--order", "xy"],
     ["backlund", "--w-phi", "sin(3*x)", "--w-psi", "cos(2*y)", "--bt-a", "1",
      "--order", "yx"],
-    # elliptic solves: rectangles, disks, a nonconvergent disk (exit 2)
+    # elliptic solves: rectangles, disks, a nonconvergent disk (exit 2);
+    # rectangle interiors of at most 64 nodes a side are sine-transformed
+    # by dense products, larger ones by the FFT: 64 x 38 and 65 x 38
+    # straddle that cut
     ["solve-elliptic", "--nx", "129", "--ny", "129", "--out", "rect129.csv"],
+    ["solve-elliptic", "--nx", "300", "--ny", "97", "--out", "rect300.csv"],
+    ["solve-elliptic", "--nx", "66", "--ny", "40", "--out", "rect66.csv"],
+    ["solve-elliptic", "--nx", "67", "--ny", "40", "--out", "rect67.csv"],
     ["solve-elliptic", "--domain", "-0.4", "-0.4", "0.4", "0.4",
      "--nx", "65", "--ny", "65", "--K", "-1",
      "--boundary", "ln(8/(1+x^2+y^2)^2)", "--out", "rect65.csv"],
@@ -100,6 +106,8 @@ ARGVS = [
     ["gelfand", "--geometry", "rectangle", "--nx", "33", "--ny", "33",
      "--out", "branch_rect33.csv"],
     ["gelfand", "--geometry", "rectangle", "--nx", "17", "--ny", "25"],
+    ["gelfand", "--geometry", "rectangle", "--nx", "161", "--ny", "161",
+     "--u0-cap", "1.0", "--out", "branch_rect161.csv"],
     # m = 99 unknowns, not a power of two; the one-node rectangle, whose
     # fold is lambda = 16/e at u = 1; a branch capped just past its fold
     ["gelfand", "--n", "100", "--out", "branch100.csv"],

@@ -2,10 +2,14 @@
 equation.
 
 Two geometries: 2D rectangles (matrix-free 5-point Laplacian, Newton
-steps solved by restarted GMRES preconditioned with the exact fast-sine
-inverse of a shifted Laplacian) and the unit disk reduced to a radial
-profile (tridiagonal, solved directly by cyclic reduction, with the
-regularity closure u'(0) = 0 at the center).  Both run on numpy alone.
+steps solved by restarted GMRES preconditioned with the exact sine-
+transform inverse of a shifted Laplacian) and the unit disk reduced to a
+radial profile (tridiagonal, solved directly by cyclic reduction, with
+the regularity closure u'(0) = 0 at the center).  Both run on numpy
+alone.  On an interior of at most _DENSE_SINE_MAX nodes along each axis
+the sine transform is two BLAS products with the dense sine matrices,
+faster there than the FFT and small enough that OpenBLAS runs them on
+one thread; larger interiors go through the FFT.
 On top of the plain Dirichlet solver sit a pseudo-arclength
 continuation of the Gelfand branch Delta u + lambda e^u = 0, whose steps
 and fold share one Newton loop of bordered solves, and
@@ -15,8 +19,9 @@ the boundary blow-up exhaustion u|_boundary = M for increasing M.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -26,9 +31,11 @@ from .errors import (
     NonConvergenceError,
     SingularJacobianError,
 )
-from .expr import Expr, eval_dual
 from .fields import (MAX_NEWTON, MAX_NODES, NEWTON_TOL, Grid2D,
                      LiouvilleParams, ScalarField2D, laplacian, write_table)
+
+if TYPE_CHECKING:
+    from .expr import Expr
 
 __all__ = [
     "RectangleGeometry",
@@ -57,6 +64,17 @@ _THETA = 0.125  # the corrector contraction Theta_0 that ds aims at
 # its tolerance).  The caps keep genuine stagnation fatal.
 STALL_RESIDUAL_CAP = 1e-6
 STALL_STEP_REL = 1e-6
+# Interiors of at most this many nodes along either axis are sine-
+# transformed by two products with the dense sine matrices, larger ones
+# by the FFT.  A product is O(n^2) per line against O(n log n), but it is
+# one BLAS call, several times faster than the FFT on such grids.  Each
+# product then takes at most 64^3 = 2^18 multiply-adds, which OpenBLAS
+# runs on one thread at any thread count (in its default build it splits
+# a gemm above GEMM_MULTITHREAD_THRESHOLD * 65536 = 2^18), so its bits
+# do not depend on OPENBLAS_NUM_THREADS.  A threaded product splits the
+# output into tiles whose edges move with the thread count, and edge
+# tiles round differently.
+_DENSE_SINE_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -102,7 +120,7 @@ class DirichletProblem:
     boundary: Union[Expr, float] = 0.0
 
     def __post_init__(self):
-        if isinstance(self.boundary, Expr):
+        if not isinstance(self.boundary, numbers.Real):
             if isinstance(self.geometry, DiskGeometry):
                 raise EllipticError("disk boundary data must be a constant")
         elif not np.isfinite(self.boundary):
@@ -158,10 +176,11 @@ class _System:
 
 
 def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
-                      ) -> Callable[[np.ndarray], np.ndarray]:
+                      ) -> tuple[Callable[[np.ndarray], np.ndarray],
+                                 Callable[[], np.ndarray]]:
     """Factor the tridiagonal matrix with sub-, main and super-diagonal
     ``lo``, ``di``, ``up`` by cyclic reduction (Buzbee, Golub & Nielson
-    1970) and return its solve.
+    1970) and return its solve and the solve of e0 = (1, 0, ..., 0).
 
     Each level uses the odd-numbered rows to eliminate their unknowns
     from the even-numbered rows, which halves the system, until one
@@ -202,6 +221,16 @@ def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
             d = d[0::2].copy()
             d[1:] -= alpha * do[:alpha.size]
             d[:bo.size] -= gamma * do
+        return back_substitute(d, kept)
+
+    def first_column() -> np.ndarray:
+        # the reduction subtracts multiples of odd rows, which are zero
+        # in e0 at every level: it leaves e0 as it is
+        return back_substitute(np.ones(1), [np.zeros(lv[3].size)
+                                            for lv in levels])
+
+    @np.errstate(all="ignore")
+    def back_substitute(d: np.ndarray, kept: list) -> np.ndarray:
         x = d / b
         for (alpha, _, ao, bo, co), do in zip(reversed(levels), reversed(kept)):
             # the odd unknowns from their solved even neighbours
@@ -215,7 +244,7 @@ def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
                 "non-finite solution of the tridiagonal system")
         return x
 
-    return solve
+    return solve, first_column
 
 
 class _RadialSystem(_System):
@@ -254,7 +283,7 @@ class _RadialSystem(_System):
         """J = A + diag(coef a e^(a u)), factored once by cyclic
         reduction; every solve reuses the factors."""
         return _cyclic_reduction(self.lo, self.di + coef * a * np.exp(a * u),
-                                 self.up)
+                                 self.up)[0]
 
     def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
                         row: np.ndarray, corner: float) -> Callable:
@@ -265,15 +294,13 @@ class _RadialSystem(_System):
         symmetric, and K is negative definite wherever J's top eigenvalue
         is <= 0, because a null vector v of a tridiagonal J has v_0 != 0.
         With x = K^-1 f + alpha x_0 K^-1 e0 - y K^-1 col, the unknowns
-        (x_0, y) solve a 2x2 system: one factorisation and three
-        back-substitutions."""
+        (x_0, y) solve a 2x2 system: one factorisation, two solves and
+        the back-substitution of K^-1 e0."""
         alpha = float(self.di[0])
         d = self.di + lam * np.exp(u)
         d[0] += alpha
-        solve = _cyclic_reduction(self.lo, d, self.up)
-        e0 = np.zeros(self.m)
-        e0[0] = 1.0
-        e, b = solve(e0), solve(col)
+        solve, first_column = _cyclic_reduction(self.lo, d, self.up)
+        e, b = first_column(), solve(col)
         m00, m01 = 1.0 - alpha * float(e[0]), float(b[0])
         m10 = alpha * float(np.einsum("i,i", row, e))
         m11 = corner - float(np.einsum("i,i", row, b))
@@ -301,12 +328,33 @@ class _RadialSystem(_System):
         return RadialProfile(self.geom.r(), full)
 
 
-def _dst2(x: np.ndarray) -> np.ndarray:
+def _sine_matrices(nyi: int, nxi: int) -> Optional[tuple]:
+    """The DST-I matrices S[k, i] = 2 sin(pi (i+1)(k+1)/(n+1)) of the
+    two axes of an (nyi, nxi) interior, or None (the FFT) when either
+    axis is longer than _DENSE_SINE_MAX.  The integer (i+1)(k+1) is
+    reduced modulo the period 2(n+1) first, so that every sine is taken
+    of an angle below 2 pi."""
+    if max(nyi, nxi) > _DENSE_SINE_MAX:
+        return None
+
+    def sine(n):
+        k = np.arange(1, n + 1)
+        return 2.0 * np.sin(np.pi / (n + 1) * (np.outer(k, k) % (2 * n + 2)))
+
+    return sine(nyi), sine(nxi)
+
+
+def _dst2(x: np.ndarray, sines: Optional[tuple]) -> np.ndarray:
     """Unnormalized 2-D DST-I of the (ny, nx) array ``x``,
-    y_kl = 4 sum_ij x_ij sin(pi (i+1)(k+1)/(ny+1)) sin(pi (j+1)(l+1)/(nx+1)),
-    one axis at a time: the sine transform of a line is -Im of the real
-    FFT of its odd extension [0, x, 0, -x[::-1]].  The two minus signs
-    cancel, so neither is applied."""
+    y_kl = 4 sum_ij x_ij sin(pi (i+1)(k+1)/(ny+1)) sin(pi (j+1)(l+1)/(nx+1)).
+    With the symmetric ``sines`` (sy, sx) of ``_sine_matrices`` it is
+    sy @ x @ sx.  Without, it goes one axis at a time: the sine transform
+    of a line is -Im of the real FFT of its odd extension
+    [0, x, 0, -x[::-1]].  The two minus signs cancel, so neither is
+    applied."""
+    if sines is not None:
+        sy, sx = sines
+        return sy @ x @ sx
     ny, nx = x.shape
     z = np.zeros((2 * ny + 2, nx))
     z[1:ny + 1] = x
@@ -324,21 +372,30 @@ def _l2(v: np.ndarray) -> float:
 
 
 def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
-           psolve: Callable[[np.ndarray], np.ndarray],
+           psolve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
            b: np.ndarray) -> np.ndarray:
     """Restarted GMRES (Saad & Schultz 1986) from x = 0, right-
-    preconditioned by ``psolve``, Arnoldi by classical Gram-Schmidt
-    applied twice, the least-squares problem kept triangular by Givens
-    rotations.  Returns x once ||b - J x||_2 <= GMRES_RTOL ||b||_2; raises
+    preconditioned, Arnoldi by classical Gram-Schmidt applied twice, the
+    least-squares problem kept triangular by Givens rotations.  Returns x
+    once ||b - J x||_2 <= GMRES_RTOL ||b||_2; raises
     SingularJacobianError when GMRES_CYCLES cycles of GMRES_RESTART
     iterations do not get there.
+
+    ``psolve(v)`` returns the pair (P v, J P v), so that an Arnoldi step
+    applies no ``matvec``; ``matvec`` (J) gives the true residual
+    b - J x at the end of each cycle, which is what the stopping test
+    reads.
 
     Products and norms go through einsum, not BLAS.  The package loads
     OpenBLAS with one thread unless the caller sets OPENBLAS_NUM_THREADS
     (see ``liouville/__init__.py``).  With more, OpenBLAS would hand each
-    long product to workers that fell asleep during the sine transforms,
-    at milliseconds a wake-up, and its split sums would round
-    differently; einsum gives the same bits at any thread count."""
+    long product to workers that fell asleep between calls, at
+    milliseconds a wake-up, and its split sums would round differently;
+    einsum gives the same bits at any thread count.  The sine
+    transforms of small grids inside ``psolve`` are BLAS matrix
+    products (``_dst2``), each of at most 2^18 multiply-adds, which
+    OpenBLAS runs on one thread at any thread count (see
+    _DENSE_SINE_MAX), so their bits do not depend on it either."""
     tol = GMRES_RTOL * _l2(b)
     x = np.zeros_like(b)
     r = b
@@ -355,8 +412,7 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
         g[0] = beta
         V[0] = r / beta
         for j in range(k):
-            Z[j] = psolve(V[j])
-            w = matvec(Z[j])
+            Z[j], w = psolve(V[j])
             h = np.einsum("ij,j->i", V[:j + 1], w)
             w -= np.einsum("i,ij->j", h, V[:j + 1])
             h2 = np.einsum("ij,j->i", V[:j + 1], w)
@@ -412,12 +468,14 @@ class _RectSystem(_System):
         self.geom = geom
         self.m = nxi * nyi
         self.nxi, self.nyi = nxi, nyi
+        self._sines = _sine_matrices(nyi, nxi)
 
     @staticmethod
     def _boundary_values(g: Grid2D, boundary: Union[Expr, float]) -> np.ndarray:
         """Full (ny, nx) array holding the Dirichlet data on its ring,
         zeros inside."""
-        if isinstance(boundary, Expr):
+        if not isinstance(boundary, numbers.Real):
+            from .expr import eval_dual
             X, Y = g.meshgrid()
             at = {v: c for v, c in zip(boundary.vars, (X, Y))}
             bv = np.array(np.broadcast_to(
@@ -438,17 +496,25 @@ class _RectSystem(_System):
     def shifted_inverse(self, r: np.ndarray, c: float) -> np.ndarray:
         """(A + c I)^-1 r, exact, by two sine transforms (DST-I applied
         twice is 4 (nxi+1)(nyi+1) times the identity)."""
-        rhat = _dst2(r.reshape(self.nyi, self.nxi)) / (self.eig + c)
-        return _dst2(rhat).ravel() / (4.0 * (self.nxi + 1) * (self.nyi + 1))
+        rhat = _dst2(r.reshape(self.nyi, self.nxi), self._sines)
+        rhat /= self.eig + c
+        return _dst2(rhat, self._sines).ravel() / (
+            4.0 * (self.nxi + 1) * (self.nyi + 1))
 
     def _jacobian(self, u: np.ndarray, coef: float, a: float) -> tuple:
-        """The product with J = A + diag(coef a e^(a u)) and its
-        preconditioner (A + c I)^-1, c the mean of that diagonal clipped
-        at mu1/2 so that A + c I stays negative definite."""
+        """The product with J = A + diag(d), d = coef a e^(a u), and the
+        preconditioner v -> (P v, J P v) with P = (A + c I)^-1, c the mean
+        of d clipped at mu1/2 so that A + c I stays negative definite.
+        J P v = v + (d - c) P v needs no stencil."""
         d = coef * a * np.exp(a * u)
         c = min(float(d.mean()), 0.5 * self.mu1)
-        return (lambda v: self.apply_A(v) + d * v,
-                lambda r: self.shifted_inverse(r, c))
+        dc = d - c
+
+        def psolve(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            z = self.shifted_inverse(v, c)
+            return z, v + dc * z
+
+        return lambda v: self.apply_A(v) + d * v, psolve
 
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
@@ -462,16 +528,21 @@ class _RectSystem(_System):
         (m+1)-vector, right-preconditioned by blockdiag((A + c I)^-1, 1)."""
         jv, psolve = self._jacobian(u, lam, 1.0)
 
-        def matvec(v: np.ndarray) -> np.ndarray:
-            x, y, out = v[:-1], v[-1], np.empty(v.size)
-            np.add(jv(x), y * col, out=out[:-1])
+        def border(jx: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
+            out = np.empty(x.size + 1)
+            np.add(jx, y * col, out=out[:-1])
             out[-1] = np.einsum("i,i", row, x) + corner * y
             return out
 
+        def matvec(v: np.ndarray) -> np.ndarray:
+            return border(jv(v[:-1]), v[:-1], v[-1])
+
+        def bpsolve(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            z, jz = psolve(v[:-1])
+            return np.append(z, v[-1]), border(jz, z, v[-1])
+
         def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
-            x = _gmres(matvec,
-                       lambda r: np.concatenate((psolve(r[:-1]), r[-1:])),
-                       np.append(f, n))
+            x = _gmres(matvec, bpsolve, np.append(f, n))
             return x[:-1], float(x[-1])
 
         return bordered

@@ -570,6 +570,18 @@ class TestStartup:
             "0 ['liouville', 'liouville.cli', 'liouville.errors', "
             "'liouville.fields']")
 
+    def test_numeric_elliptic_commands_load_no_expr(self, fresh_python):
+        # only an expression boundary needs the expression parser
+        out = fresh_python(
+            "from liouville.cli import run; "
+            "codes = [run(['gelfand', '--n', '65', '--out', '/dev/null']), "
+            "run(['blowup-approx', '--n', '65', '--M', '5', "
+            "'--out', '/dev/null']), "
+            "run(['solve-elliptic', '--nx', '17', '--ny', '17', "
+            "'--boundary', '0', '--out', '/dev/null'])]; "
+            f"print(codes, 'liouville.expr' in {LOADED})")
+        assert out.splitlines()[-1] == "[0, 0, 0] False"
+
     def test_exact_h_imports_no_solver(self, fresh_python):
         out = fresh_python(
             "from liouville.cli import run; "

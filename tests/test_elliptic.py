@@ -23,6 +23,7 @@ from liouville.elliptic import (
     _make_system,
     _norm,
     _predict,
+    _sine_matrices,
     boundary_blowup_approx,
     continue_branch,
     solve_dirichlet,
@@ -223,15 +224,64 @@ class TestKrylovSolve:
         assert np.linalg.norm(r) <= GMRES_RTOL * np.linalg.norm(b)
 
     def test_dst2_matches_dense_sine_product(self):
-        ny, nx = 9, 14
+        # dense sine products below the cut and at it, the FFT above it,
+        # on both axes and on one
 
         def sine(n):
             k = np.arange(1, n + 1)
             return 2.0 * np.sin(np.pi * np.outer(k, k) / (n + 1))
 
-        x = np.random.default_rng(5).normal(size=(ny, nx))
-        dense = sine(ny) @ x @ sine(nx)
-        assert np.abs(_dst2(x) - dense).max() <= 1e-13 * np.abs(dense).max()
+        rng = np.random.default_rng(5)
+        shapes = {(9, 14): True, (63, 64): True, (127, 129): False,
+                  (140, 31): False}
+        for (ny, nx), dense_path in shapes.items():
+            sines = _sine_matrices(ny, nx)
+            assert (sines is not None) == dense_path
+            x = rng.normal(size=(ny, nx))
+            dense = sine(ny) @ x @ sine(nx)
+            got = _dst2(x, sines)
+            assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_dst2_does_not_depend_on_blas_threads(self, fresh_python):
+        # the largest dense sine products, and the FFT at 127 x 127, where
+        # a dense product would be split across OpenBLAS's threads
+        code = ("import numpy as np; "
+                "from liouville.elliptic import _dst2, _sine_matrices; "
+                "rng = np.random.default_rng(0); "
+                "print([_dst2(x, _sine_matrices(*x.shape)).tobytes().hex() "
+                "for x in (rng.standard_normal((64, 64)), "
+                "rng.standard_normal((127, 127)))])")
+        one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=t)
+                    for t in ("1", "2"))
+        assert one == two
+
+    def test_arnoldi_steps_apply_no_stencil(self, monkeypatch):
+        # J P v comes from the preconditioner: the stencil runs once per
+        # GMRES cycle, for the true residual, and the cycles are counted
+        # by their least-squares solves
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 33, 33)
+        system = _make_system(RectangleGeometry(g), 0.0)
+        u = continue_branch(RectangleGeometry(g), max_steps=3).points[-1].u
+        counts = {"stencil": 0, "cycles": 0, "preconditioner": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(system, "apply_A",
+                            counted("stencil", system.apply_A))
+        monkeypatch.setattr(system, "shifted_inverse",
+                            counted("preconditioner", system.shifted_inverse))
+        monkeypatch.setattr(np.linalg, "solve",
+                            counted("cycles", np.linalg.solve))
+        rng = np.random.default_rng(3)
+        col, row = np.exp(u), rng.normal(size=system.m) / system.m
+        system.bordered_solver(u, 3.0, col, row, 0.5)(
+            rng.normal(size=system.m), 0.2)
+        assert counts["preconditioner"] >= 3
+        assert counts["stencil"] <= counts["cycles"] + 1
 
     def test_singular_jacobian_raises(self):
         # coef = mu1 at u = 0 makes J = A + mu1 I singular, with the
@@ -294,6 +344,17 @@ class TestCyclicReduction:
                 worst_lu = max(worst_lu, rel_residual(
                     J, np.linalg.solve(J, rhs), rhs))
         assert worst_cr <= 10 * worst_lu
+
+    def test_first_column_is_the_solve_of_e0(self):
+        # the reduction leaves e0 as it is, so skipping it moves no bit
+        rng = np.random.default_rng(9)
+        for m in (2, 3, 4, 5, 64, 255, 256):
+            lo, up = rng.normal(size=m - 1), rng.normal(size=m - 1)
+            di = rng.normal(size=m) + 4.0
+            solve, first_column = _cyclic_reduction(lo, di, up)
+            e0 = np.zeros(m)
+            e0[0] = 1.0
+            assert first_column().tobytes() == solve(e0).tobytes()
 
     @pytest.mark.parametrize("k", range(7))
     def test_singular_matrix_raises(self, k):
