@@ -2,6 +2,7 @@
 
 Runs a fixed argv list (every subcommand, the --out, --mask-out and
 --grad-out writers, fields that span several 64-row evaluation blocks,
+fields of one and of many CSV writer blocks and rows wider than one,
 and the elliptic solves at several sizes) once
 under ``src/`` here and once under ``BASE/src``.  Each side runs the
 list in order in its own empty directory, so commands that read a field
@@ -9,9 +10,12 @@ read the file an earlier command of the same side wrote.  For each argv
 the stdout bytes, the exit code and every file the command wrote are
 compared; one SAME/DIFF line is printed per argv and the exit code is 1
 if any argv differs.  The verdict is byte-based; a DIFF line also gives
-the largest relative difference between the two sides' numbers, once
-over the JSON summary values (matched by key) and once over the CSV
-cells (matched by row and column) of stdout and every written file.
+the largest relative difference between the two sides' numbers, apart
+over the JSON summary values (matched by key), over the solvers'
+residual reports (``final_residual`` and ``newton_history``, which sit
+at the rounding floor and move under any change of arithmetic order)
+and over the CSV cells (matched by row and column) of stdout and every
+written file.
 
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python scripts/cli_parity.py --base /tmp/parent
@@ -62,6 +66,16 @@ ARGVS = [
     ["convert-log", "--in", "exact_h301.csv", "--direction", "u-to-T",
      "--out", "T301.csv"],
     ["verify", "--eq", "log", "--in", "T301.csv"],
+    # the CSV writer's blocks of 2^14 values: 1025^2 values are 65 of
+    # them, with seams inside rows and a last block of 2049 values; rows
+    # of 20000 values are wider than a block
+    ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "1025",
+     "--ny", "1025", "--out", "exact_h1025.csv"],
+    ["convert-log", "--in", "exact_h1025.csv", "--direction", "u-to-T",
+     "--out", "T1025.csv"],
+    ["verify", "--eq", "log", "--in", "T1025.csv"],
+    ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "20000",
+     "--ny", "3", "--out", "exact_h20000.csv"],
     # masked nodes outside the unit circle, across the block seams
     ["blowup-exact", "--nx", "301", "--ny", "157", "--out", "blowup301.csv"],
     ["verify", "--eq", "elliptic", "--in", "blowup301.csv"],
@@ -186,23 +200,34 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+# Summary keys whose values sit at the rounding floor
+RESIDUAL_KEYS = {"final_residual", "newton_history"}
+
+
+def _kind(key) -> str:
+    if key[0] != "json":
+        return "csv"
+    return "residuals" if RESIDUAL_KEYS.intersection(key) else "summary"
+
+
 def _max_rel_diff(here, base) -> str:
     """The largest relative difference over the numbers both sides wrote
-    at the same place, for summary values and CSV cells apart, and a
-    note when the sides wrote numbers at different places."""
+    at the same place, for summary values, residual reports and CSV
+    cells apart, and a note when the sides wrote numbers at different
+    places."""
     (_, out, files), (_, bout, bfiles) = here, base
     outputs = [(out, bout)] + [(files.get(n, b""), bfiles.get(n, b""))
                                for n in sorted(set(files) | set(bfiles))]
-    worst, unmatched = {"summary": 0.0, "csv": 0.0}, 0
+    worst, unmatched = {"summary": 0.0, "residuals": 0.0, "csv": 0.0}, 0
     for mine, theirs in outputs:
         a, b = _numbers(mine), _numbers(theirs)
         unmatched += len(a.keys() ^ b.keys())
         for key in a.keys() & b.keys():
-            kind = "summary" if key[0] == "json" else "csv"
+            kind = _kind(key)
             worst[kind] = max(worst[kind], _rel(a[key], b[key]))
     note = f", {unmatched} unmatched" if unmatched else ""
-    return (f"max rel diff summary {worst['summary']:.2g}, "
-            f"csv {worst['csv']:.2g}{note}")
+    return (f"max rel diff summary {worst['summary']:.2g}, residuals "
+            f"{worst['residuals']:.2g}, csv {worst['csv']:.2g}{note}")
 
 
 def _differences(here, base) -> list:

@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -83,13 +84,33 @@ def _digest(pairs: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
-def _print_summary(command: Optional[str], digest: str, status: str,
-                   payload: dict) -> None:
-    doc = dict(payload)
-    doc["command"] = command
-    doc["digest"] = digest
-    doc["status"] = status
-    sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
+def _finish(command: Optional[str], digest: str, payload: dict,
+            error: Optional[Exception], code: int) -> int:
+    """Print the summary line (status ``error`` if ``error`` is set) and
+    the ``error:`` line, and return the exit code.  If stdout itself
+    fails, the summary is lost: the exit code is 1, and stdout's file
+    descriptor, if it has one, is pointed at the null device so the
+    interpreter's exit-time flush of what stdout still buffers fails no
+    more."""
+    doc = dict(payload, command=command, digest=digest,
+               status="ok" if error is None else "error")
+    try:
+        sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False)
+                         + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        error, code = error or exc, 1
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # io.UnsupportedOperation: an in-memory stream
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+    if error is not None:
+        sys.stderr.write(f"error: {error}\n")
+    return code
 
 
 def _field_stats(field: ScalarField2D) -> dict:
@@ -589,9 +610,7 @@ def run(argv=None) -> int:
     except CliUsageError as exc:
         command = next((a for a in args if not a.startswith("-")), None)
         payload = {"error": {"code": exc.code, "message": str(exc)}}
-        _print_summary(command, _digest({"argv": args}), "error", payload)
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return _finish(command, _digest({"argv": args}), payload, exc, 1)
 
     def digest() -> str:
         # after the handler ran: commands that read a field add its hash
@@ -602,11 +621,9 @@ def run(argv=None) -> int:
     except (LiouvilleError, OSError) as exc:
         code = exc.code if isinstance(exc, LiouvilleError) else "io.error"
         payload = {"error": {"code": code, "message": str(exc)}}
-        _print_summary(ns.command, digest(), "error", payload)
-        sys.stderr.write(f"error: {exc}\n")
-        return 2 if isinstance(exc, _NONCONVERGENCE) else 1
-    _print_summary(ns.command, digest(), "ok", payload)
-    return 0
+        return _finish(ns.command, digest(), payload, exc,
+                       2 if isinstance(exc, _NONCONVERGENCE) else 1)
+    return _finish(ns.command, digest(), payload, None, 0)
 
 
 def main() -> None:

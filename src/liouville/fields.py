@@ -73,6 +73,47 @@ def _row_blocks(n: int):
         yield j0, min(j0 + _BLOCK_ROWS, n)
 
 
+# Values per formatted block of a field CSV, whatever the row length: a
+# block's text (about 20 B a value) is a few times the 64 KiB of a
+# pipe's buffer, and the formatter's temporaries stay a few MB.
+_CSV_BLOCK_VALUES = 2 ** 14
+
+
+def _write_overlapped(fh, texts) -> None:
+    """Write the strings ``texts`` yields to ``fh`` from a second thread,
+    which holds at most two of them, so the next one is produced while
+    the last drains.  The first error of the writes is raised here once
+    the thread has ended; the producer stops at the next string."""
+    # loaded only for fields of several blocks
+    import queue
+    import threading
+
+    slots = queue.Queue(maxsize=2)
+    failed = []
+
+    def drain():
+        try:
+            for text in iter(slots.get, None):
+                fh.write(text)
+        except Exception as exc:  # raised in the caller after the join
+            failed.append(exc)
+            for _ in iter(slots.get, None):  # keep the producer moving
+                pass
+
+    thread = threading.Thread(target=drain, name="csv-drain")
+    thread.start()
+    try:
+        for text in texts:
+            if failed:
+                break
+            slots.put(text)
+    finally:
+        slots.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
 @contextmanager
 def open_text(path_or_file, mode: str = "r"):
     """Yield ``path_or_file`` itself if it is already a file object (so
@@ -171,13 +212,24 @@ class ScalarField2D:
         return cls(grid, np.broadcast_to(fn(X, Y), (grid.ny, grid.nx)).astype(float))
 
     def write_csv(self, path) -> None:
-        """Write ``# nx ny x0 y0 hx hy`` then ny comma-separated rows;
-        repr() keeps the round trip bit-exact.  ``path`` may be an open
-        text stream."""
-        # one row at a time: a whole-array tolist() would hold every value
-        # as a Python float at once
-        write_table(path, self.grid.header(),
-                    (row.tolist() for row in self.values))
+        """Write ``# nx ny x0 y0 hx hy`` then ny comma-separated rows of
+        the values' repr(), which keeps the round trip bit-exact.
+        ``path`` may be an open text stream.
+
+        numpy formats the values in row-major blocks of
+        ``_CSV_BLOCK_VALUES``; while one block drains into the stream,
+        the next is formatted."""
+        from ._ryu import format_csv
+
+        flat, nx, block = np.ravel(self.values), self.grid.nx, _CSV_BLOCK_VALUES
+        with open_text(path, "w") as fh:
+            fh.write(self.grid.header() + "\n")
+            if flat.size <= block:
+                fh.write(format_csv(flat, nx))
+            else:
+                _write_overlapped(fh, (
+                    format_csv(flat[k:k + block], nx, k)
+                    for k in range(0, flat.size, block)))
 
     @classmethod
     def read_csv(cls, path) -> "ScalarField2D":

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -49,6 +50,16 @@ def invoke(args, stdin_text=None):
 
 def summary_of(stdout):
     return json.loads(stdout.rstrip("\n").rsplit("\n", 1)[-1])
+
+
+def spawn(args, stdout):
+    """Start the CLI of this checkout in a new process, stderr piped."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from liouville.cli import run; sys.exit(run())", *args],
+        stdout=stdout, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
 
 
 class TestHelpGoldens:
@@ -113,6 +124,45 @@ class TestExitCodes:
             assert doc["command"] == args[0]
             assert doc["error"]["code"] == "cli.usage"
             assert err.startswith("error:")
+
+    # a field of 263,169 values: megabytes, far past a pipe's buffer
+    FIELD_513 = ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "513",
+                 "--ny", "513"]
+
+    def test_closed_stdout_pipe_is_one_error_line(self):
+        # as `liouville exact-h ... | head -c 100`: the reader goes away
+        # while the field is written, so the summary line cannot follow
+        proc = spawn(self.FIELD_513, subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    def test_full_stdout_is_one_error_line(self):
+        with open("/dev/full", "wb") as full:
+            proc = spawn(self.FIELD_513, full)
+            err = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_failing_stream_without_descriptor(self):
+        # run() called in-process with an in-memory stdout that fails
+        class Dead(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Dead()), \
+                contextlib.redirect_stderr(err):
+            code = run(self.FIELD_513[:5] + ["--nx", "5", "--ny", "5"])
+        assert code == 1
+        assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
 
     def test_singular_node_is_data_error(self):
         code, out, err = invoke(["exact-h", "--f", "x", "--g", "y",

@@ -5,15 +5,20 @@ with a NaN boundary ring, the hyperbolic and log residuals live on the
 staggered cell grid; norms skip NaN sentinels.
 """
 
+import errno
 import io
 import json
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liouville import fields
+from liouville._ryu import format_csv
 from liouville.cli import _reads_masked
 from liouville.errors import (
     EmptyInteriorError,
@@ -32,6 +37,7 @@ from liouville.fields import (
     residual_elliptic,
     residual_hyperbolic,
     residual_log,
+    write_table,
 )
 
 P11 = LiouvilleParams(1.0, 1.0)
@@ -156,6 +162,139 @@ class TestCsvRoundTrip:
         # the header alone decides: the cap fires although no row follows
         with pytest.raises(GridTooLargeError):
             ScalarField2D.read_csv(io.StringIO("# 100000 100000 0 0 1 1\n"))
+
+
+def repr_rows(values):
+    """The reference CSV text of a 2-D array: ``repr`` of each value."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
+
+
+FORMAT_EDGES = ([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                 2.2250738585072014e-308, 1.7976931348623157e308,
+                 9999999999999998.0, 1e16, 1e-4, 1e-5, 0.1 + 0.2]
+                + [2.0 ** k for k in range(-1074, 1024)]
+                + [10.0 ** k for k in range(-323, 309)]
+                + [float(f"1e{k}") for k in range(-323, 309)])
+
+
+def format_rows(values):
+    return format_csv(values.ravel(), values.shape[1])
+
+
+class TestFormatCsv:
+    """The vectorised writer prints exactly the bytes of ``repr``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+           st.integers(1, 8))
+    def test_bit_patterns_match_repr(self, patterns, nx):
+        patterns += [0] * (-len(patterns) % nx)
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        values = values.reshape(-1, nx)
+        assert format_rows(values) == repr_rows(values)
+
+    @pytest.mark.parametrize("start", [0, 1, 4, 5, 6, 13])
+    def test_rows_end_where_the_field_says(self, start):
+        # a run that starts mid-row ends its rows at the field's row ends
+        values = np.arange(30.0).reshape(6, 5)
+        want = repr_rows(values).replace("\n", ",").split(",")[:-1]
+        want = "".join(v + ("\n" if k % 5 == 4 else ",")
+                       for k, v in enumerate(want) if k >= start)
+        assert format_csv(values.ravel()[start:], 5, start) == want
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edges_match_repr(self, sign):
+        values = sign * np.array(FORMAT_EDGES).reshape(-1, 27)
+        assert format_rows(values) == repr_rows(values)
+
+    def test_neighbours_of_edges_match_repr(self):
+        # one ulp either side of every edge: the rounding interval's ends
+        edges = np.array(FORMAT_EDGES)
+        edges = edges[np.isfinite(edges)]
+        with np.errstate(over="ignore"):  # past the largest float: inf
+            values = np.concatenate([np.nextafter(edges, np.inf),
+                                     np.nextafter(edges, -np.inf)])
+        values = values[:values.size // 8 * 8].reshape(-1, 8)
+        assert format_rows(values) == repr_rows(values)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_values_match_repr(self, seed):
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([
+            rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(20000) * 10.0 ** rng.integers(-30, 30, 20000),
+            np.round(rng.standard_normal(20000) * 1000, 3),
+            rng.integers(-2 ** 60, 2 ** 60, 20000).astype(float),
+        ]).reshape(-1, 100)
+        assert format_rows(values) == repr_rows(values)
+
+
+class TestWriteCsvBlocks:
+    """``write_csv`` writes the bytes of the one-row-at-a-time ``repr``
+    writer, whatever the split of the field into formatted blocks."""
+
+    @pytest.mark.parametrize("ny, nx", [
+        (40, 1000),  # two seams inside rows, a ragged last block
+        (16, 1024),  # exactly one block
+        (3, 5),  # one small block
+        (3, 20000),  # rows wider than a block
+    ])
+    def test_bytes_match_repr_writer(self, ny, nx):
+        rng = np.random.default_rng(nx)
+        values = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(
+            -8, 20, (ny, nx))
+        values[rng.random((ny, nx)) < 0.01] = np.nan
+        f = ScalarField2D(Grid2D(nx, ny, -0.5, 0.25, 0.1, 0.3), values)
+        threads = threading.active_count()
+        got, want = io.StringIO(), io.StringIO()
+        f.write_csv(got)
+        write_table(want, f.grid.header(),
+                    (row.tolist() for row in values))
+        assert got.getvalue() == want.getvalue()
+        assert threading.active_count() == threads
+
+    def test_write_failure_is_raised_promptly(self, monkeypatch):
+        # 100 blocks of 4 rows; the stream fails on its third block
+        monkeypatch.setattr(fields, "_CSV_BLOCK_VALUES", 64)
+        f = ScalarField2D(Grid2D(16, 400, 0.0, 0.0, 1.0, 1.0),
+                          np.arange(6400.0).reshape(400, 16))
+        formatted = []
+
+        def counting(*args):
+            formatted.append(args)
+            return format_csv(*args)
+        monkeypatch.setattr("liouville._ryu.format_csv", counting)
+
+        class Failing(io.StringIO):
+            error = OSError(errno.EPIPE, "Broken pipe")
+            writes = 0
+
+            def write(self, text):  # the header, then one call a block
+                self.writes += 1
+                if self.writes == 4:
+                    time.sleep(0.2)  # the producer fills both slots
+                    raise self.error
+                return super().write(text)
+
+        stream = Failing()
+        raised = []
+
+        def call():
+            try:
+                f.write_csv(stream)
+            except OSError as exc:
+                raised.append(exc)
+
+        threads = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+        assert not caller.is_alive()
+        assert raised == [stream.error]
+        assert threading.active_count() == threads
+        assert stream.writes == 4  # none after the failed one
+        assert len(stream.getvalue().splitlines()) == 9  # header, 2 blocks
+        assert len(formatted) <= 8  # not the 100 blocks of the field
 
 
 class TestResidualElliptic:
