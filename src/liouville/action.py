@@ -26,7 +26,8 @@ __all__ = ["ActionParams", "action_value", "action_gradient"]
 @dataclass(frozen=True)
 class ActionParams:
     """Overall constant C > 0 and the mass parameter mu (entering as
-    mu^2, so its sign is irrelevant; mu = 0 drops the potential)."""
+    mu^2, which must be finite; the sign of mu is irrelevant, and mu = 0
+    drops the potential)."""
 
     C: float = 1.0
     mu: float = 1.0
@@ -34,8 +35,8 @@ class ActionParams:
     def __post_init__(self):
         if not self.C > 0:
             raise FieldsError(f"C must be positive, got {self.C}")
-        if not np.isfinite(self.mu):
-            raise FieldsError(f"mu must be finite, got {self.mu}")
+        if not np.isfinite(float(self.mu) * float(self.mu)):
+            raise FieldsError(f"mu^2 must be finite, got mu = {self.mu}")
 
 
 def _cell_terms(v: np.ndarray, hx: float, hy: float):

@@ -67,6 +67,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliUsageError(message)
 
+    def print_help(self, file=None):
+        # argparse would drop a failed write and exit 0
+        raise SystemExit(_emit(self.format_help(), None, 0))
+
 
 _FMT = functools.partial(argparse.HelpFormatter, width=HELP_WIDTH)
 
@@ -87,16 +91,21 @@ def _digest(pairs: dict) -> str:
 def _finish(command: Optional[str], digest: str, payload: dict,
             error: Optional[Exception], code: int) -> int:
     """Print the summary line (status ``error`` if ``error`` is set) and
-    the ``error:`` line, and return the exit code.  If stdout itself
-    fails, the summary is lost: the exit code is 1, and stdout's file
-    descriptor, if it has one, is pointed at the null device so the
-    interpreter's exit-time flush of what stdout still buffers fails no
-    more."""
+    the ``error:`` line (``_emit``), and return the exit code."""
     doc = dict(payload, command=command, digest=digest,
                status="ok" if error is None else "error")
+    return _emit(json.dumps(doc, sort_keys=True, allow_nan=False) + "\n",
+                 error, code)
+
+
+def _emit(text: str, error: Optional[Exception], code: int) -> int:
+    """Write and flush ``text`` to stdout, then the ``error:`` line if
+    ``error`` is set, and return the exit code.  If stdout itself fails,
+    the text is lost: the exit code is 1, and stdout's file descriptor,
+    if it has one, is pointed at the null device so the interpreter's
+    exit-time flush of what stdout still buffers fails no more."""
     try:
-        sys.stdout.write(json.dumps(doc, sort_keys=True, allow_nan=False)
-                         + "\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         error, code = error or exc, 1
@@ -293,8 +302,12 @@ def _cmd_gelfand(ns) -> dict:
     branch = elliptic.continue_branch(
         _geometry(ns), ns.lam_start, ns.max_steps, ns.ds, lam_stop=ns.lam_stop,
         u0_cap=ns.u0_cap, tol=ns.tol, fold_tol=ns.fold_tol)
-    _write(branch, ns.out)
     fold = branch.fold
+    if fold is None and branch.aborted:
+        raise NonConvergenceError(
+            f"continuation aborted before the fold, after "
+            f"{len(branch.points)} points")
+    _write(branch, ns.out)
     return {"points": len(branch.points), "aborted": branch.aborted,
             "lambda0": None if fold is None else _num(fold.lam0),
             "u0_at_fold": None if fold is None else _num(fold.u0)}
@@ -467,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
 
     p = add("solve-elliptic", _cmd_solve_elliptic,
-            "Solve Lap u = K e^(a u) with Dirichlet data by damped Newton "
+            "Solve Lap u = K e^(a u) with Dirichlet data by Newton "
             "iteration.")
     p.add_argument("--geometry", choices=("rectangle", "disk"),
                    default="rectangle",
@@ -605,8 +618,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(args)
-    except SystemExit as exc:  # --help prints and exits 0
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help printed (_Parser.print_help)
+        return exc.code
     except CliUsageError as exc:
         command = next((a for a in args if not a.startswith("-")), None)
         payload = {"error": {"code": exc.code, "message": str(exc)}}

@@ -210,13 +210,16 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
     all samples bisect in lockstep, one evaluation of g per step.
     g must be strictly monotone on the y-interval (checked via the sign
     of g' at the samples); a sign change raises NonMonotoneGError.  More
-    than ``MAX_NODES`` samples raise GridTooLargeError, and a crossing
-    that is not finite raises ClosedFormError.
+    than ``MAX_NODES`` samples raise GridTooLargeError; a ``tol`` that is
+    not finite and > 0, or a crossing that is not finite, raises
+    ClosedFormError.
     """
     xa, xb = x_range
     ya, yb = y_range
     if not (xb > xa and yb > ya and n_samples >= 2):
         raise ClosedFormError("need xb > xa, yb > ya and at least 2 samples")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ClosedFormError(f"tol must be finite and > 0, got {tol}")
     if n_samples > MAX_NODES:
         raise GridTooLargeError(
             f"{n_samples} samples exceed the cap of {MAX_NODES}")

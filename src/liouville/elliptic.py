@@ -10,15 +10,16 @@ alone.  On an interior of at most _DENSE_SINE_MAX nodes along each axis
 the sine transform is two BLAS products with the dense sine matrices,
 faster there than the FFT and small enough that OpenBLAS runs them on
 one thread; larger interiors go through the FFT.
-On top of the plain Dirichlet solver sit a pseudo-arclength
-continuation of the Gelfand branch Delta u + lambda e^u = 0, whose steps
-and fold share one Newton loop of bordered solves, and
-the boundary blow-up exhaustion u|_boundary = M for increasing M.
+Every solve runs one Newton loop, ``_newton``.  On top of the plain
+Dirichlet solver sit a pseudo-arclength continuation of the Gelfand
+branch Delta u + lambda e^u = 0, whose steps and fold run that loop on
+bordered solves, and the boundary blow-up exhaustion u|_boundary = M.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -55,15 +56,8 @@ __all__ = [
 # relative 2-norm tolerance of each rectangle Newton step's GMRES solve
 GMRES_RTOL = 1e-8
 GMRES_RESTART, GMRES_CYCLES = 60, 10
-MAX_HALVINGS = 30
 DS_MIN, DS_MAX = 1e-4, 0.1
 _THETA = 0.125  # the corrector contraction Theta_0 that ds aims at
-# A residual of order (1/h^2)|u| eps cannot be beaten in double precision,
-# so a rejected full Newton step that is negligible counts as converged
-# at the rounding floor (the report then carries the achieved residual as
-# its tolerance).  The caps keep genuine stagnation fatal.
-STALL_RESIDUAL_CAP = 1e-6
-STALL_STEP_REL = 1e-6
 # Interiors of at most this many nodes along either axis are sine-
 # transformed by two products with the dense sine matrices, larger ones
 # by the FFT.  A product is O(n^2) per line against O(n log n), but it is
@@ -82,8 +76,12 @@ class RectangleGeometry:
     grid: Grid2D
 
     def __post_init__(self):
-        if self.grid.nx < 3 or self.grid.ny < 3:
+        g = self.grid
+        if g.nx < 3 or g.ny < 3:
             raise EllipticError("rectangle geometry needs at least 3x3 nodes")
+        # the stencil weights 1/h^2 and ||A|| = 4/hx^2 + 4/hy^2 must be finite
+        if not min(g.hx, g.hy) ** 2 > 8.0 / np.finfo(float).max:
+            raise EllipticError(f"1/h^2 overflows at hx={g.hx}, hy={g.hy}")
 
 
 @dataclass(frozen=True)
@@ -129,9 +127,9 @@ class DirichletProblem:
 
 @dataclass
 class SolveReport:
-    """Newton post-mortem.  ``converged`` implies ``final_residual <=
-    tolerance``; ``tolerance`` is the requested one, or the achieved
-    residual when the solve finished at the rounding floor."""
+    """Newton post-mortem.  ``tolerance`` is the threshold the last
+    residual was checked against, max(tol, rounding floor of F there);
+    ``converged`` means ``final_residual <= tolerance`` at the result."""
 
     iterations: int
     final_residual: float
@@ -165,10 +163,18 @@ class RadialProfile:
 
 
 class _System:
-    """F(u) above; subclasses apply ``A`` and set ``bc_vec`` and ``m``."""
+    """F(u) above; subclasses apply ``A`` and set ``bc_vec``, ``m`` and
+    ``norm_A`` = ||A|| in the max norm (the largest absolute row sum)."""
 
     def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
         return self.apply_A(u) + self.bc_vec + coef * np.exp(a * u)
+
+    def rounding_floor(self, u: np.ndarray, coef: float, a: float) -> float:
+        """The max-norm rounding error of F(u): no residual gets below it."""
+        return float(np.finfo(float).eps) * (
+            self.norm_A * float(np.abs(u).max())
+            + float(np.abs(self.bc_vec).max())
+            + abs(coef) * float(np.exp(a * u).max()))
 
     def jacobian_matvec(self, u: np.ndarray, coef: float, a: float,
                         v: np.ndarray) -> np.ndarray:
@@ -266,6 +272,7 @@ class _RadialSystem(_System):
         self.up = np.append(4.0 / h ** 2, 1.0 / h ** 2 + 1.0 / (2 * r[:-1] * h))
         self.bc_vec = np.zeros(m)
         self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
+        self.norm_A = 8.0 / h ** 2  # the center row
         # the diagonal W that makes W A symmetric: r_i, and h/8 at the center
         self.weights = np.append(h / 8, r)
         self.boundary = boundary
@@ -464,6 +471,7 @@ class _RectSystem(_System):
         sy = np.sin(0.5 * np.pi * np.arange(1, nyi + 1) / (nyi + 1)) ** 2
         self.eig = -4.0 * (sy[:, None] / g.hy ** 2 + sx[None, :] / g.hx ** 2)
         self.mu1 = float(-self.eig[0, 0])
+        self.norm_A = 4.0 / g.hx ** 2 + 4.0 / g.hy ** 2
         self.weights = 1.0  # A is symmetric
         self.geom = geom
         self.m = nxi * nyi
@@ -577,74 +585,99 @@ def _make_system(geometry: Geometry, boundary: Union[Expr, float]):
     raise EllipticError(f"unsupported geometry {type(geometry).__name__}")
 
 
-def _require_finite(**values) -> None:
-    """Reject non-finite tolerances and boundary values before any solve:
-    a NaN target is never met, and an infinite one is met at once."""
+def _require_finite(tols: dict, **values) -> None:
+    """Reject non-finite values and tolerances not > 0 before any solve:
+    a NaN target is never met, an infinite one is met at once, and one
+    <= 0 would silently mean the rounding floor."""
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise EllipticError(f"{name} must be finite, got {value}")
+    for name, tol in tols.items():
+        if not (np.isfinite(tol) and tol > 0):
+            raise EllipticError(f"{name} must be finite and > 0, got {tol}")
 
 
-def _at_floor(nrm: float, step: float, u: np.ndarray) -> bool:
-    """A small residual with a negligible update: the rounding floor."""
-    return nrm <= STALL_RESIDUAL_CAP and \
-        step <= STALL_STEP_REL * (1.0 + float(np.abs(u).max()))
+# Newton corrections (du, dlam) are measured in one inner product.  It
+# gives the u block weight 1/u.size so that grid refinement does not
+# change the meaning of a correction or of an arclength step.  It is an
+# einsum, like ``_l2``, so its bits do not depend on the BLAS thread count.
+
+
+def _dot(du1, dl1, du2, dl2) -> float:
+    return float(np.einsum("i,i", du1, du2)) / du1.size + dl1 * dl2
+
+
+def _norm(du, dl) -> float:
+    return float(np.sqrt(_dot(du, dl, du, dl)))
 
 
 def _newton(system, u: np.ndarray, coef: float, a: float,
             tol: float = NEWTON_TOL, max_iter: int = MAX_NEWTON,
-            ) -> tuple[np.ndarray, SolveReport]:
-    """Damped Newton with a strict-decrease backtracking line search."""
-    history = []
-    for it in range(max_iter):
-        F = system.residual(u, coef, a)
+            border: Optional[Callable] = None) -> tuple:
+    """Newton on F(u) = 0 from ``u`` or, with a ``border``, on (F, N) = 0
+    in (u, coef = lambda), a = 1: ``border(u, lam)`` returns N and its
+    gradient (row, corner), and each step is one solve of J bordered by
+    e^u = dF/dlam and that row, scaled to unit max(|row|, |corner|) so
+    that a tiny fold gradient does not stall the Krylov solve.  Stops at
+    the first evaluated |F| <= max(tol, ``rounding_floor``) with |N| <=
+    tol; fails at a non-finite residual or floor, after ``max_iter``
+    steps, or at the first step no shorter than the one before
+    (Deuflhard 2004, ch. 3 and 5).  Returns (u, coef, report, Theta_0
+    = |dx_1|/|dx_0|, or 0); the report's residuals are max(|F|, |N|),
+    its tolerance the threshold checked last."""
+    history, steps, theta0, checked = [], [], 0.0, tol
+    for it in itertools.count():
+        # an overflowing e^(a u) is a non-finite residual, handled below
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = system.residual(u, coef, a)
+            floor = system.rounding_floor(u, coef, a)
         nrm = float(np.abs(F).max())
-        history.append(nrm)
-        if not np.isfinite(nrm):
-            report = SolveReport(it, nrm, False, history, tol)
-            raise NonConvergenceError("residual became non-finite", report)
-        if nrm <= tol:
-            return u, SolveReport(it, nrm, True, history, tol)
-        du = system.jacobian_solver(u, coef, a)(-F)
-        alpha = 1.0
-        for _ in range(MAX_HALVINGS):
-            ut = u + alpha * du
-            # a trial step whose e^(a u) overflows is simply rejected
-            with np.errstate(over="ignore"):
-                trial = float(np.abs(system.residual(ut, coef, a)).max())
-            if trial < nrm:
-                u = ut
-                break
-            # at the floor a rejected full step is rounding noise: stop
-            if _at_floor(nrm, float(np.abs(du).max()), u):
-                return u, SolveReport(it, nrm, True, history, max(tol, nrm))
-            alpha *= 0.5
+        if not np.isfinite(nrm + floor):
+            history.append(nrm)
+            message = "residual or its rounding floor became non-finite"
+            break
+        N = 0.0
+        if border is not None:
+            N, row, corner = border(u, coef)
+        history.append(max(nrm, abs(N)))
+        checked = max(tol, floor)
+        if nrm <= checked and abs(N) <= tol:
+            report = SolveReport(it, history[-1], True, history, checked)
+            return u, coef, report, theta0
+        if it >= max_iter:
+            message = f"no convergence in {max_iter} iterations"
+            break
+        if border is None:
+            du, dc = system.jacobian_solver(u, coef, a)(-F), 0.0
         else:
-            report = SolveReport(it, nrm, False, history, tol)
-            raise NonConvergenceError(
-                f"line search stalled at residual {nrm:.3e}", report)
-    F = system.residual(u, coef, a)
-    nrm = float(np.abs(F).max())
-    history.append(nrm)
-    report = SolveReport(max_iter, nrm, False, history, tol)
-    raise NonConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {nrm:.3e})",
-        report)
+            scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
+            du, dc = system.bordered_solver(u, coef, np.exp(u), scale * row,
+                                            scale * corner)(-F, -scale * N)
+        steps.append(_norm(du, dc))
+        if it:
+            theta0 = steps[1] / steps[0]
+            if steps[-1] >= steps[-2]:
+                message = "Newton corrections stopped contracting"
+                break
+        u, coef = u + du, coef + dc
+    report = SolveReport(it, history[-1], False, history, checked)
+    raise NonConvergenceError(f"{message} (residual {history[-1]:.3e})",
+                              report)
 
 
 def solve_dirichlet(p: DirichletProblem, tol: float = NEWTON_TOL,
                     max_iter: int = MAX_NEWTON,
                     ) -> tuple[Union[ScalarField2D, RadialProfile], SolveReport]:
-    """Solve the Dirichlet problem by damped Newton iteration from the
-    discrete harmonic extension of the boundary data.
+    """Solve the Dirichlet problem by Newton iteration (``_newton``)
+    from the discrete harmonic extension of the boundary data.
 
-    Raises NonConvergenceError (with the report attached) if the
-    iteration stalls, SingularJacobianError if a linear solve fails.
+    Raises NonConvergenceError (with the report attached) if Newton
+    fails, SingularJacobianError if a linear solve fails.
     """
-    _require_finite(tol=tol)
+    _require_finite({"tol": tol})
     system = _make_system(p.geometry, p.boundary)
-    u, report = _newton(system, system.initial_guess(), -p.params.K,
-                        p.params.a, tol, max_iter)
+    u, _, report, _ = _newton(system, system.initial_guess(), -p.params.K,
+                              p.params.a, tol, max_iter)
     return system.pack(u), report
 
 
@@ -680,20 +713,6 @@ class Branch:
                     ((pt.s, pt.lam, pt.u0) for pt in self.points))
 
 
-# The continuation works on F(u, lam) = A u + lam e^u with zero boundary
-# data.  Its inner product gives the u block weight 1/u.size so that grid
-# refinement does not change the meaning of an arclength step.  It is an
-# einsum, like ``_l2``, so its bits do not depend on the BLAS thread count.
-
-
-def _dot(du1, dl1, du2, dl2) -> float:
-    return float(np.einsum("i,i", du1, du2)) / du1.size + dl1 * dl2
-
-
-def _norm(du, dl) -> float:
-    return float(np.sqrt(_dot(du, dl, du, dl)))
-
-
 def _predict(points: list[BranchPoint], ds: float) -> tuple:
     """(u, lam, tu, tl): the Lagrange polynomial P in s through the last
     min(3, len(points)) branch points, at s + ds past the last one, and
@@ -715,48 +734,6 @@ def _predict(points: list[BranchPoint], ds: float) -> tuple:
     return p[:-1], float(p[-1]), t[:-1], float(t[-1])
 
 
-def _corrector(system, u, lam, border, tol) -> tuple[np.ndarray, float, float]:
-    """Newton on (F, N) = 0 from (u, lam), where ``border(u, lam)``
-    returns N and its gradient (row, corner) in (u, lam); each iteration
-    is one solve of J bordered by the column e^u = dF/dlam and that row
-    (``bordered_solver``), with the border equation scaled to unit
-    max(|row|, |corner|) so that a tiny fold gradient does not stall
-    the Krylov solve.  Returns (u, lam, Theta_0), Theta_0 = |dx_1|/|dx_0|
-    or 0 when one correction sufficed.  Fails at the first correction no
-    shorter than the one before (Deuflhard 2004, ch. 5), with the
-    report's residuals max(|F|, |N|), unscaled."""
-    max_iter = 12
-    history, steps, theta0 = [], [], 0.0
-    for it in range(max_iter + 1):
-        # an overflowing e^u is a non-finite residual, handled below
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = system.residual(u, lam, 1.0)
-        nrm = float(np.abs(F).max())
-        if not np.isfinite(nrm):
-            history.append(nrm)
-            break
-        N, row, corner = border(u, lam)
-        history.append(max(nrm, abs(N)))
-        if it == max_iter:
-            break
-        if history[-1] <= tol:
-            return u, lam, theta0
-        scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
-        du, dlam = system.bordered_solver(u, lam, np.exp(u), scale * row,
-                                          scale * corner)(-F, -scale * N)
-        steps.append(_norm(du, dlam))
-        u, lam = u + du, lam + dlam
-        theta0 = steps[1] / steps[0] if it else 0.0
-        if abs(N) <= tol and _at_floor(nrm, steps[-1], u):
-            return u, lam, theta0
-        if it and steps[-1] >= steps[-2]:
-            break
-    report = SolveReport(it, history[-1], False, history, tol)
-    raise NonConvergenceError(
-        f"continuation corrector did not converge (residual "
-        f"{history[-1]:.3e})", report)
-
-
 def _step(system, points: list[BranchPoint], ds: float,
           tol: float) -> tuple[BranchPoint, float]:
     """Predict ``ds`` past points[-1] (``_predict``); correct on the
@@ -769,7 +746,8 @@ def _step(system, points: list[BranchPoint], ds: float,
     def plane(u, lam):
         return _dot(u - u_pred, lam - lam_pred, tu, tl), row, tl
 
-    un, ln, theta0 = _corrector(system, u_pred, lam_pred, plane, tol)
+    un, ln, _, theta0 = _newton(system, u_pred, lam_pred, 1.0, tol, 12,
+                                plane)
     if _norm(un - u_pred, ln - lam_pred) > ds:
         raise NonConvergenceError("continuation corrector left the branch")
     base = points[-1]
@@ -797,8 +775,8 @@ def _solve_fold(system, points: list[BranchPoint], tol: float) -> Fold:
     """Solve (F, sigma) = 0 from the highest point points[-2], with c the
     u part of the secant across it (``_fold_border``)."""
     top, c = points[-2], points[-1].u - points[-3].u
-    u, lam, _ = _corrector(system, top.u, top.lam,
-                           _fold_border(system, c / _norm(c, 0.0)), tol)
+    u, lam, _, _ = _newton(system, top.u, top.lam, 1.0, tol, 12,
+                           _fold_border(system, c / _norm(c, 0.0)))
     u0, k = system.center_value(u), len(points) - 2
     return Fold(lam, u0, k if u0 >= top.u0 else k - 1)
 
@@ -813,8 +791,8 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
     Pseudo-arclength steps with ds in [1e-4, 0.1] aimed at a corrector
     contraction Theta_0 of 1/8, predicted through the last three points
     (``_predict``).  Once lambda falls, the fold is solved from the
-    highest point by the steps' bordered Newton loop to max(|F|, |sigma|)
-    <= ``fold_tol`` (``_solve_fold``); a fold solve that fails raises.
+    highest point by the steps' bordered Newton loop with ``fold_tol``
+    (``_solve_fold``); a fold solve that fails raises.
     Stops on ``max_steps`` (at least 2), or once past the fold when
     lambda falls below ``lam_stop`` (default: lam_start) or the center
     value exceeds ``u0_cap``.
@@ -830,16 +808,16 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
         raise EllipticError(f"max_steps must be >= 2, got {max_steps}")
     if lam_stop is None:
         lam_stop = lam_start
-    _require_finite(lam_start=lam_start, lam_stop=lam_stop, u0_cap=u0_cap,
-                    tol=tol, fold_tol=fold_tol)
+    _require_finite({"tol": tol, "fold_tol": fold_tol}, lam_start=lam_start,
+                    lam_stop=lam_stop, u0_cap=u0_cap)
     system = _make_system(geometry, 0.0)
 
-    u, _ = _newton(system, np.zeros(system.m), lam_start, 1.0, tol)
+    u = _newton(system, np.zeros(system.m), lam_start, 1.0, tol)[0]
     points = [BranchPoint(0.0, lam_start, system.center_value(u), u)]
 
     # second point by natural continuation, a small lambda increment
     dlam0 = min(ds, 0.02)
-    u2, _ = _newton(system, u, lam_start + dlam0, 1.0, tol)
+    u2 = _newton(system, u, lam_start + dlam0, 1.0, tol)[0]
     points.append(BranchPoint(_norm(u2 - u, dlam0), lam_start + dlam0,
                               system.center_value(u2), u2))
 
@@ -878,7 +856,7 @@ def solve_on_branch(geometry: Geometry, branch: Branch, lam: float,
     ``side`` is "lower" (points up to ``fold.index``) or "upper"
     (points past it).
     """
-    _require_finite(tol=tol)
+    _require_finite({"tol": tol})
     if side not in ("lower", "upper"):
         raise EllipticError(f"side must be 'lower' or 'upper', got {side!r}")
     if branch.fold is None and side == "upper":
@@ -889,7 +867,7 @@ def solve_on_branch(geometry: Geometry, branch: Branch, lam: float,
         raise EllipticError(f"no branch points on the {side} side")
     best = min(segment, key=lambda pt: abs(pt.lam - lam))
     system = _make_system(geometry, 0.0)
-    u, report = _newton(system, best.u, lam, 1.0, tol)
+    u, _, report, _ = _newton(system, best.u, lam, 1.0, tol)
     return system.pack(u), report
 
 
@@ -899,7 +877,7 @@ def boundary_blowup_approx(geometry: DiskGeometry, M_list: list[float],
     solving with constant boundary data M for each M in the increasing
     ``M_list``, continuing in M with unit-sized homotopy steps."""
     Ms = [float(M) for M in M_list]
-    _require_finite(M=Ms, tol=tol)
+    _require_finite({"tol": tol}, M=Ms)
     if any(b <= a for a, b in zip(Ms, Ms[1:])):
         raise EllipticError(f"M_list must be strictly increasing, got {Ms}")
     out = []
@@ -911,7 +889,7 @@ def boundary_blowup_approx(geometry: DiskGeometry, M_list: list[float],
             system = _RadialSystem(geometry, cur)
             if guess is None:
                 guess = system.initial_guess()
-            guess, _ = _newton(system, guess, -1.0, 1.0, tol)
+            guess = _newton(system, guess, -1.0, 1.0, tol)[0]
             if cur >= M:
                 break
         out.append(system.pack(guess))

@@ -163,8 +163,9 @@ class EllipticError(LiouvilleError):
 
 
 class NonConvergenceError(EllipticError):
-    """Newton exhausted its iteration or damping budget, or stopped
-    contracting.  Carries the final ``SolveReport`` for post-mortems."""
+    """Newton met a non-finite residual, exhausted its iteration budget
+    or stopped contracting, or a continuation trace aborted before its
+    fold.  Carries Newton's final ``SolveReport`` for post-mortems."""
 
     code = "elliptic.non_convergence"
 

@@ -141,7 +141,8 @@ def write_table(path, header: str, rows) -> None:
 @dataclass(frozen=True)
 class Grid2D:
     """Uniform tensor grid: ``nx`` x ``ny`` nodes, origin (x0, y0),
-    spacings hx, hy > 0."""
+    spacings hx, hy > 0 whose squares, the stencils' divisors, are
+    finite."""
 
     nx: int
     ny: int
@@ -157,8 +158,10 @@ class Grid2D:
         if self.nx * self.ny > MAX_NODES:
             raise GridTooLargeError(
                 f"{self.nx}x{self.ny} nodes exceed the cap of {MAX_NODES}")
-        if not (self.hx > 0 and self.hy > 0):
-            raise FieldsError(f"spacings must be positive, got hx={self.hx}, hy={self.hy}")
+        if not all(h > 0 and math.isfinite(float(h) * float(h))
+                   for h in (self.hx, self.hy)):
+            raise FieldsError(f"spacings must be positive with finite "
+                              f"squares, got hx={self.hx}, hy={self.hy}")
 
     @classmethod
     def from_bounds(cls, x0: float, y0: float, x1: float, y1: float,

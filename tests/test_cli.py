@@ -151,6 +151,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs the /dev/full device")
+    @pytest.mark.parametrize("args", [["--help"], ["exact-h", "--help"]],
+                             ids=["top", "exact-h"])
+    def test_help_to_full_stdout_is_one_error_line(self, args):
+        # argparse alone would drop the failed write and exit 0
+        with open("/dev/full", "wb") as full:
+            proc = spawn(args, full)
+            err = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_failing_stream_without_descriptor(self):
         # run() called in-process with an in-memory stdout that fails
         class Dead(io.StringIO):
@@ -313,20 +325,39 @@ class TestExitCodes:
         assert "finite" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("args", [
-        ["solve-elliptic", "--nx", "9", "--ny", "9", "--tol", "nan"],
-        ["solve-elliptic", "--geometry", "disk", "--n", "9", "--tol", "inf"],
-        ["gelfand", "--n", "9", "--tol", "nan"],
-        ["gelfand", "--n", "9", "--fold-tol", "nan"],
-        ["blowup-approx", "--n", "9", "--M", "3", "--tol", "nan"],
+    @pytest.mark.parametrize("args, error", [
+        (["solve-elliptic", "--nx", "9", "--ny", "9", "--tol", "nan"],
+         "elliptic.error"),
+        (["solve-elliptic", "--geometry", "disk", "--n", "9", "--tol", "inf"],
+         "elliptic.error"),
+        (["gelfand", "--n", "9", "--tol", "nan"], "elliptic.error"),
+        (["gelfand", "--n", "9", "--fold-tol", "nan"], "elliptic.error"),
+        (["blowup-approx", "--n", "9", "--M", "3", "--tol", "nan"],
+         "elliptic.error"),
+        # a tolerance <= 0 would mean "stop at the rounding floor"
+        (["solve-elliptic", "--nx", "9", "--ny", "9", "--tol=-1"],
+         "elliptic.error"),
+        (["solve-elliptic", "--geometry", "disk", "--n", "9", "--tol", "0"],
+         "elliptic.error"),
+        (["gelfand", "--n", "9", "--tol=-1"], "elliptic.error"),
+        (["gelfand", "--n", "9", "--fold-tol", "0"], "elliptic.error"),
+        (["blowup-approx", "--n", "9", "--M", "3", "--tol=-1"],
+         "elliptic.error"),
+        (["blowup-curve", "--f", "x", "--g", "y - 0.5", "--tol=-1"],
+         "closedform.error"),
+        (["blowup-curve", "--f", "x", "--g", "y - 0.5", "--tol", "0"],
+         "closedform.error"),
     ], ids=["solve-elliptic", "solve-elliptic-disk", "gelfand-tol",
-            "gelfand-fold-tol", "blowup-approx"])
-    def test_non_finite_tolerances_are_rejected(self, args):
+            "gelfand-fold-tol", "blowup-approx", "solve-elliptic-negative",
+            "solve-elliptic-disk-zero", "gelfand-tol-negative",
+            "gelfand-fold-tol-zero", "blowup-approx-negative",
+            "blowup-curve-negative", "blowup-curve-zero"])
+    def test_non_finite_tolerances_are_rejected(self, args, error):
         code, out, err = invoke(args)
         assert code == 1
         assert out.count("\n") == 1
         doc = summary_of(out)
-        assert doc["error"]["code"] == "elliptic.error"
+        assert doc["error"]["code"] == error
         assert "must be finite" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -344,6 +375,30 @@ class TestExitCodes:
         doc = summary_of(out)
         assert doc["error"]["code"] == "elliptic.error"
         assert "M must be finite" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, stdin_text", [
+        (["solve-elliptic", "--domain", "0", "0", "1e200", "1e200",
+          "--nx", "9", "--ny", "9"], None),
+        (["gelfand", "--geometry", "rectangle", "--domain", "0", "0",
+          "1e300", "1e300", "--nx", "9", "--ny", "9"], None),
+        (["verify", "--eq", "elliptic"],
+         "# 3 3 0 0 1e200 1e200\n" + "1.0,1.0,1.0\n" * 3),
+        (["action", "--mu", "1e308"],
+         "# 3 3 0.0 0.0 0.5 0.5\n" + "1.0,1.0,1.0\n" * 3),
+    ], ids=["solve-elliptic-spacing", "gelfand-rectangle-spacing",
+            "verify-elliptic-spacing", "action-mu"])
+    def test_overflowing_squares_are_data_errors(self, args, stdin_text):
+        # hx^2 and mu^2 overflowed in the stencil or the potential and
+        # escaped as a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(args, stdin_text=stdin_text)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "fields.error"
+        assert "finite" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_log_form_pins_a(self):
@@ -728,6 +783,39 @@ class TestSolverCommands:
         assert 1.99 <= doc["lambda0"] < 2.0
         assert abs(doc["u0_at_fold"] - math.log(4.0)) <= 1e-2
         assert doc["points"] > 10
+
+    def test_gelfand_abort_before_fold_is_exit_two(self, monkeypatch):
+        def failing(*args):
+            raise elliptic.NonConvergenceError("step failed")
+
+        monkeypatch.setattr(elliptic, "_step", failing)
+        code, out, err = invoke(["gelfand", "--n", "65"])
+        assert code == 2
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "elliptic.non_convergence"
+        assert "before the fold" in doc["error"]["message"]
+        assert err.startswith("error:")
+
+    def test_gelfand_abort_after_fold_is_reported(self, monkeypatch):
+        step, solve_fold, folds = elliptic._step, elliptic._solve_fold, []
+
+        def solve_and_record(*args):
+            folds.append(solve_fold(*args))
+            return folds[-1]
+
+        def failing_after_fold(*args):
+            if folds:
+                raise elliptic.NonConvergenceError("step failed")
+            return step(*args)
+
+        monkeypatch.setattr(elliptic, "_solve_fold", solve_and_record)
+        monkeypatch.setattr(elliptic, "_step", failing_after_fold)
+        code, out, _ = invoke(["gelfand", "--n", "65", "--out", "/dev/null"])
+        assert code == 0
+        doc = summary_of(out)
+        assert doc["aborted"] is True
+        assert 1.99 <= doc["lambda0"] < 2.0
 
     def test_backlund_default_domain(self):
         code, out, _ = invoke(["backlund", "--out", "/dev/null"])

@@ -15,12 +15,12 @@ from liouville.elliptic import (
     DirichletProblem,
     DiskGeometry,
     RectangleGeometry,
-    _corrector,
     _cyclic_reduction,
     _dot,
     _dst2,
     _fold_border,
     _make_system,
+    _newton,
     _norm,
     _predict,
     _sine_matrices,
@@ -125,15 +125,41 @@ class TestRectangleSolve:
 
 class TestDiskSolve:
     def test_rounding_floor_ends_the_solve(self):
-        # at n = 1025 the residual bottoms out near 6e-10, above the 1e-10
-        # target, after 5 steps; once a full Newton step fails to reduce
-        # it, the solve must end at the floor instead of taking
-        # rounding-level decreases
+        # at n = 1025 the residual reaches 6e-10 after 4 steps, above the
+        # 1e-10 target but below the rounding floor of F, about 4e-9
+        # (eps times 8/h^2 times |u| <= 2): the solve must end there
+        # instead of taking rounding-level steps
         _, report = solve_dirichlet(DirichletProblem(
             DiskGeometry(1025), LiouvilleParams(1.0, 1.0), 2.0))
         assert report.converged
         assert report.iterations <= 8
         assert report.final_residual <= report.tolerance
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_rounding_floor_is_non_convergence(self):
+        # u = 1e304 keeps F finite, but ||A|| ||u|| overflows: a floor of
+        # inf would accept any residual
+        with pytest.raises(NonConvergenceError, match="floor") as info:
+            solve_dirichlet(DirichletProblem(
+                DiskGeometry(65), LiouvilleParams(1e-304, 1e-304), 1e304))
+        assert np.isfinite(info.value.report.tolerance)
+
+    def test_every_jacobian_solve_is_used(self, monkeypatch):
+        # the loop stops on an evaluated residual, so it never solves for
+        # a step it then throws away
+        calls = []
+        jacobian_solver = elliptic._RadialSystem.jacobian_solver
+
+        def counted(self, *args):
+            calls.append(args)
+            return jacobian_solver(self, *args)
+
+        monkeypatch.setattr(elliptic._RadialSystem, "jacobian_solver",
+                            counted)
+        _, report = solve_dirichlet(DirichletProblem(
+            DiskGeometry(1025), LiouvilleParams(1.0, 1.0), 2.0))
+        assert report.converged
+        assert len(calls) == report.iterations
 
     def test_matches_radial_family(self):
         fam = gelfand_radial(0.5)
@@ -179,6 +205,32 @@ class TestDiskSolve:
         # u_b(r) = ln((1+b)^2 / (1+b r^2)^2) increases with b for r < 1,
         # so the b = 1 profile lies between the b < 1 and b > 1 solutions
         assert np.all(lo.values <= exact) and np.all(exact <= up.values)
+
+
+def test_converged_reports_meet_their_tolerance(monkeypatch):
+    # every Newton solve of both geometries, the continuation's steps and
+    # fold solves included: the residual checked is the one reported,
+    # against a threshold no looser than the requested tol
+    reports, newton = [], elliptic._newton
+
+    def recorded(system, u, coef, a, tol, *args, **kwargs):
+        out = newton(system, u, coef, a, tol, *args, **kwargs)
+        reports.append((tol, out[2]))
+        return out
+
+    monkeypatch.setattr(elliptic, "_newton", recorded)
+    for geometry in (DiskGeometry(129), rect(17)):
+        continue_branch(geometry, fold_tol=1e-9)
+    solve_dirichlet(DirichletProblem(DiskGeometry(1025),
+                                     LiouvilleParams(1.0, 1.0), 2.0))
+    solve_dirichlet(DirichletProblem(rect(33), LiouvilleParams(1.0, 1.0)))
+    boundary_blowup_approx(DiskGeometry(1025), [5.0, 8.0])
+    assert len(reports) > 50
+    for tol, report in reports:
+        assert report.converged
+        assert report.final_residual == report.newton_history[-1]
+        assert report.final_residual <= report.tolerance
+        assert report.tolerance >= tol
 
 
 class TestKrylovSolve:
@@ -701,7 +753,7 @@ class TestContinuation:
             return 0.0, np.full(system.m, 1.0 / system.m), 0.0
 
         with pytest.raises(NonConvergenceError) as info:
-            _corrector(system, u, 1.0, plane, 1e-10)
+            _newton(system, u, 1.0, 1.0, 1e-10, 12, border=plane)
         assert not np.isfinite(info.value.report.final_residual)
 
     def test_diverging_corrector_stops_after_two_solves(self):
@@ -727,15 +779,16 @@ class TestContinuation:
 
         system.bordered_solver = counted
         with pytest.raises(NonConvergenceError) as info:
-            _corrector(system, u_pred, lam_pred, plane, 1e-10)
+            _newton(system, u_pred, lam_pred, 1.0, 1e-10, 12, border=plane)
         assert len(solves) == 2
         assert info.value.report.iterations == 1
 
     @pytest.mark.parametrize("geometry", [rect(17), DiskGeometry(65)],
                              ids=["rectangle", "disk"])
     def test_corrector_failure_keeps_history(self, geometry):
-        # only an exactly zero residual meets tol = 0, so the corrector
-        # runs until a correction at the rounding floor stops contracting
+        # only an exactly zero border residual N meets tol = 0, so the
+        # loop runs until a correction at the rounding floor stops
+        # contracting
         system = _make_system(geometry, 0.0)
         start = continue_branch(geometry, max_steps=4).points
         tu, tl = secant(start[-2], start[-1])
@@ -745,7 +798,7 @@ class TestContinuation:
             return _dot(u - u_pred, lam - lam_pred, tu, tl), tu / system.m, tl
 
         with pytest.raises(NonConvergenceError) as info:
-            _corrector(system, u_pred, lam_pred, plane, 0.0)
+            _newton(system, u_pred, lam_pred, 1.0, 0.0, 12, border=plane)
         report = info.value.report
         assert not report.converged
         assert report.iterations < 12
@@ -804,10 +857,14 @@ class TestValidation:
             DiskGeometry(2)
         with pytest.raises(EllipticError):
             RectangleGeometry(Grid2D.from_bounds(0, 0, 1, 1, 2, 5))
+        # 1/h^2 overflows: the stencil and its norm are not finite
+        with pytest.raises(EllipticError, match="overflows"):
+            RectangleGeometry(Grid2D.from_bounds(0, 0, 1e-170, 1e-170, 9, 9))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
     def test_rejects_non_finite_tolerances(self, value):
-        # a NaN target is never met and an infinite one at once
+        # a NaN target is never met and an infinite one at once; one
+        # <= 0 would silently mean the rounding floor
         disk = DiskGeometry(9)
         problem = DirichletProblem(disk, LiouvilleParams(-1.0, 1.0), 0.0)
         for call in (lambda: solve_dirichlet(problem, tol=value),
