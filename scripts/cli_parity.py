@@ -2,9 +2,9 @@
 
 Runs a fixed argv list (every subcommand, the --out, --mask-out and
 --grad-out writers, fields that span several 64-row evaluation blocks,
-fields of one and of many CSV writer blocks and rows wider than one,
-and the elliptic solves at several sizes) once
-under ``src/`` here and once under ``BASE/src``.  Each side runs the
+fields of one and of many CSV writer and reader blocks and rows wider
+than one, and the elliptic solves at several sizes) once under
+``src/`` here and once under ``BASE/src``.  Each side runs the
 list in order in its own empty directory, so commands that read a field
 read the file an earlier command of the same side wrote.  For each argv
 the stdout bytes, the exit code and every file the command wrote are
@@ -68,7 +68,9 @@ ARGVS = [
     ["verify", "--eq", "log", "--in", "T301.csv"],
     # the CSV writer's blocks of 2^14 values: 1025^2 values are 65 of
     # them, with seams inside rows and a last block of 2049 values; rows
-    # of 20000 values are wider than a block
+    # of 20000 values are wider than a block.  The reader's blocks are
+    # whole rows: 15 rows of 1025 values, one row of 20000, or 8192 rows
+    # of 2, the last of 20000 such rows in a ragged block
     ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "1025",
      "--ny", "1025", "--out", "exact_h1025.csv"],
     ["convert-log", "--in", "exact_h1025.csv", "--direction", "u-to-T",
@@ -76,6 +78,10 @@ ARGVS = [
     ["verify", "--eq", "log", "--in", "T1025.csv"],
     ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "20000",
      "--ny", "3", "--out", "exact_h20000.csv"],
+    ["verify", "--eq", "hyperbolic", "--in", "exact_h20000.csv"],
+    ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "2",
+     "--ny", "20000", "--out", "exact_h2.csv"],
+    ["verify", "--eq", "hyperbolic", "--in", "exact_h2.csv"],
     # masked nodes outside the unit circle, across the block seams
     ["blowup-exact", "--nx", "301", "--ny", "157", "--out", "blowup301.csv"],
     ["verify", "--eq", "elliptic", "--in", "blowup301.csv"],

@@ -303,14 +303,13 @@ def _cmd_gelfand(ns) -> dict:
         _geometry(ns), ns.lam_start, ns.max_steps, ns.ds, lam_stop=ns.lam_stop,
         u0_cap=ns.u0_cap, tol=ns.tol, fold_tol=ns.fold_tol)
     fold = branch.fold
-    if fold is None and branch.aborted:
-        raise NonConvergenceError(
-            f"continuation aborted before the fold, after "
-            f"{len(branch.points)} points")
+    if fold is None:
+        why = "aborted" if branch.aborted else "used up --max-steps"
+        raise NonConvergenceError(f"continuation {why} before the fold, "
+                                  f"after {len(branch.points)} points")
     _write(branch, ns.out)
     return {"points": len(branch.points), "aborted": branch.aborted,
-            "lambda0": None if fold is None else _num(fold.lam0),
-            "u0_at_fold": None if fold is None else _num(fold.u0)}
+            "lambda0": _num(fold.lam0), "u0_at_fold": _num(fold.u0)}
 
 
 def _cmd_blowup_approx(ns) -> dict:

@@ -671,10 +671,13 @@ def solve_dirichlet(p: DirichletProblem, tol: float = NEWTON_TOL,
     """Solve the Dirichlet problem by Newton iteration (``_newton``)
     from the discrete harmonic extension of the boundary data.
 
-    Raises NonConvergenceError (with the report attached) if Newton
-    fails, SingularJacobianError if a linear solve fails.
+    Raises EllipticError for a ``tol`` not finite and > 0 or a
+    ``max_iter`` below 0, NonConvergenceError (with the report attached)
+    if Newton fails, SingularJacobianError if a linear solve fails.
     """
     _require_finite({"tol": tol})
+    if max_iter < 0:
+        raise EllipticError(f"max_iter must be >= 0, got {max_iter}")
     system = _make_system(p.geometry, p.boundary)
     u, _, report, _ = _newton(system, system.initial_guess(), -p.params.K,
                               p.params.a, tol, max_iter)

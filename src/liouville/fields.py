@@ -73,9 +73,10 @@ def _row_blocks(n: int):
         yield j0, min(j0 + _BLOCK_ROWS, n)
 
 
-# Values per formatted block of a field CSV, whatever the row length: a
-# block's text (about 20 B a value) is a few times the 64 KiB of a
-# pipe's buffer, and the formatter's temporaries stay a few MB.
+# Values per block of a field CSV, formatted by the writer whatever the
+# row length, parsed by the reader in whole rows: a block's text (about
+# 20 B a value) is a few times the 64 KiB of a pipe's buffer, and the
+# formatter's and the parser's temporaries stay a few MB.
 _CSV_BLOCK_VALUES = 2 ** 14
 
 
@@ -241,24 +242,47 @@ class ScalarField2D:
         piped together with a trailing summary line still parses.  The
         grid is built from the header before any row is read, so an
         oversized header fails before it allocates; anything malformed
-        raises FieldsError."""
+        raises FieldsError.
+
+        The rows are parsed in blocks of ``_CSV_BLOCK_VALUES`` values (at
+        least one row) by numpy's C tokenizer, whose correctly rounded
+        strtod gives the bits ``float()`` gives."""
         with open_text(path) as fh:
             try:
                 grid = _read_header(fh.readline())
                 values = np.empty((grid.ny, grid.nx))
-                for j in range(grid.ny):
-                    line = fh.readline()
-                    if not line:
-                        raise FieldsError(
-                            f"expected {grid.ny} rows, file ended early")
-                    cells = line.strip().split(",")
-                    if len(cells) != grid.nx:
-                        raise FieldsError(f"row {j} holds {len(cells)} "
-                                          f"values, expected {grid.nx}")
-                    values[j] = [float(v) for v in cells]
+                step = max(1, _CSV_BLOCK_VALUES // grid.nx)
+                for j0 in range(0, grid.ny, step):
+                    j1 = min(j0 + step, grid.ny)
+                    values[j0:j1] = _read_rows(fh, j0, j1, grid)
             except ValueError as exc:  # UnicodeDecodeError included
                 raise FieldsError(f"bad field text: {exc}") from exc
         return cls(grid, values)
+
+
+def _read_rows(fh, j0: int, j1: int, grid: Grid2D) -> np.ndarray:
+    """Rows ``j0 .. j1 - 1`` of a field CSV, read line by line from
+    ``fh`` and parsed in one :func:`numpy.loadtxt` call."""
+    lines = [fh.readline() for _ in range(j1 - j0)]
+    for j, line in enumerate(lines, j0):
+        # refused here: numpy skips empty lines and warns on a block of them
+        if not line or line.isspace():
+            raise FieldsError(f"expected {grid.ny} rows, file ended early"
+                              if not line else f"row {j} is blank")
+    try:
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        rows, error = None, exc
+    if rows is not None and rows.shape == (j1 - j0, grid.nx):
+        return rows
+    # a wrong shape always has a row of the wrong width; numpy names a
+    # ragged row by its index in the block, so count here, on failure only
+    for j, line in enumerate(lines, j0):
+        cells = line.count(",") + 1
+        if cells != grid.nx:
+            raise FieldsError(f"row {j} holds {cells} values, "
+                              f"expected {grid.nx}")
+    raise FieldsError(f"bad field text in rows {j0}..{j1 - 1}: {error}")
 
 
 def _read_header(line: str) -> Grid2D:

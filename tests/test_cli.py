@@ -197,6 +197,21 @@ class TestExitCodes:
         assert doc["error"]["code"] == "elliptic.error"
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args", [
+        ["solve-elliptic", "--nx", "9", "--ny", "9", "--max-iter=-1"],
+        ["solve-elliptic", "--geometry", "disk", "--n", "9",
+         "--max-iter=-1"],
+    ], ids=["solve-elliptic", "solve-elliptic-disk"])
+    def test_negative_max_iter_is_usage_error(self, args):
+        # was reported as "no convergence in -1 iterations", exit 2
+        code, out, err = invoke(args)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "elliptic.error"
+        assert "max_iter must be >= 0" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_march_divergence_is_exit_two(self, monkeypatch):
         real = hyperbolic._lambert_w
 
@@ -541,7 +556,9 @@ READER_IDS = ["verify", "action", "convert-log"]
 # near-valid field text: a header and rows drawn from tokens that parse,
 # do not parse, or parse to edge values
 TOKENS = ["0", "1", "-1", "2", "0.5", "2.5", "1e308", "-1e308", "nan",
-          "inf", "-inf", "x", "", " ", "#", "1,2", "\xff"]
+          "inf", "-inf", "x", "", " ", "#", "1,2", "\xff",
+          # text float() and numpy's parser may read differently
+          "1_0", "\uff11", "\t1", "+2", "-nan", "Infinity"]
 ROW = st.lists(st.sampled_from(TOKENS), min_size=0, max_size=4).map(
     ",".join)
 NEAR_FIELD = st.builds(
@@ -796,6 +813,24 @@ class TestSolverCommands:
         assert doc["error"]["code"] == "elliptic.non_convergence"
         assert "before the fold" in doc["error"]["message"]
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("args", [
+        # lambda steps of at most 0.1 toward a fold near 7e6
+        ["gelfand", "--geometry", "rectangle", "--domain", "0", "0",
+         "1e-3", "1e-3", "--nx", "9", "--ny", "9"],
+        ["gelfand", "--n", "65", "--max-steps", "3"],
+    ], ids=["tiny-rectangle", "few-steps"])
+    def test_gelfand_without_fold_is_exit_two(self, args, tmp_path):
+        # ran to --max-steps and exited 0 with "lambda0": null
+        branch = tmp_path / "branch.csv"
+        code, out, err = invoke(args + ["--out", str(branch)])
+        assert code == 2
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "elliptic.non_convergence"
+        assert "--max-steps before the fold" in doc["error"]["message"]
+        assert err.startswith("error:")
+        assert not branch.exists()
 
     def test_gelfand_abort_after_fold_is_reported(self, monkeypatch):
         step, solve_fold, folds = elliptic._step, elliptic._solve_fold, []

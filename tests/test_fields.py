@@ -12,6 +12,7 @@ import math
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,64 @@ class TestWriteCsvBlocks:
         assert stream.writes == 4  # none after the failed one
         assert len(stream.getvalue().splitlines()) == 9  # header, 2 blocks
         assert len(formatted) <= 8  # not the 100 blocks of the field
+
+
+class TestReadCsvBlocks:
+    """``read_csv`` parses whole rows in blocks of about 2^14 values; the
+    values come back bit for bit across the seams, and what the blocks
+    must not see is refused before numpy parses it."""
+
+    @pytest.mark.parametrize("ny, nx", [
+        (37, 1000),  # blocks of 16 rows, a ragged last one of 5
+        (20000, 2),  # blocks of 8192 rows: 3 of them
+        (3, 20000),  # rows wider than a block: one row a block
+    ])
+    def test_bits_survive_block_seams(self, ny, nx):
+        rng = np.random.default_rng(ny)
+        values = rng.standard_normal((ny, nx)) * 10.0 ** rng.integers(
+            -300, 300, (ny, nx))
+        values[rng.random((ny, nx)) < 0.01] = np.nan
+        f = ScalarField2D(Grid2D(nx, ny, -0.5, 0.25, 0.1, 0.3), values)
+        buf = io.StringIO()
+        f.write_csv(buf)
+        buf.seek(0)
+        back = ScalarField2D.read_csv(buf)
+        assert back.grid == f.grid
+        assert np.array_equal(back.values.view(np.uint64),
+                              values.view(np.uint64))
+
+    def test_summary_line_after_several_blocks(self):
+        f = ScalarField2D.sample(Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0,
+                                                    1000, 40),
+                                 lambda x, y: x - 3 * y)
+        buf = io.StringIO()
+        f.write_csv(buf)
+        buf.write(json.dumps({"status": "ok"}) + "\n")
+        buf.seek(0)
+        back = ScalarField2D.read_csv(buf)
+        assert np.array_equal(back.values, f.values)
+        assert json.loads(buf.readline()) == {"status": "ok"}
+        assert buf.readline() == ""
+
+    WIDE = "# 20000 2 0 0 1 1\n" + ",".join(["1"] * 20000) + "\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# 2 3 0 0 1 1\n1,2\n\n3,4\n", "row 1 is blank"),
+        # the second row is a block of its own
+        (WIDE + "\n", "row 1 is blank"),
+        (WIDE + "1,2\n", "row 1 holds 2 values, expected 20000"),
+        ("# 2 2 0 0 1 1\n1,2\n3,#4\n", "'#4'"),
+        ("# 2 2 0 0 1 1\n1,2\n3,1_0\n", "'1_0'"),  # float() read 10
+        ("# 2 2 0 0 1 1\n1,2\n3,\uff11\n", "'\uff11'"),  # float() read 1
+    ], ids=["blank-row", "blank-block", "ragged-block", "comment",
+            "underscore", "full-width-digit"])
+    def test_refused_rows_are_fields_errors(self, text, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldsError) as info:
+                ScalarField2D.read_csv(io.StringIO(text))
+        assert type(info.value) is FieldsError
+        assert message in str(info.value)
 
 
 class TestResidualElliptic:
