@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -639,4 +640,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Console entry point: exit with ``run()``'s code.
+
+    Everything is written once ``run()`` returns, so the collector is
+    frozen first: the interpreter's exit-time collections then skip every
+    object already tracked (numpy's included), while atexit handlers and
+    the final flush of the std streams still run.  ``run()`` leaves the
+    collector alone for in-process callers."""
+    code = run()
+    gc.freeze()
+    sys.exit(code)

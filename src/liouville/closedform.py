@@ -22,7 +22,7 @@ from .errors import (
     ClosedFormError,
     DomainViolationError,
     GridTooLargeError,
-    NonFiniteConversionError,
+    NonFiniteValueError,
     NonMonotoneGError,
     NonPositiveBError,
     NonPositiveFieldError,
@@ -66,15 +66,43 @@ class AnalyticSeed:
             raise ClosedFormError(f"F must be univariate, has vars {self.F.vars}")
 
 
+def _finite(field: ScalarField2D) -> ScalarField2D:
+    """Return ``field`` if every node is finite, else raise
+    NonFiniteValueError with the count and the first such node in
+    row-major order."""
+    count, first = 0, None
+    for j0, j1 in _row_blocks(field.grid.ny):
+        finite = np.isfinite(field.values[j0:j1])
+        if finite.all():  # argwhere alone costs ten times as much
+            continue
+        bad = np.argwhere(~finite)
+        if first is None:
+            first = (int(bad[0][1]), j0 + int(bad[0][0]))
+        count += len(bad)
+    if count:
+        i, j = first
+        raise NonFiniteValueError(
+            f"u is not finite at {count} node(s), the first at node "
+            f"(i={i}, j={j}), (x, y) = ({float(field.grid.x()[i])!r}, "
+            f"{float(field.grid.y()[j])!r}): an intermediate value of the "
+            "closed form over- or underflows")
+    return field
+
+
+@np.errstate(all="ignore")
 def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
                      grid: Grid2D) -> ScalarField2D:
     """Sample u = (1/a) ln(2 f'(x) g'(y) / (a K (f+g)^2)) on ``grid``,
     with f = ``cp.fx`` and g = ``cp.gy``.
 
-    Raises SingularNodeError if f+g vanishes exactly at a node and
-    SignError unless a*K*f'*g' > 0 everywhere on the grid.
+    Raises SingularNodeError if f+g vanishes exactly at a node, SignError
+    unless the signs of a, K, f' and g' multiply to +1 everywhere on the
+    grid, and NonFiniteValueError where u is not finite.
     """
     (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
+    # signs one by one: a product of tiny positive factors underflows to 0
+    sf = np.sign(p.a) * np.sign(p.K) * np.sign(fp)
+    sg = np.sign(gp)
     u = np.empty((grid.ny, grid.nx))
     q_min, bad_sign = np.inf, False
     for j0, j1 in _row_blocks(grid.ny):
@@ -86,7 +114,7 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
                                     float(grid.y()[j0 + j]))
         q = p.a * p.K * gp[j0:j1, None] * fp[None, :]
         q_min = np.minimum(q_min, np.min(q))
-        bad_sign = bad_sign or bool(np.any(q <= 0))
+        bad_sign = bad_sign or bool(np.any(sg[j0:j1, None] * sf[None, :] <= 0))
         if not bad_sign:
             u[j0:j1] = (np.log(2.0 * fp[None, :] * gp[j0:j1, None]
                                / (p.a * p.K)) - np.log(s * s)) / p.a
@@ -95,9 +123,10 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
             "a*K*f'(x)*g'(y) must be positive on the whole grid "
             f"(min {float(q_min)!r})"
         )
-    return ScalarField2D(grid, u)
+    return _finite(ScalarField2D(grid, u))
 
 
+@np.errstate(all="ignore")
 def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
                    grid: Grid2D) -> ScalarField2D:
     """Sample u = (1/a)(ln(8|F'|^2/(1 -+ |F|^2)^2) - ln(a|K|)) on ``grid``.
@@ -105,6 +134,7 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
     The "minus" sign solves Delta u = K e^(a u) for K > 0 and requires
     |F| < 1 on the grid; "plus" solves it for K < 0.  Requires a > 0 (the
     additive normalization ln(a|K|) has no real value otherwise).
+    Raises NonFiniteValueError where u is not finite.
     """
     if not all(np.isfinite(c) and c != 0 for c in (K, a)):
         raise ClosedFormError("K and a must be finite and nonzero")
@@ -145,7 +175,7 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
             "|F(z)| must stay below 1 for the minus sign "
             f"(max |F|^2 = {float(mod2_max)!r})"
         )
-    return ScalarField2D(grid, u)
+    return _finite(ScalarField2D(grid, u))
 
 
 @dataclass(frozen=True)
@@ -276,7 +306,7 @@ def convert_log_form(field: ScalarField2D, direction: str) -> ScalarField2D:
     ``direction`` is "u_to_T" or "T_to_u"; NaN sentinels pass through,
     and T_to_u requires every non-sentinel entry to be positive.  A
     finite input whose image is not finite (e^u overflowing) raises
-    NonFiniteConversionError.
+    NonFiniteValueError.
     """
     v = field.values
     if direction == "u_to_T":
@@ -288,7 +318,7 @@ def convert_log_form(field: ScalarField2D, direction: str) -> ScalarField2D:
                 np.exp(vb, out=ob)
             overflow += int((np.isfinite(vb) & ~np.isfinite(ob)).sum())
         if overflow:
-            raise NonFiniteConversionError(
+            raise NonFiniteValueError(
                 f"T = e^u overflows at {overflow} node(s) where u is finite")
         return ScalarField2D(field.grid, out)
     if direction == "T_to_u":

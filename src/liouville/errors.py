@@ -150,8 +150,9 @@ class NonMonotoneGError(ClosedFormError):
     code = "closedform.non_monotone_g"
 
 
-class NonFiniteConversionError(ClosedFormError):
-    """The u <-> T = e^u conversion left a finite input non-finite."""
+class NonFiniteValueError(ClosedFormError):
+    """A closed form or the u <-> T = e^u conversion left finite inputs
+    with a non-finite value."""
 
     code = "closedform.non_finite"
 

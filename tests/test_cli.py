@@ -3,6 +3,7 @@ exit codes, and the pipe-friendly CSV flows."""
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -20,7 +21,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from liouville import elliptic, hyperbolic
 from liouville.cli import _read_field, run
-from liouville.fields import ScalarField2D
+from liouville.closedform import hyperbolic_exact
+from liouville.expr import AxisPair, parse
+from liouville.fields import Grid2D, LiouvilleParams, ScalarField2D
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,11 +56,11 @@ def summary_of(stdout):
 
 
 def spawn(args, stdout):
-    """Start the CLI of this checkout in a new process, stderr piped."""
+    """Start the CLI of this checkout in a new process through ``main()``,
+    as the console script and the benchmark start it; stderr piped."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return subprocess.Popen(
-        [sys.executable, "-c",
-         "import sys; from liouville.cli import run; sys.exit(run())", *args],
+        [sys.executable, "-c", "import liouville.cli as c; c.main()", *args],
         stdout=stdout, stderr=subprocess.PIPE,
         env=dict(os.environ, PYTHONPATH=src))
 
@@ -416,6 +419,27 @@ class TestExitCodes:
         assert "finite" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args", [
+        ["exact-h", "--f", "x", "--g", "y", "--K", "1e-308"],
+        ["exact-h", "--f", "1e200*x", "--g", "1e200*y", "--nx", "3",
+         "--ny", "3"],
+        ["exact-h", "--f", "1e-200*x", "--g", "1e-200*y"],
+        ["exact-e", "--F", "1e-200*z", "--nx", "3", "--ny", "3"],
+    ], ids=["exact-h-K-tiny", "exact-h-pair-huge", "exact-h-pair-tiny",
+            "exact-e-seed-tiny"])
+    def test_non_finite_closed_forms_are_data_errors(self, args):
+        # u overflows or underflows on the way, though it is finite: the
+        # first two wrote inf and nan under status: ok, the third reported
+        # closedform.sign with "min 0.0", all with RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(args)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "closedform.non_finite"
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],
                               stdin_text="")
@@ -737,6 +761,70 @@ class TestStartup:
             "import os, numpy; env = dict(os.environ); import liouville.cli; "
             f"print({THREADS}, dict(os.environ) == env)")
         assert out.strip() == "2 True"
+
+
+class TestEntryPoint:
+    """``main()`` in a new process, as the console script and the
+    benchmark run it: ``run()``'s output and exit code, then an exit with
+    the collector frozen.  The dead-stdout cases of TestExitCodes run
+    through it too (``spawn``)."""
+
+    ARGS = TestSummaryContract.ARGS
+
+    def communicate(self, args):
+        proc = spawn(args, subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        return proc.returncode, out.decode(), err.decode()
+
+    def test_success_ends_in_the_summary_line(self):
+        code, out, err = self.communicate(self.ARGS)
+        assert (code, err) == (0, "")
+        assert out == invoke(self.ARGS)[1]
+        lines = out.splitlines()
+        assert [ln for ln in lines if ln.startswith("{")] == [lines[-1]]
+        assert summary_of(out)["status"] == "ok"
+
+    def test_usage_error_is_exit_one(self):
+        code, out, err = self.communicate(["exact-h"])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "cli.usage"
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nonconvergence_is_exit_two(self):
+        code, out, _ = self.communicate(
+            ["solve-elliptic", "--geometry", "disk", "--n", "257",
+             "--K", "-2", "--out", "/dev/null"])
+        assert code == 2
+        assert summary_of(out)["error"]["code"] == "elliptic.non_convergence"
+
+    def test_out_file_reads_back_bitwise(self, tmp_path):
+        path = tmp_path / "u.csv"
+        code, out, err = self.communicate(self.ARGS + ["--out", str(path)])
+        assert (code, err, out.count("\n")) == (0, "", 1)
+        expect = hyperbolic_exact(
+            AxisPair(parse("exp(x)", ("x",)), parse("exp(y)", ("y",))),
+            LiouvilleParams(1.0, 1.0),
+            Grid2D.from_bounds(0.5, 0.5, 1.5, 1.5, 17, 17))
+        back = ScalarField2D.read_csv(path)
+        assert back.grid == expect.grid
+        assert back.values.tobytes() == expect.values.tobytes()
+
+    def test_atexit_runs_after_the_freeze(self, fresh_python):
+        out = fresh_python(
+            "import atexit, gc; atexit.register(lambda: print("
+            "'frozen', gc.get_freeze_count() > 0)); "
+            f"sys.argv = ['liouville', *{self.ARGS!r}]; "
+            "import liouville.cli as c; c.main()")
+        *_, summary, last = out.splitlines()
+        assert json.loads(summary)["status"] == "ok"
+        assert last == "frozen True"
+
+    def test_run_leaves_the_collector_alone(self):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert invoke(self.ARGS)[0] == 0
+        assert invoke(["exact-h"])[0] == 1
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 class TestFieldFiles:

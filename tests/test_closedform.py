@@ -32,7 +32,7 @@ from liouville.errors import (
     ClosedFormError,
     LiouvilleError,
     DomainViolationError,
-    NonFiniteConversionError,
+    NonFiniteValueError,
     NonMonotoneGError,
     NonPositiveBError,
     NonPositiveFieldError,
@@ -101,6 +101,38 @@ class TestHyperbolicExact:
             hyperbolic_exact(pair("x", "-y"), P11,
                              Grid2D.from_bounds(2.0, 0.5, 3.0, 1.4, 5, 5))
 
+    def test_signs_are_tested_one_by_one(self):
+        # a*K*f'*g' = 1e-340 underflows to 0, but every factor is positive
+        # and u = ln(2/K) - 2 ln(x + y) is finite
+        g = square(0.5, 1.5, 5)
+        X, Y = g.meshgrid()
+        u = hyperbolic_exact(pair("1e-20*x", "1e-20*y"),
+                             LiouvilleParams(1e-300, 1.0), g)
+        np.testing.assert_allclose(
+            u.values, math.log(2e300) - 2 * np.log(X + Y), rtol=1e-15)
+
+    def test_tiny_factors_are_not_a_sign_error(self):
+        # a*K*f'*g' underflows to 0 although every factor is positive;
+        # the closed form then underflows too, which is its own error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError):
+                hyperbolic_exact(pair("1e-200*x", "1e-200*y"), P11,
+                                 square(0.5, 1.5, 5))
+
+    @pytest.mark.parametrize("fsrc, gsrc, p", [
+        ("x", "y", LiouvilleParams(1e-308, 1.0)),
+        ("1e200*x", "1e200*y", P11),
+        ("-x", "y - 10", LiouvilleParams(-1e-308, 1.0)),
+    ], ids=["K-tiny", "pair-huge", "negative-f-prime"])
+    def test_non_finite_value_is_raised(self, fsrc, gsrc, p):
+        # u is finite in exact arithmetic, but 2 f' g' / (a K) or (f+g)^2
+        # overflows; the sampler raises instead of writing inf or nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="at 25 node"):
+                hyperbolic_exact(pair(fsrc, gsrc), p, square(0.5, 1.5, 5))
+
     def test_linear_pair_bound(self):
         # superconvergent case: assert the h^2 bound it easily satisfies
         # (observed decay is close to fourth order, see module docstring)
@@ -155,6 +187,16 @@ class TestEllipticExact:
     def test_domain_violation_outside_disk(self):
         with pytest.raises(DomainViolationError):
             elliptic_exact(seed("z"), 1.0, 1.0, square(-0.8, 0.8, 9))
+
+    @pytest.mark.parametrize("Fsrc, sign, K", [
+        ("1e-200*z", "minus", 1.0), ("exp(2000*z)", "plus", -1.0),
+    ], ids=["underflow", "overflow"])
+    def test_non_finite_value_is_raised(self, Fsrc, sign, K):
+        # |F'|^2 underflows to 0, or |F|^2 and |F'|^2 overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError):
+                elliptic_exact(seed(Fsrc, sign), K, 1.0, square(-0.2, 0.2, 5))
 
     def test_degenerate_seed(self):
         with pytest.raises(SeedDegenerateError) as err:
@@ -237,7 +279,7 @@ class TestRowBlocks:
         f = ScalarField2D(Grid2D(131, 200, 0.0, 0.0, 0.5, 0.25), v)
         errors = per_block_height(lambda: raised(
             lambda: convert_log_form(f, "u_to_T")))
-        assert errors == [(NonFiniteConversionError,
+        assert errors == [(NonFiniteValueError,
                            "T = e^u overflows at 4 node(s) where u is finite")] * 4
 
     def test_first_singular_node_in_a_later_block(self, per_block_height):
@@ -258,6 +300,21 @@ class TestRowBlocks:
         assert errors == [(SignError,
                            "a*K*f'(x)*g'(y) must be positive on the whole "
                            f"grid (min {float(gp.min())!r})")] * 4
+
+    def test_first_non_finite_node_in_a_later_block(self, per_block_height):
+        # (f + g)^2 with g = e^(800 y) overflows from y = 0.445, row 89 of
+        # 200, in the second block
+        g = Grid2D(131, 200, 1.0, 0.0, 0.01, 0.005)
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(np.isinf(np.exp(800.0 * g.y()) ** 2))
+        errors = per_block_height(lambda: raised(lambda: hyperbolic_exact(
+            pair("x", "exp(800*y)"), P11, g)))
+        assert bad[0] == 89
+        assert errors == [(NonFiniteValueError,
+                           f"u is not finite at {bad.size * 131} node(s), the "
+                           "first at node (i=0, j=89), (x, y) = "
+                           f"(1.0, {float(g.y()[89])!r}): an intermediate "
+                           "value of the closed form over- or underflows")] * 4
 
     def test_first_degenerate_node_in_a_later_block(self, per_block_height):
         # F' = 4 z (z^2 + 4) vanishes at z = -2i (row 142) and z = 0
@@ -519,7 +576,7 @@ class TestConvertLogForm:
         v[1, 1] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteConversionError, match="1 node"):
+            with pytest.raises(NonFiniteValueError, match="1 node"):
                 convert_log_form(ScalarField2D(square(0.0, 1.0, 3), v), "u_to_T")
         v[1, 1] = np.inf
         T = convert_log_form(ScalarField2D(square(0.0, 1.0, 3), v), "u_to_T")
