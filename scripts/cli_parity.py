@@ -48,6 +48,14 @@ ARGVS = [
     ["exact-h", "--f", "1e200*x", "--g", "1e200*y", "--nx", "3", "--ny", "3"],
     ["exact-h", "--f", "1e-200*x", "--g", "1e-200*y"],
     ["exact-e", "--F", "1e-200*z", "--nx", "3", "--ny", "3"],
+    # every function and operator rule of the expression evaluator
+    ["exact-h", "--f", "sqrt(x)*sinh(x)+x^3/cosh(x)-cos(x)",
+     "--g", "exp(sin(y))+ln(y)-y^-2", "--nx", "9", "--ny", "9"],
+    # expressions past the parser's limits (exit 1): an exponent past
+    # 2^53, and parentheses nested past 100 levels
+    ["exact-h", "--f", "x^(10^400)", "--g", "y", "--nx", "3", "--ny", "3"],
+    ["exact-h", "--f", "(" * 3000 + "x" + ")" * 3000, "--g", "y",
+     "--nx", "3", "--ny", "3"],
     ["blowup-curve", "--f", "x", "--g", "y - 0.5", "--samples", "11",
      "--out", "curve.csv"],
     # end-point zeros at both ends of the y-interval, and rows with no

@@ -354,6 +354,8 @@ def _cmd_backlund(ns) -> dict:
 
 def _cmd_action(ns) -> dict:
     from .action import ActionParams, action_gradient, action_value
+    if ns.fd_check < 0:
+        raise CliUsageError(f"--fd-check must be >= 0, got {ns.fd_check}")
     field = _read_field(ns)
     p = ActionParams(ns.C, ns.mu)
     value = action_value(field, p)

@@ -1,9 +1,8 @@
-"""Small arithmetic-expression language with exact first and second
-derivatives.
+"""Small arithmetic-expression language with exact first derivatives.
 
 Source text is parsed once into an immutable AST; evaluation runs on
-second-order dual numbers (value, first, second derivative propagated
-together), so callers get f, f', f'' to machine rounding in one pass.
+dual numbers (value and first derivative propagated together), so
+callers get f and f' to machine rounding in one pass.
 Evaluation works over real or complex scalars and elementwise over numpy
 arrays of either, which keeps grid sampling vectorized.
 
@@ -18,12 +17,22 @@ exponent must fold to an integer constant):
 
 Known functions: exp, ln, sin, cos, sinh, cosh, sqrt.  General real
 powers are spelled exp(p*ln(x)).
+
+Two limits, both refused by ``parse`` with ExprSyntaxError:
+
+- every integer folded in a ``^`` exponent (the literals, each sum,
+  difference, product and power, and the exponent itself) is at most
+  2^53 in magnitude, checked before a power is formed;
+- the parse tree is at most MAX_DEPTH = 100 levels deep: a number or
+  name is one level, and each operator, function call and pair of
+  parentheses is one level above its deepest operand.  Neither parsing
+  nor evaluation recurses deeper than that.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -42,12 +51,25 @@ __all__ = ["Expr", "AxisPair", "EvalResult", "parse", "eval_dual",
 
 FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh", "sqrt")
 
+MAX_DEPTH = 100  # parse-tree levels, see the module docstring
+_INT_BOUND = 2 ** 53  # largest magnitude of an integer folded in an exponent
+
+
+def _too_deep(pos: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                           pos)
+
 
 # --- AST ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Node:
     span: tuple[int, int]  # [start, end) byte offsets into the source
+    depth: int = field(default=1, kw_only=True, compare=False)
+
+    def __post_init__(self):
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.span[0])
 
 
 @dataclass(frozen=True)
@@ -125,6 +147,7 @@ class _Parser:
         self.vars = variables
         self.tokens = _tokenize(src)
         self.k = 0
+        self.level = 0  # parse-tree levels above the subexpression in hand
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -152,7 +175,8 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next()
             rhs = self.term()
-            node = _BinOp((node.span[0], rhs.span[1]), op.text, node, rhs)
+            node = _BinOp((node.span[0], rhs.span[1]), op.text, node, rhs,
+                          depth=1 + max(node.depth, rhs.depth))
         return node
 
     def term(self) -> _Node:
@@ -160,16 +184,26 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next()
             rhs = self.unary()
-            node = _BinOp((node.span[0], rhs.span[1]), op.text, node, rhs)
+            node = _BinOp((node.span[0], rhs.span[1]), op.text, node, rhs,
+                          depth=1 + max(node.depth, rhs.depth))
         return node
 
     def unary(self) -> _Node:
+        # every nested subexpression is parsed through here, one level
+        # below the enclosing one, so this bounds the parser's recursion
         tok = self.peek()
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise _too_deep(tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self.next()
             operand = self.unary()
-            return _Neg((tok.pos, operand.span[1]), operand)
-        return self.power()
+            node = _Neg((tok.pos, operand.span[1]), operand,
+                        depth=1 + operand.depth)
+        else:
+            node = self.power()
+        self.level -= 1
+        return node
 
     def power(self) -> _Node:
         base = self.atom()
@@ -177,13 +211,19 @@ class _Parser:
         if tok.kind == "op" and tok.text == "^":
             self.next()
             exponent = self.unary()  # right-associative
-            n = _const_int(exponent)
+            try:
+                n = _const_int(exponent)
+            except OverflowError:
+                raise ExprSyntaxError(
+                    "exponent of ^ must fold to integers of magnitude at "
+                    "most 2^53", exponent.span[0]) from None
             if n is None:
                 raise ExprSyntaxError(
                     "exponent of ^ must fold to an integer constant",
                     exponent.span[0],
                 )
-            return _Pow((base.span[0], exponent.span[1]), base, n)
+            return _Pow((base.span[0], exponent.span[1]), base, n,
+                        depth=1 + max(base.depth, exponent.depth))
         return base
 
     def atom(self) -> _Node:
@@ -207,14 +247,15 @@ class _Parser:
                         comma.pos,
                     )
                 closer = self.expect_op(")")
-                return _Call((tok.pos, closer.pos + 1), tok.text, arg)
+                return _Call((tok.pos, closer.pos + 1), tok.text, arg,
+                             depth=1 + arg.depth)
             if tok.text in self.vars:
                 return _Var((tok.pos, tok.pos + len(tok.text)), tok.text)
             raise UnknownIdentifierError(tok.text, tok.pos)
         if tok.kind == "op" and tok.text == "(":
             node = self.expr()
             self.expect_op(")")
-            return node
+            return replace(node, depth=1 + node.depth)
         raise ExprSyntaxError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.pos,
@@ -222,25 +263,33 @@ class _Parser:
 
 
 def _const_int(node: _Node):
-    """Fold a variable-free subtree to an int, or return None."""
+    """Fold a variable-free subtree to an int, or return None.  Raises
+    OverflowError as soon as a folded value would exceed 2^53 in
+    magnitude, before a power that large is formed."""
     if isinstance(node, _Num):
         v = node.value
-        return int(v) if float(v).is_integer() else None
-    if isinstance(node, _Neg):
+        n = int(v) if float(v).is_integer() else None
+    elif isinstance(node, _Neg):
         inner = _const_int(node.operand)
-        return None if inner is None else -inner
-    if isinstance(node, _BinOp) and node.op in "+-*":
+        n = None if inner is None else -inner
+    elif isinstance(node, _BinOp) and node.op in "+-*":
         a = _const_int(node.left)
         b = _const_int(node.right)
         if a is None or b is None:
             return None
-        return a + b if node.op == "+" else a - b if node.op == "-" else a * b
-    if isinstance(node, _Pow):
+        n = a + b if node.op == "+" else a - b if node.op == "-" else a * b
+    elif isinstance(node, _Pow):
         a = _const_int(node.base)
         if a is None or node.exponent < 0:
             return None
-        return a ** node.exponent
-    return None
+        if abs(a) > 1 and node.exponent > 53:  # then |a^e| >= 2^e > 2^53
+            raise OverflowError
+        n = a ** node.exponent
+    else:
+        return None
+    if n is not None and abs(n) > _INT_BOUND:
+        raise OverflowError
+    return n
 
 
 # --- public expression object -------------------------------------------
@@ -276,18 +325,16 @@ def parse(source: str, variables) -> Expr:
 class EvalResult(NamedTuple):
     value: Union[float, complex, np.ndarray]
     d1: Union[float, complex, np.ndarray]
-    d2: Union[float, complex, np.ndarray]
 
 
 class _Jet:
-    """Order-2 jet (value, d, dd); payloads are scalars or numpy arrays."""
+    """First-order jet (value, d); payloads are scalars or numpy arrays."""
 
-    __slots__ = ("v", "d", "dd")
+    __slots__ = ("v", "d")
 
-    def __init__(self, v, d, dd):
+    def __init__(self, v, d):
         self.v = v
         self.d = d
-        self.dd = dd
 
 
 def _any(cond) -> bool:
@@ -307,14 +354,14 @@ class _Evaluator:
     def run(self, node: _Node) -> _Jet:
         if isinstance(node, _Num):
             v = complex(node.value) if self.is_complex else node.value
-            return _Jet(v, 0.0, 0.0)
+            return _Jet(v, 0.0)
         if isinstance(node, _Var):
             v = self.values[node.name]
             seed = 1.0 if node.name == self.wrt else 0.0
-            return _Jet(v, seed, 0.0)
+            return _Jet(v, seed)
         if isinstance(node, _Neg):
             u = self.run(node.operand)
-            return _Jet(-u.v, -u.d, -u.dd)
+            return _Jet(-u.v, -u.d)
         if isinstance(node, _BinOp):
             return self.binop(node)
         if isinstance(node, _Pow):
@@ -327,48 +374,41 @@ class _Evaluator:
         u = self.run(node.left)
         w = self.run(node.right)
         if node.op == "+":
-            return _Jet(u.v + w.v, u.d + w.d, u.dd + w.dd)
+            return _Jet(u.v + w.v, u.d + w.d)
         if node.op == "-":
-            return _Jet(u.v - w.v, u.d - w.d, u.dd - w.dd)
+            return _Jet(u.v - w.v, u.d - w.d)
         if node.op == "*":
-            return _Jet(
-                u.v * w.v,
-                u.d * w.v + u.v * w.d,
-                u.dd * w.v + 2.0 * u.d * w.d + u.v * w.dd,
-            )
+            return _Jet(u.v * w.v, u.d * w.v + u.v * w.d)
         # division
         if _any(w.v == 0):
             self.fail(node.right, "division by zero")
         v = u.v / w.v
-        d = (u.d - v * w.d) / w.v
-        dd = (u.dd - 2.0 * d * w.d - v * w.dd) / w.v
-        return _Jet(v, d, dd)
+        return _Jet(v, (u.d - v * w.d) / w.v)
 
     def intpow(self, node: _Pow) -> _Jet:
         n = node.exponent
         u = self.run(node.base)
         if n == 0:
             one = np.ones_like(u.v) if isinstance(u.v, np.ndarray) else (u.v * 0 + 1.0)
-            return _Jet(one, 0.0, 0.0)
+            return _Jet(one, 0.0)
         if n == 1:
             return u
         if n < 0 and _any(u.v == 0):
             self.fail(node.base, "zero raised to a negative power")
-        # p = t^(n-2) so that value, f', f'' share one power evaluation
+        # f = p*t*t and f' = n*p*t with p = t^(n-2): one power evaluation,
+        # and a rounding order that CLI output is pinned to byte for byte
         t = u.v
         p = t ** (n - 2) if n != 2 else (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
         f = p * t * t
         f1 = n * p * t
-        f2 = n * (n - 1) * p
-        return _Jet(f, f1 * u.d, f2 * u.d * u.d + f1 * u.dd)
+        return _Jet(f, f1 * u.d)
 
     def call(self, node: _Call) -> _Jet:
         u = self.run(node.arg)
         t = u.v
         name = node.func
         if name == "exp":
-            e = np.exp(t)
-            f, f1, f2 = e, e, e
+            f = f1 = np.exp(t)
         elif name == "ln":
             if self.is_complex:
                 if _any(t == 0):
@@ -377,7 +417,6 @@ class _Evaluator:
                 self.fail(node.arg, "log of a non-positive number")
             f = np.log(t)
             f1 = 1.0 / t
-            f2 = -f1 * f1
         elif name == "sqrt":
             if self.is_complex:
                 if _any(t == 0):
@@ -388,18 +427,17 @@ class _Evaluator:
                                         "(the derivative is singular at zero)")
             f = np.sqrt(t)
             f1 = 0.5 / f
-            f2 = -0.5 * f1 / t
         elif name == "sin":
-            f, f1, f2 = np.sin(t), np.cos(t), -np.sin(t)
+            f, f1 = np.sin(t), np.cos(t)
         elif name == "cos":
-            f, f1, f2 = np.cos(t), -np.sin(t), -np.cos(t)
+            f, f1 = np.cos(t), -np.sin(t)
         elif name == "sinh":
-            f, f1, f2 = np.sinh(t), np.cosh(t), np.sinh(t)
+            f, f1 = np.sinh(t), np.cosh(t)
         elif name == "cosh":
-            f, f1, f2 = np.cosh(t), np.sinh(t), np.cosh(t)
+            f, f1 = np.cosh(t), np.sinh(t)
         else:  # pragma: no cover - parser admits only known names
             raise UnknownIdentifierError(name, node.span[0])
-        return _Jet(f, f1 * u.d, f2 * u.d * u.d + f1 * u.dd)
+        return _Jet(f, f1 * u.d)
 
 
 def _as_mapping(expr: Expr, at) -> Mapping:
@@ -421,7 +459,7 @@ def _as_mapping(expr: Expr, at) -> Mapping:
 
 
 def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
-    """Evaluate ``expr`` with value, d/d(wrt) and d2/d(wrt)2.
+    """Evaluate ``expr`` with its value and d/d(wrt).
 
     ``at`` maps variable names to scalars or same-shaped numpy arrays (a
     bare scalar/array is accepted for univariate expressions).  Real
@@ -433,7 +471,7 @@ def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
         raise ExprError(f"cannot differentiate with respect to {wrt!r}")
     jet = _Evaluator(expr, values, wrt,
                      any(map(np.iscomplexobj, values.values()))).run(expr.ast)
-    return EvalResult(jet.v, jet.d, jet.dd)
+    return EvalResult(jet.v, jet.d)
 
 
 def eval_complex(expr: Expr, z) -> tuple:

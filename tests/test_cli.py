@@ -215,6 +215,51 @@ class TestExitCodes:
         assert "max_iter must be >= 0" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_negative_fd_check_is_usage_error(self):
+        # was run as --fd-check 0, exit 0
+        _, field, _ = invoke(["exact-h", "--f", "x", "--g", "y",
+                              "--nx", "5", "--ny", "5"])
+        code, out, err = invoke(["action", "--fd-check=-1"], stdin_text=field)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "cli.usage"
+        assert "--fd-check must be >= 0" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("f", [
+        "x^(10^400)",
+        "x^(2^2^2^2^2)",
+        "x^(-(10^400))",
+        "(" * 3000 + "x" + ")" * 3000,
+        "+".join(["x"] * 3000),
+        "exp(" * 400 + "x" + ")" * 400,
+    ], ids=["exponent-10^400", "exponent-2^2^2^2^2", "exponent-minus-10^400",
+            "3000-parentheses", "3000-term-sum", "400-nested-exp"])
+    def test_expression_limits_are_syntax_errors(self, f):
+        # were an OverflowError or a RecursionError traceback, no summary
+        code, out, err = invoke(["exact-h", "--f", f, "--g", "y",
+                                 "--nx", "3", "--ny", "3"])
+        assert code == 1
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == "expr.syntax"
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_tower_exponent_is_refused_before_it_is_formed(self):
+        # 2^2^2^2^2^2 = 2^(2^65536): folding it never finished
+        proc = spawn(["exact-h", "--f", "x^2^2^2^2^2^2", "--g", "y"],
+                     subprocess.PIPE)
+        try:
+            out, err = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            raise
+        assert proc.returncode == 1
+        assert out.count(b"\n") == 1
+        assert summary_of(out.decode())["error"]["code"] == "expr.syntax"
+        assert err.decode().startswith("error:") and err.count(b"\n") == 1
+
     def test_march_divergence_is_exit_two(self, monkeypatch):
         real = hyperbolic._lambert_w
 

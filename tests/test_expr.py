@@ -45,7 +45,7 @@ class TestParse:
 
     def test_integer_exponents_fold(self):
         assert d("x^(2+1)", 2.0).value == 8.0
-        assert d("x^-1", 2.0) == (0.5, -0.25, 0.25)
+        assert d("x^-1", 2.0) == (0.5, -0.25)
 
     def test_syntax_error_offset(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -57,6 +57,50 @@ class TestParse:
             parse("x^y", ("x", "y"))
         with pytest.raises(ExprSyntaxError):
             parse("x^0.5", ("x",))
+
+    @pytest.mark.parametrize("src", [
+        "x^(2^53)", "x^-(2^53)", "x^(2^52*2)", "x^(3^33)", "x^(0^99)",
+        "x^(1^99999)", "x^((-1)^99999)",
+    ])
+    def test_exponents_up_to_2_53_fold(self, src):
+        assert d(src, 1.0).value == 1.0
+
+    @pytest.mark.parametrize("src, offset", [
+        ("x^(2^53+1)", 3), ("x^-(2^53+1)", 2), ("x^(2^53*2)", 3),
+        ("x^(3^34)", 3), ("x^1e300", 2), ("x^(10^400)", 3),
+        ("x^(-(10^400))", 3), ("x^(2^2^2^2^2)", 3),
+        # the inner power is refused at its own exponent
+        ("x^(1^(10^16) - 1)", 6),
+    ])
+    def test_exponents_past_2_53_are_refused(self, src, offset):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(src, ("x",))
+        assert "2^53" in str(err.value)
+        assert err.value.offset == offset
+
+    # expressions of parse-tree depth k: each parenthesis pair, operator
+    # and call is one level above its operand, the name x is one level
+    NESTINGS = {
+        "parentheses": lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+        "sum": lambda k: "+".join(["x"] * k),
+        "quotient": lambda k: "/".join(["x"] * k),
+        "minus": lambda k: "-" * (k - 1) + "x",
+        "sin": lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+        "power": lambda k: "x" + "^1" * (k - 1),
+        "mixed": lambda k: "(" * (k // 2) + "x" + ")" * (k // 2)
+                           + "+x" * (k - 1 - k // 2),
+    }
+
+    @pytest.mark.parametrize("shape", NESTINGS)
+    def test_depth_100_is_accepted(self, shape):
+        r = d(self.NESTINGS[shape](100), 0.5)
+        assert np.isfinite(r.value) and np.isfinite(r.d1)
+
+    @pytest.mark.parametrize("shape", NESTINGS)
+    def test_depth_101_is_refused(self, shape):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(self.NESTINGS[shape](101), ("x",))
+        assert "deeper than 100 levels" in str(err.value)
 
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifierError) as err:
@@ -90,7 +134,7 @@ class TestParse:
 
 class TestEvalDual:
     def test_ln_standard_derivatives(self):
-        assert d("ln(x)", 1.0) == (0.0, 1.0, -1.0)
+        assert d("ln(x)", 1.0) == (0.0, 1.0)
 
     def test_ln_domain_error(self):
         with pytest.raises(DomainError):
@@ -113,17 +157,20 @@ class TestEvalDual:
         x = 0.7
         r = d("sin(x)", x)
         assert r.d1 == pytest.approx(math.cos(x), abs=1e-15)
-        assert r.d2 == pytest.approx(-math.sin(x), abs=1e-15)
         r = d("cosh(x)", x)
         assert r.d1 == pytest.approx(math.sinh(x), abs=1e-15)
-        assert r.d2 == pytest.approx(math.cosh(x), abs=1e-15)
 
     def test_constant_has_zero_derivatives(self):
-        assert d("3*2 - 1", 5.0) == (5.0, 0.0, 0.0)
+        assert d("3*2 - 1", 5.0) == (5.0, 0.0)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_power_second_derivative(self, n):
-        assert d(f"x^{n}", 1.0).d2 == float(n * (n - 1))
+        # d/dx x^n at 1 is n; the second derivative n(n-1) is the
+        # complex step of the first, Im f'(1 + ih) / h
+        assert d(f"x^{n}", 1.0).d1 == float(n)
+        h = 1e-30
+        assert d(f"x^{n}", 1.0 + h * 1j).d1.imag / h == pytest.approx(
+            n * (n - 1), rel=1e-15)
 
     def test_bivariate_partials(self):
         e = parse("x^2*y + y^3", ("x", "y"))
@@ -131,8 +178,8 @@ class TestEvalDual:
         rx = eval_dual(e, at, "x")
         ry = eval_dual(e, at, "y")
         assert rx.value == 39.0
-        assert rx.d1 == 12.0 and rx.d2 == 6.0
-        assert ry.d1 == 31.0 and ry.d2 == 18.0
+        assert rx.d1 == 12.0
+        assert ry.d1 == 31.0
 
     def test_array_matches_scalar(self):
         e = parse("sin(x)*exp(x) + x^2", ("x",))
@@ -142,7 +189,6 @@ class TestEvalDual:
             one = eval_dual(e, float(x), "x")
             assert vec.value[i] == one.value
             assert vec.d1[i] == one.d1
-            assert vec.d2[i] == one.d2
 
 
 class TestEvalComplex:
@@ -163,7 +209,6 @@ class TestEvalComplex:
         r = eval_dual(parse("z^2", ("z",)), 1j, "z")
         assert r.value == -1.0 + 0.0j
         assert r.d1 == 2.0j
-        assert r.d2 == 2.0 + 0.0j
 
     def test_needs_univariate(self):
         with pytest.raises(ExprError):
@@ -200,16 +245,6 @@ def test_d1_matches_central_differences_at_second_order(src, x):
     # quartering with slack, plus an absolute floor for flat spots where
     # the truncation term happens to vanish and roundoff dominates
     assert e2 <= e1 / 2.0 ** 1.9 + 1e-11 * scale
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(CORPUS), st.floats(0.2, 2.0))
-def test_d2_is_derivative_of_d1(src, x):
-    e = parse(src, ("x",))
-    r = eval_dual(e, x, "x")
-    h = 1e-4
-    cd = (eval_dual(e, x + h, "x").d1 - eval_dual(e, x - h, "x").d1) / (2 * h)
-    assert abs(cd - r.d2) <= 1e-6 * (abs(r.d2) + 1.0)
 
 
 class TestAxisPair:
