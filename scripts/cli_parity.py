@@ -56,6 +56,11 @@ ARGVS = [
     ["exact-h", "--f", "x^(10^400)", "--g", "y", "--nx", "3", "--ny", "3"],
     ["exact-h", "--f", "(" * 3000 + "x" + ")" * 3000, "--g", "y",
      "--nx", "3", "--ny", "3"],
+    # constant powers that overflow a float or a complex (exit 1)
+    ["exact-h", "--f", "x+2^2000", "--g", "y", "--nx", "3", "--ny", "3"],
+    ["exact-h", "--f", "x+10^400", "--g", "y", "--nx", "3", "--ny", "3"],
+    ["exact-e", "--F", "z+2^2000", "--nx", "3", "--ny", "3"],
+    ["solve-elliptic", "--boundary", "x+2^2000", "--nx", "5", "--ny", "5"],
     ["blowup-curve", "--f", "x", "--g", "y - 0.5", "--samples", "11",
      "--out", "curve.csv"],
     # end-point zeros at both ends of the y-interval, and rows with no
@@ -126,6 +131,9 @@ ARGVS = [
     ["solve-elliptic", "--nx", "300", "--ny", "97", "--out", "rect300.csv"],
     ["solve-elliptic", "--nx", "66", "--ny", "40", "--out", "rect66.csv"],
     ["solve-elliptic", "--nx", "67", "--ny", "40", "--out", "rect67.csv"],
+    # the FFT goes in blocks of 64 lines: a 513 x 129 interior ends in a
+    # one-line block on both axes
+    ["solve-elliptic", "--nx", "515", "--ny", "131", "--out", "rect515.csv"],
     ["solve-elliptic", "--domain", "-0.4", "-0.4", "0.4", "0.4",
      "--nx", "65", "--ny", "65", "--K", "-1",
      "--boundary", "ln(8/(1+x^2+y^2)^2)", "--out", "rect65.csv"],
@@ -156,6 +164,9 @@ ARGVS = [
     ["gelfand", "--n", "3", "--ds", "0.1"],
     ["gelfand", "--n", "63", "--ds", "0.02"],
     ["gelfand", "--geometry", "rectangle", "--nx", "97", "--ny", "97",
+     "--u0-cap", "1.5"],
+    # bordered solves on the FFT path
+    ["gelfand", "--geometry", "rectangle", "--nx", "131", "--ny", "67",
      "--u0-cap", "1.5"],
     # boundary blow-up homotopy
     ["blowup-approx", "--n", "1025"],

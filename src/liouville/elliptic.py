@@ -33,7 +33,8 @@ from .errors import (
     SingularJacobianError,
 )
 from .fields import (MAX_NEWTON, MAX_NODES, NEWTON_TOL, Grid2D,
-                     LiouvilleParams, ScalarField2D, laplacian, write_table)
+                     LiouvilleParams, ScalarField2D, _row_blocks, laplacian,
+                     write_table)
 
 if TYPE_CHECKING:
     from .expr import Expr
@@ -355,22 +356,25 @@ def _dst2(x: np.ndarray, sines: Optional[tuple]) -> np.ndarray:
     """Unnormalized 2-D DST-I of the (ny, nx) array ``x``,
     y_kl = 4 sum_ij x_ij sin(pi (i+1)(k+1)/(ny+1)) sin(pi (j+1)(l+1)/(nx+1)).
     With the symmetric ``sines`` (sy, sx) of ``_sine_matrices`` it is
-    sy @ x @ sx.  Without, it goes one axis at a time: the sine transform
-    of a line is -Im of the real FFT of its odd extension
-    [0, x, 0, -x[::-1]].  The two minus signs cancel, so neither is
-    applied."""
+    sy @ x @ sx.  Without, it goes one axis at a time, the columns of
+    ``x`` into the result and then the result's rows in place, each in
+    blocks of lines (``_row_blocks``) whose temporaries stay in cache:
+    the sine transform of a line is -Im of the real FFT of its odd
+    extension [0, x, 0, -x[::-1]].  The two minus signs cancel, so
+    neither is applied.  Each line's FFT is the same whatever the block,
+    so the bits are those of a whole-array transform."""
     if sines is not None:
         sy, sx = sines
         return sy @ x @ sx
-    ny, nx = x.shape
-    z = np.zeros((2 * ny + 2, nx))
-    z[1:ny + 1] = x
-    np.negative(x[::-1], out=z[ny + 2:])
-    x = np.fft.rfft(z, axis=0).imag[1:ny + 1]
-    z = np.zeros((ny, 2 * nx + 2))
-    z[:, 1:nx + 1] = x
-    np.negative(x[:, ::-1], out=z[:, nx + 2:])
-    return np.fft.rfft(z, axis=1).imag[:, 1:nx + 1]
+    out = np.empty(x.shape)
+    for src, dst in ((x.T, out.T), (out, out)):
+        lines, n = src.shape
+        for i0, i1 in _row_blocks(lines):
+            z = np.zeros((i1 - i0, 2 * n + 2))
+            z[:, 1:n + 1] = src[i0:i1]
+            np.negative(src[i0:i1, ::-1], out=z[:, n + 2:])
+            dst[i0:i1] = np.fft.rfft(z, axis=1).imag[:, 1:n + 1]
+    return out
 
 
 def _l2(v: np.ndarray) -> float:
@@ -387,6 +391,10 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     once ||b - J x||_2 <= GMRES_RTOL ||b||_2; raises
     SingularJacobianError when GMRES_CYCLES cycles of GMRES_RESTART
     iterations do not get there.
+
+    The basis V and its preconditioned images Z hold 8 iterations at
+    first and double, up to GMRES_RESTART, only when a cycle runs past
+    them: the Newton steps here mostly run a few iterations.
 
     ``psolve(v)`` returns the pair (P v, J P v), so that an Arnoldi step
     applies no ``matvec``; ``matvec`` (J) gives the true residual
@@ -407,18 +415,20 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     x = np.zeros_like(b)
     r = b
     k = GMRES_RESTART
+    V, Z = np.empty((9, b.size)), np.empty((8, b.size))
     for _ in range(GMRES_CYCLES):
         beta = _l2(r)
         if beta <= tol:
             return x
-        V = np.empty((k + 1, b.size))
-        Z = np.empty((k, b.size))
         R = np.zeros((k, k))
         cs, sn = np.zeros(k), np.zeros(k)
         g = np.zeros(k + 1)
         g[0] = beta
         V[0] = r / beta
         for j in range(k):
+            if j == len(Z):
+                grow = np.empty((min(2 * j, k) - j, b.size))
+                V, Z = np.concatenate((V, grow)), np.concatenate((Z, grow))
             Z[j], w = psolve(V[j])
             h = np.einsum("ij,j->i", V[:j + 1], w)
             w -= np.einsum("i,ij->j", h, V[:j + 1])

@@ -398,7 +398,12 @@ class _Evaluator:
         # f = p*t*t and f' = n*p*t with p = t^(n-2): one power evaluation,
         # and a rounding order that CLI output is pinned to byte for byte
         t = u.v
-        p = t ** (n - 2) if n != 2 else (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
+        try:
+            p = t ** (n - 2) if n != 2 else (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
+        except OverflowError:
+            # a constant base is a Python scalar, whose ** raises where
+            # numpy's would give inf
+            self.fail(node, "the power overflows")
         f = p * t * t
         f1 = n * p * t
         return _Jet(f, f1 * u.d)

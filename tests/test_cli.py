@@ -245,6 +245,25 @@ class TestExitCodes:
         assert summary_of(out)["error"]["code"] == "expr.syntax"
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, power", [
+        (["exact-h", "--f", "x+2^2000", "--g", "y"], "2^2000"),
+        (["exact-h", "--f", "x+10^400", "--g", "y"], "10^400"),
+        (["exact-e", "--F", "z+2^2000"], "2^2000"),
+        (["solve-elliptic", "--boundary", "x+2^2000"], "2^2000"),
+    ], ids=["exact-h-2^2000", "exact-h-10^400", "exact-e-2^2000",
+            "solve-elliptic-2^2000"])
+    def test_overflowing_constant_power_is_domain_error(self, args, power):
+        # a constant base is a Python scalar, whose ** raised
+        # OverflowError: a traceback and no summary
+        size = "5" if args[0] == "solve-elliptic" else "3"
+        code, out, err = invoke(args + ["--nx", size, "--ny", size])
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "expr.domain"
+        assert f"'{power}'" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_tower_exponent_is_refused_before_it_is_formed(self):
         # 2^2^2^2^2^2 = 2^(2^65536): folding it never finished
         proc = spawn(["exact-h", "--f", "x^2^2^2^2^2^2", "--g", "y"],

@@ -2,6 +2,7 @@
 against the closed-form families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,61 @@ class TestKrylovSolve:
             dense = sine(ny) @ x @ sine(nx)
             got = _dst2(x, sines)
             assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("shape", [(65, 65), (3, 300), (300, 3),
+                                       (129, 127), (95, 298), (513, 129)])
+    def test_blocked_fft_is_bit_identical_to_whole_array(self, shape):
+        # the FFT path goes in blocks of lines; these shapes end in ragged
+        # or one-line blocks on either axis
+
+        def whole(x):
+            ny, nx = x.shape
+            z = np.zeros((2 * ny + 2, nx))
+            z[1:ny + 1] = x
+            np.negative(x[::-1], out=z[ny + 2:])
+            x = np.fft.rfft(z, axis=0).imag[1:ny + 1]
+            z = np.zeros((ny, 2 * nx + 2))
+            z[:, 1:nx + 1] = x
+            np.negative(x[:, ::-1], out=z[:, nx + 2:])
+            return np.fft.rfft(z, axis=1).imag[:, 1:nx + 1]
+
+        x = np.random.default_rng(11).standard_normal(shape)
+        assert _dst2(x, None).tobytes() == whole(x).tobytes()
+
+    def test_basis_grows_past_its_first_allocation(self):
+        # with the identity as preconditioner GMRES needs tens of
+        # iterations in a cycle, past the room first allocated for 8
+        system = self.system()
+        u, coef = system.initial_guess(), 1.0
+        J = dense_jacobian(system, u, coef)
+        b = -system.residual(u, coef, 1.0)
+        iterations = 0
+
+        def psolve(v):
+            nonlocal iterations
+            iterations += 1
+            return v.copy(), J @ v
+
+        x = elliptic._gmres(lambda v: J @ v, psolve, b)
+        assert iterations > 16
+        assert np.linalg.norm(b - J @ x) <= GMRES_RTOL * np.linalg.norm(b)
+        exact = np.linalg.solve(J, b)
+        bound = np.linalg.cond(J) * GMRES_RTOL * np.linalg.norm(exact)
+        assert np.linalg.norm(x - exact) <= bound
+
+    def test_newton_solve_holds_few_interior_arrays(self):
+        # the traced peak of a 257 x 257 solve, in interior-sized arrays:
+        # a full-size Krylov basis and whole-field FFT temporaries took 141
+        g = Grid2D.from_bounds(-0.5, -0.5, 0.5, 0.5, 257, 257)
+        prob = DirichletProblem(RectangleGeometry(g), LiouvilleParams(2.0, 1.0))
+        tracemalloc.start()
+        try:
+            _, report = solve_dirichlet(prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak <= 40 * (g.nx - 2) * (g.ny - 2) * 8
 
     def test_dst2_does_not_depend_on_blas_threads(self, fresh_python):
         # the largest dense sine products, and the FFT at 127 x 127, where
