@@ -143,6 +143,17 @@ ARGVS = [
      "--out", "disk1025.csv"],
     ["solve-elliptic", "--geometry", "disk", "--n", "257", "--K", "-2",
      "--out", "disk_none.csv"],
+    # coefficients so large that the first Newton correction is 0 or
+    # its norm underflows, or the mean of the Jacobian's diagonal, the
+    # preconditioner's shift, overflows (exit 1 or 2): each ended in a
+    # ZeroDivisionError traceback or printed a RuntimeWarning before
+    # these were detected
+    ["solve-elliptic", "--K", "1e300"],
+    ["solve-elliptic", "--K", "1e308"],
+    ["solve-elliptic", "--a", "1e300"],
+    ["solve-elliptic", "--geometry", "disk", "--a", "1e308"],
+    ["solve-elliptic", "--a", "1e308"],
+    ["solve-elliptic", "--K", "1e10", "--a=-1e300"],
     # continuation on both geometries
     ["gelfand"],
     ["gelfand", "--n", "1025", "--out", "branch1025.csv"],

@@ -50,7 +50,6 @@ __all__ = [
     "Branch",
     "solve_dirichlet",
     "continue_branch",
-    "solve_on_branch",
     "boundary_blowup_approx",
 ]
 
@@ -389,8 +388,8 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     preconditioned, Arnoldi by classical Gram-Schmidt applied twice, the
     least-squares problem kept triangular by Givens rotations.  Returns x
     once ||b - J x||_2 <= GMRES_RTOL ||b||_2; raises
-    SingularJacobianError when GMRES_CYCLES cycles of GMRES_RESTART
-    iterations do not get there.
+    SingularJacobianError when ||b||_2 overflows or GMRES_CYCLES cycles
+    of GMRES_RESTART iterations do not get there.
 
     The basis V and its preconditioned images Z hold 8 iterations at
     first and double, up to GMRES_RESTART, only when a cycle runs past
@@ -412,6 +411,8 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     OpenBLAS runs on one thread at any thread count (see
     _DENSE_SINE_MAX), so their bits do not depend on it either."""
     tol = GMRES_RTOL * _l2(b)
+    if not np.isfinite(tol):
+        raise SingularJacobianError("the right-hand side's 2-norm overflows")
     x = np.zeros_like(b)
     r = b
     k = GMRES_RESTART
@@ -525,7 +526,12 @@ class _RectSystem(_System):
         of d clipped at mu1/2 so that A + c I stays negative definite.
         J P v = v + (d - c) P v needs no stencil."""
         d = coef * a * np.exp(a * u)
-        c = min(float(d.mean()), 0.5 * self.mu1)
+        with np.errstate(over="ignore"):
+            c = float(d.mean())
+        if not np.isfinite(c):
+            raise SingularJacobianError("the mean of the Jacobian's "
+                                        "diagonal term is not finite")
+        c = min(c, 0.5 * self.mu1)
         dc = d - c
 
         def psolve(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -631,7 +637,8 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
     that a tiny fold gradient does not stall the Krylov solve.  Stops at
     the first evaluated |F| <= max(tol, ``rounding_floor``) with |N| <=
     tol; fails at a non-finite residual or floor, after ``max_iter``
-    steps, or at the first step no shorter than the one before
+    steps, at a correction whose norm is not > 0, or at the first step
+    no shorter than the one before
     (Deuflhard 2004, ch. 3 and 5).  Returns (u, coef, report, Theta_0
     = |dx_1|/|dx_0|, or 0); the report's residuals are max(|F|, |N|),
     its tolerance the threshold checked last."""
@@ -664,6 +671,10 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
             du, dc = system.bordered_solver(u, coef, np.exp(u), scale * row,
                                             scale * corner)(-F, -scale * N)
         steps.append(_norm(du, dc))
+        # a zero correction, or one whose norm underflows, leaves u as it is
+        if not steps[-1] > 0.0:
+            message = "Newton correction is zero or its norm underflows"
+            break
         if it:
             theta0 = steps[1] / steps[0]
             if steps[-1] >= steps[-2]:
@@ -699,10 +710,12 @@ def solve_dirichlet(p: DirichletProblem, tol: float = NEWTON_TOL,
 
 @dataclass
 class BranchPoint:
+    """``u``, the interior field, is kept on a trace's last three points."""
+
     s: float
     lam: float
     u0: float
-    u: np.ndarray = field(repr=False)
+    u: Optional[np.ndarray] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -803,9 +816,10 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
 
     Pseudo-arclength steps with ds in [1e-4, 0.1] aimed at a corrector
     contraction Theta_0 of 1/8, predicted through the last three points
-    (``_predict``).  Once lambda falls, the fold is solved from the
-    highest point by the steps' bordered Newton loop with ``fold_tol``
-    (``_solve_fold``); a fold solve that fails raises.
+    (``_predict``), the only ones whose ``u`` it keeps.  Once lambda
+    falls, the fold is solved from the highest point by the steps'
+    bordered Newton loop with ``fold_tol`` (``_solve_fold``); a fold
+    solve that fails raises.
     Stops on ``max_steps`` (at least 2), or once past the fold when
     lambda falls below ``lam_stop`` (default: lam_start) or the center
     value exceeds ``u0_cap``.
@@ -846,6 +860,8 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
             ds = max(ds / 2.0, DS_MIN)
             continue
         points.append(pt)
+        if len(points) > 3:
+            points[-4].u = None
 
         # lambda rises from the natural start until the first fold
         if fold is None and pt.lam < points[-2].lam:
@@ -858,30 +874,6 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
             break
 
     return Branch(points, fold, aborted)
-
-
-def solve_on_branch(geometry: Geometry, branch: Branch, lam: float,
-                    side: str = "lower", tol: float = NEWTON_TOL,
-                    ) -> tuple[Union[ScalarField2D, RadialProfile], SolveReport]:
-    """Solve the Gelfand problem at a prescribed lambda on one side of
-    the fold, seeding Newton from the nearest branch point.
-
-    ``side`` is "lower" (points up to ``fold.index``) or "upper"
-    (points past it).
-    """
-    _require_finite({"tol": tol})
-    if side not in ("lower", "upper"):
-        raise EllipticError(f"side must be 'lower' or 'upper', got {side!r}")
-    if branch.fold is None and side == "upper":
-        raise EllipticError("branch has no fold, no upper side exists")
-    split = branch.fold.index + 1 if branch.fold is not None else len(branch.points)
-    segment = branch.points[:split] if side == "lower" else branch.points[split:]
-    if not segment:
-        raise EllipticError(f"no branch points on the {side} side")
-    best = min(segment, key=lambda pt: abs(pt.lam - lam))
-    system = _make_system(geometry, 0.0)
-    u, _, report, _ = _newton(system, best.u, lam, 1.0, tol)
-    return system.pack(u), report
 
 
 def boundary_blowup_approx(geometry: DiskGeometry, M_list: list[float],

@@ -28,7 +28,6 @@ from liouville.elliptic import (
     RectangleGeometry,
     boundary_blowup_approx,
     solve_dirichlet,
-    solve_on_branch,
 )
 from liouville.expr import eval_dual, parse
 from liouville.fields import (
@@ -146,8 +145,12 @@ def test_criterion_4(disk_branch_2049):
     within 1e-3, in under 10 s."""
     geometry, branch, _ = disk_branch_2049
     t0 = time.perf_counter()
-    profile, report = solve_on_branch(geometry, branch, 1.0, "lower")
+    # the lower branch holds the minimal solution, which Newton reaches
+    # from u = 0: the Dirichlet problem Delta u = K e^u with K = -lambda
+    profile, report = solve_dirichlet(
+        DirichletProblem(geometry, LiouvilleParams(-1.0, 1.0)))
     assert report.converged
+    assert profile.u0 < branch.fold.u0
     assert abs(profile.u0 - math.log(8.0 * (3.0 - 2.0 * math.sqrt(2.0)))) <= 1e-3
     assert time.perf_counter() - t0 < 10.0
 

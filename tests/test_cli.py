@@ -264,6 +264,30 @@ class TestExitCodes:
         assert f"'{power}'" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, code, error", [
+        (["--K", "1e300"], 1, "elliptic.singular_jacobian"),
+        (["--K", "1e308"], 1, "elliptic.singular_jacobian"),
+        (["--a", "1e300"], 2, "elliptic.non_convergence"),
+        (["--geometry", "disk", "--a", "1e308"], 2,
+         "elliptic.non_convergence"),
+        (["--a", "1e308"], 1, "elliptic.singular_jacobian"),
+        (["--K", "1e10", "--a=-1e300"], 1, "elliptic.singular_jacobian"),
+    ], ids=["K-1e300", "K-1e308", "a-1e300", "disk-a-1e308", "a-1e308",
+            "K-1e10-a-minus-1e300"])
+    def test_huge_coefficients_end_in_one_summary(self, args, code, error):
+        # the first four ended in a ZeroDivisionError traceback: the first
+        # Newton correction was exactly 0, from an inf GMRES tolerance on
+        # rectangles and an underflowing du.du on the disk; K = 1e308 and
+        # the last two printed a RuntimeWarning from a Jacobian diagonal,
+        # or its mean, the preconditioner's shift, that overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = invoke(["solve-elliptic", *args])
+        assert got == code
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == error
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_tower_exponent_is_refused_before_it_is_formed(self):
         # 2^2^2^2^2^2 = 2^(2^65536): folding it never finished
         proc = spawn(["exact-h", "--f", "x^2^2^2^2^2^2", "--g", "y"],

@@ -11,7 +11,6 @@ from liouville import elliptic
 from liouville.closedform import AnalyticSeed, elliptic_exact, gelfand_radial
 from liouville.elliptic import (
     GMRES_RTOL,
-    Branch,
     BranchPoint,
     DirichletProblem,
     DiskGeometry,
@@ -28,7 +27,6 @@ from liouville.elliptic import (
     boundary_blowup_approx,
     continue_branch,
     solve_dirichlet,
-    solve_on_branch,
 )
 from liouville.errors import (
     EllipticError,
@@ -75,6 +73,21 @@ BRANCH_JUMPS = [(57, 0), (57, 1), (58, 3), (58, 6), (61, 8), (62, 4),
 @pytest.fixture(scope="module")
 def branch257():
     return continue_branch(DiskGeometry(257))
+
+
+def lower_side(geom, lam):
+    """The minimal solution of Delta u + lam e^u = 0 with u = 0 on the
+    boundary: the Dirichlet problem K = -lam, solved by Newton from u = 0."""
+    return solve_dirichlet(DirichletProblem(geom, LiouvilleParams(-lam, 1.0)))
+
+
+def upper_side(geom, lam):
+    """The solution past the fold at ``lam``: Newton from the last point
+    of a trace stopped once past the fold by ``lam_stop=lam``."""
+    system = _make_system(geom, 0.0)
+    seed = continue_branch(geom, lam_stop=lam).points[-1].u
+    u, _, report, _ = _newton(system, seed, lam, 1.0)
+    return system.pack(u), report
 
 
 class TestRectangleSolve:
@@ -197,8 +210,8 @@ class TestDiskSolve:
         # n = 257 every delta from 1e-10 to 4e-9 converges on both sides.
         lam = branch257.fold.lam0 - 1e-9
         geom = DiskGeometry(257)
-        lo, lo_report = solve_on_branch(geom, branch257, lam, "lower")
-        up, up_report = solve_on_branch(geom, branch257, lam, "upper")
+        lo, lo_report = lower_side(geom, lam)
+        up, up_report = upper_side(geom, lam)
         assert lo_report.converged and up_report.converged
         exact = fam.profile()(lo.r)
         for prof in (lo, up):
@@ -434,20 +447,29 @@ class TestCyclicReduction:
                 rel_residual(J, dense, rhs), np.finfo(float).eps)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 65, 257])
-    def test_residual_along_branch_within_10x_of_lu(self, n, branch257):
+    def test_residual_along_branch_within_10x_of_lu(self, n, monkeypatch):
         # every point of a branch traced past its fold, with the bordered
-        # column -e^u and a fixed generic right-hand side
+        # column -e^u and a fixed generic right-hand side; the trace keeps
+        # the last three fields only, so each is caught as its point is made
+        made = []
+
+        def recorded(s, lam, u0, u):
+            made.append((u, lam))
+            return BranchPoint(s, lam, u0, u)
+
+        monkeypatch.setattr(elliptic, "BranchPoint", recorded)
         geom = DiskGeometry(n)
-        branch = branch257 if n == 257 else continue_branch(geom)
+        branch = continue_branch(geom)
         assert branch.fold is not None
         assert branch.points[-1].lam < branch.fold.lam0
+        assert [lam for _, lam in made] == [pt.lam for pt in branch.points]
         system = _make_system(geom, 0.0)
         generic = np.random.default_rng(7).normal(size=system.m)
         worst_cr = worst_lu = 0.0
-        for pt in branch.points:
-            J = disk_jacobian(system, pt.u, pt.lam)
-            solve = system.jacobian_solver(pt.u, pt.lam, 1.0)
-            for rhs in (-np.exp(pt.u), generic):
+        for u, lam in made:
+            J = disk_jacobian(system, u, lam)
+            solve = system.jacobian_solver(u, lam, 1.0)
+            for rhs in (-np.exp(u), generic):
                 worst_cr = max(worst_cr, rel_residual(J, solve(rhs), rhs))
                 worst_lu = max(worst_lu, rel_residual(
                     J, np.linalg.solve(J, rhs), rhs))
@@ -631,8 +653,8 @@ class TestFold:
         geom = DiskGeometry(1025)
         branch = continue_branch(geom)
         lam = branch.fold.lam0 - 1e-9
-        for side in ("lower", "upper"):
-            _, report = solve_on_branch(geom, branch, lam, side)
+        for side in (lower_side, upper_side):
+            _, report = side(geom, lam)
             assert report.converged
 
 
@@ -718,6 +740,8 @@ class TestContinuation:
         first = branch257.points[0]
         assert first.lam == 0.0
         assert first.u0 == 0.0
+        # a long trace keeps no field this old; a two-point one does
+        first = continue_branch(DiskGeometry(257), max_steps=2).points[0]
         assert np.all(first.u == 0.0)
 
     def test_fold_location(self, branch257):
@@ -745,20 +769,20 @@ class TestContinuation:
         s = [pt.s for pt in branch257.points]
         assert all(b > a for a, b in zip(s, s[1:]))
 
-    def test_two_solutions_pair_up(self, branch257):
+    def test_two_solutions_pair_up(self):
         # members at equal lambda have parameters b and 1/b, so the
         # product of their recovered b values must be 1
         geom = DiskGeometry(257)
         for lam in (0.8, 1.2):
-            lo, _ = solve_on_branch(geom, branch257, lam, "lower")
-            up, _ = solve_on_branch(geom, branch257, lam, "upper")
+            lo, _ = lower_side(geom, lam)
+            up, _ = upper_side(geom, lam)
             b_lo = math.exp(lo.u0 / 2.0) - 1.0
             b_up = math.exp(up.u0 / 2.0) - 1.0
             assert b_lo < 1.0 < b_up
             assert abs(b_lo * b_up - 1.0) <= 1e-3
 
-    def test_lower_branch_at_unit_lambda(self, branch257):
-        prof, _ = solve_on_branch(DiskGeometry(257), branch257, 1.0, "lower")
+    def test_lower_branch_at_unit_lambda(self):
+        prof, _ = lower_side(DiskGeometry(257), 1.0)
         assert abs(prof.u0 - math.log(8.0 * (3.0 - 2.0 * math.sqrt(2.0)))) <= 1e-4
 
     def test_short_trace_has_no_fold(self):
@@ -766,8 +790,6 @@ class TestContinuation:
         assert short.fold is None
         assert not short.aborted
         assert len(short.points) == 5
-        with pytest.raises(EllipticError):
-            solve_on_branch(DiskGeometry(65), short, 1.0, "upper")
 
     def test_center_cap_truncates_upper_branch(self, branch257):
         capped = continue_branch(DiskGeometry(257), u0_cap=1.0)
@@ -775,6 +797,26 @@ class TestContinuation:
         assert len(capped.points) < len(branch257.points)
         assert capped.points[-1].u0 < 2.0
         assert branch257.points[-1].u0 > 15.0
+
+    def test_trace_holds_the_fields_of_three_points(self):
+        # the traced peak, in interior-sized arrays, does not grow with
+        # the trace: keeping every point's field, it was 118 to u0 = 1.5
+        # and 137 to u0 = 3
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 65, 65)
+        peaks = []
+        for cap in (1.5, 3.0):
+            tracemalloc.start()
+            try:
+                branch = continue_branch(RectangleGeometry(g), u0_cap=cap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert branch.fold is not None and not branch.aborted
+            kept = [pt.u is not None for pt in branch.points]
+            assert kept == [False] * (len(kept) - 3) + [True] * 3
+            peaks.append(peak / ((g.nx - 2) * (g.ny - 2) * 8))
+        assert max(peaks) <= 64
+        assert max(peaks) <= 1.1 * min(peaks)
 
     @pytest.mark.parametrize("n, k", BRANCH_JUMPS,
                              ids=[f"n{n}-ds{DS_SWEEP[k]:.4g}"
@@ -784,8 +826,8 @@ class TestContinuation:
         pts = branch.points
         assert branch.fold is not None and not branch.aborted
         assert pts[-1].lam > 0 and pts[-1].u0 > 15.0
-        assert max(_norm(q.u - p.u, q.lam - p.lam)
-                   for p, q in zip(pts, pts[1:])) <= 0.5
+        # a point's s is its predecessor's plus the chord between them
+        assert max(q.s - p.s for p, q in zip(pts, pts[1:])) <= 0.5
 
     def test_parameter_validation(self):
         with pytest.raises(EllipticError):
@@ -796,8 +838,6 @@ class TestContinuation:
         for max_steps in (-1, 0, 1):
             with pytest.raises(EllipticError):
                 continue_branch(DiskGeometry(65), max_steps=max_steps)
-        with pytest.raises(EllipticError):
-            solve_on_branch(DiskGeometry(65), Branch([]), 1.0, "sideways")
 
     @pytest.mark.filterwarnings("error")
     def test_corrector_overflow_is_silent(self):
@@ -925,9 +965,7 @@ class TestValidation:
         problem = DirichletProblem(disk, LiouvilleParams(-1.0, 1.0), 0.0)
         for call in (lambda: solve_dirichlet(problem, tol=value),
                      lambda: continue_branch(disk, tol=value),
-                     lambda: continue_branch(disk, fold_tol=value),
-                     lambda: solve_on_branch(disk, Branch([]), 1.0,
-                                             tol=value)):
+                     lambda: continue_branch(disk, fold_tol=value)):
             with pytest.raises(EllipticError, match="must be finite"):
                 call()
 
