@@ -134,6 +134,11 @@ ARGVS = [
     # the FFT goes in blocks of 64 lines: a 513 x 129 interior ends in a
     # one-line block on both axes
     ["solve-elliptic", "--nx", "515", "--ny", "131", "--out", "rect515.csv"],
+    # the benchmark's size, whose Newton steps run 1-3 GMRES iterations,
+    # and a stiffer K whose steps run 5, past the basis first allocated
+    ["solve-elliptic", "--nx", "257", "--ny", "257", "--out", "rect257.csv"],
+    ["solve-elliptic", "--nx", "257", "--ny", "257", "--K", "30",
+     "--out", "rect257_K30.csv"],
     ["solve-elliptic", "--domain", "-0.4", "-0.4", "0.4", "0.4",
      "--nx", "65", "--ny", "65", "--K", "-1",
      "--boundary", "ln(8/(1+x^2+y^2)^2)", "--out", "rect65.csv"],
@@ -154,6 +159,9 @@ ARGVS = [
     ["solve-elliptic", "--geometry", "disk", "--a", "1e308"],
     ["solve-elliptic", "--a", "1e308"],
     ["solve-elliptic", "--K", "1e10", "--a=-1e300"],
+    # boundary data whose term in F overflows, on both geometries (exit 1)
+    ["solve-elliptic", "--boundary=1e308"],
+    ["solve-elliptic", "--geometry", "disk", "--boundary=-1e308"],
     # continuation on both geometries
     ["gelfand"],
     ["gelfand", "--n", "1025", "--out", "branch1025.csv"],

@@ -181,6 +181,13 @@ class _System:
         return self.apply_A(v) + coef * a * np.exp(a * u) * v
 
 
+def _require_finite_bc(bc_vec: np.ndarray) -> None:
+    """Refuse boundary data whose term in F, A applied to the data,
+    overflows (it is computed with overflow warnings off)."""
+    if not np.all(np.isfinite(bc_vec)):
+        raise EllipticError("the boundary term A u|_boundary overflows")
+
+
 def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
                       ) -> tuple[Callable[[np.ndarray], np.ndarray],
                                  Callable[[], np.ndarray]]:
@@ -271,7 +278,9 @@ class _RadialSystem(_System):
         self.di[0] = -4.0 / h ** 2
         self.up = np.append(4.0 / h ** 2, 1.0 / h ** 2 + 1.0 / (2 * r[:-1] * h))
         self.bc_vec = np.zeros(m)
-        self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
+        with np.errstate(over="ignore"):
+            self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
+        _require_finite_bc(self.bc_vec)
         self.norm_A = 8.0 / h ** 2  # the center row
         # the diagonal W that makes W A symmetric: r_i, and h/8 at the center
         self.weights = np.append(h / 8, r)
@@ -381,6 +390,13 @@ def _l2(v: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i", v, v)))
 
 
+def _grown(rows: np.ndarray, n: int) -> np.ndarray:
+    """An (n, ...) array whose first len(rows) rows are ``rows``."""
+    out = np.empty((n,) + rows.shape[1:])
+    out[:len(rows)] = rows
+    return out
+
+
 def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
            psolve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
            b: np.ndarray) -> np.ndarray:
@@ -391,9 +407,9 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     SingularJacobianError when ||b||_2 overflows or GMRES_CYCLES cycles
     of GMRES_RESTART iterations do not get there.
 
-    The basis V and its preconditioned images Z hold 8 iterations at
+    The basis V and its preconditioned images Z hold 4 iterations at
     first and double, up to GMRES_RESTART, only when a cycle runs past
-    them: the Newton steps here mostly run a few iterations.
+    them: the Newton steps here mostly run one to three iterations.
 
     ``psolve(v)`` returns the pair (P v, J P v), so that an Arnoldi step
     applies no ``matvec``; ``matvec`` (J) gives the true residual
@@ -416,7 +432,7 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
     x = np.zeros_like(b)
     r = b
     k = GMRES_RESTART
-    V, Z = np.empty((9, b.size)), np.empty((8, b.size))
+    V, Z = np.empty((5, b.size)), np.empty((4, b.size))
     for _ in range(GMRES_CYCLES):
         beta = _l2(r)
         if beta <= tol:
@@ -428,8 +444,9 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
         V[0] = r / beta
         for j in range(k):
             if j == len(Z):
-                grow = np.empty((min(2 * j, k) - j, b.size))
-                V, Z = np.concatenate((V, grow)), np.concatenate((Z, grow))
+                # one at a time: the old V is freed before Z grows
+                V = _grown(V, min(2 * j, k) + 1)
+                Z = _grown(Z, min(2 * j, k))
             Z[j], w = psolve(V[j])
             h = np.einsum("ij,j->i", V[:j + 1], w)
             w -= np.einsum("i,ij->j", h, V[:j + 1])
@@ -453,7 +470,7 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
             y = np.linalg.solve(R[:j + 1, :j + 1], g[:j + 1])
         except np.linalg.LinAlgError:
             break
-        x = x + np.einsum("i,ij->j", y, Z[:j + 1])
+        x += np.einsum("i,ij->j", y, Z[:j + 1])
         r = b - matvec(x)
     if _l2(r) <= tol:
         return x
@@ -474,7 +491,9 @@ class _RectSystem(_System):
         nxi, nyi = g.nx - 2, g.ny - 2
         self.bv = self._boundary_values(g, boundary)
         # A applied to the ring data alone: the interior of bv is zero
-        self.bc_vec = laplacian(self.bv, g.hx, g.hy).ravel()
+        with np.errstate(over="ignore"):
+            self.bc_vec = laplacian(self.bv, g.hx, g.hy).ravel()
+        _require_finite_bc(self.bc_vec)
         self._padded = np.zeros((g.ny, g.nx))
         # eigenvalues of A on the DST-I modes; mu1 = -eig[0, 0] > 0 is
         # the magnitude of the one closest to zero
@@ -538,7 +557,12 @@ class _RectSystem(_System):
             z = self.shifted_inverse(v, c)
             return z, v + dc * z
 
-        return lambda v: self.apply_A(v) + d * v, psolve
+        def matvec(v: np.ndarray) -> np.ndarray:
+            Jv = self.apply_A(v)
+            Jv += d * v
+            return Jv
+
+        return matvec, psolve
 
     def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
                         ) -> Callable[[np.ndarray], np.ndarray]:
@@ -664,12 +688,13 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
         if it >= max_iter:
             message = f"no convergence in {max_iter} iterations"
             break
+        np.negative(F, out=F)  # the right-hand side -F, in place
         if border is None:
-            du, dc = system.jacobian_solver(u, coef, a)(-F), 0.0
+            du, dc = system.jacobian_solver(u, coef, a)(F), 0.0
         else:
             scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
             du, dc = system.bordered_solver(u, coef, np.exp(u), scale * row,
-                                            scale * corner)(-F, -scale * N)
+                                            scale * corner)(F, -scale * N)
         steps.append(_norm(du, dc))
         # a zero correction, or one whose norm underflows, leaves u as it is
         if not steps[-1] > 0.0:

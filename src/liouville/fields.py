@@ -330,8 +330,16 @@ def laplacian(v: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """5-point Laplacian of the ``(ny, nx)`` array ``v`` at its interior
     nodes; the result has shape ``(ny - 2, nx - 2)``."""
     c = v[1:-1, 1:-1]
-    return ((v[1:-1, 2:] - 2.0 * c + v[1:-1, :-2]) / hx**2
-            + (v[2:, 1:-1] - 2.0 * c + v[:-2, 1:-1]) / hy**2)
+    # ((e - 2c + w) / hx^2 + (n - 2c + s) / hy^2) in two buffers
+    lap, t = 2.0 * c, 2.0 * c
+    np.subtract(v[1:-1, 2:], lap, out=lap)
+    lap += v[1:-1, :-2]
+    lap /= hx**2
+    np.subtract(v[2:, 1:-1], t, out=t)
+    t += v[:-2, 1:-1]
+    t /= hy**2
+    lap += t
+    return lap
 
 
 def residual_elliptic(u: ScalarField2D, p: LiouvilleParams) -> ScalarField2D:

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from liouville import elliptic, hyperbolic
+# every module a command imports, up front: TestMemoryBounds traces no
+# first import
+from liouville import (_ryu, action, closedform, elliptic,  # noqa: F401
+                       hyperbolic)
 from liouville.cli import _read_field, run
 from liouville.closedform import hyperbolic_exact
 from liouville.expr import AxisPair, parse
@@ -272,14 +276,22 @@ class TestExitCodes:
          "elliptic.non_convergence"),
         (["--a", "1e308"], 1, "elliptic.singular_jacobian"),
         (["--K", "1e10", "--a=-1e300"], 1, "elliptic.singular_jacobian"),
+        (["--boundary=1e308"], 1, "elliptic.error"),
+        (["--boundary=-1e308"], 1, "elliptic.error"),
+        (["--geometry", "disk", "--boundary=1e308"], 1, "elliptic.error"),
+        (["--geometry", "disk", "--boundary=-1e308"], 1, "elliptic.error"),
     ], ids=["K-1e300", "K-1e308", "a-1e300", "disk-a-1e308", "a-1e308",
-            "K-1e10-a-minus-1e300"])
+            "K-1e10-a-minus-1e300", "boundary-1e308", "boundary-minus-1e308",
+            "disk-boundary-1e308", "disk-boundary-minus-1e308"])
     def test_huge_coefficients_end_in_one_summary(self, args, code, error):
         # the first four ended in a ZeroDivisionError traceback: the first
         # Newton correction was exactly 0, from an inf GMRES tolerance on
         # rectangles and an underflowing du.du on the disk; K = 1e308 and
-        # the last two printed a RuntimeWarning from a Jacobian diagonal,
-        # or its mean, the preconditioner's shift, that overflows
+        # the next two printed a RuntimeWarning from a Jacobian diagonal,
+        # or its mean, the preconditioner's shift, that overflows.  The
+        # boundary cases printed an overflow RuntimeWarning from the
+        # boundary term A u|_boundary and then exited 2 at a non-finite
+        # residual; they are refused before any solve
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, out, err = invoke(["solve-elliptic", *args])
@@ -1102,3 +1114,63 @@ class TestSolverCommands:
         assert doc["n_found"] == 11
         first = out.splitlines()[0]
         assert first == "x,y"
+
+
+# 363^2 nodes: a field of 1.05 MB, each case well under a second
+MEMORY_N = 363
+# the CSV writer's blocks and the parser, whatever the field's size
+MEMORY_ALLOWANCE = 4 * 2 ** 20
+_GRID = ["--nx", str(MEMORY_N), "--ny", str(MEMORY_N)]
+_NULL = ["--out", os.devnull]
+
+
+class TestMemoryBounds:
+    """Each command's traced peak, run in process, is at most k field-
+    sized arrays (``MEMORY_N``^2 doubles) plus ``MEMORY_ALLOWANCE``.  k
+    is the largest (peak - allowance) / field bytes measured at 363^2,
+    513^2 and 1025^2, plus about 15 %, rounded up to a quarter; README
+    "Limits" states the bounds at MAX_NODES.  tracemalloc counts numpy's
+    buffers, not RSS, so the bounds do not depend on the host."""
+
+    @pytest.fixture(scope="class")
+    def fields(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("memory")
+        paths = {name: str(d / f"{name}.csv") for name in ("h", "e", "T")}
+        for args in (["exact-h", "--f", "exp(x)", "--g", "exp(y)", *_GRID,
+                      "--out", paths["h"]],
+                     ["exact-e", "--F", "0.8*z", *_GRID, "--out", paths["e"]],
+                     ["convert-log", "--in", paths["h"], "--direction",
+                      "u-to-T", "--out", paths["T"]]):
+            assert invoke(args)[0] == 0
+        return paths
+
+    @pytest.mark.parametrize("args, k", [
+        (["exact-h", "--f", "exp(x)", "--g", "exp(y)", *_GRID, *_NULL], 2.0),
+        (["exact-e", "--F", "0.8*z", *_GRID, *_NULL], 2.0),
+        (["verify", "--eq", "hyperbolic", "--in", "{h}"], 3.25),
+        (["verify", "--eq", "elliptic", "--in", "{e}"], 3.25),
+        (["verify", "--eq", "log", "--in", "{T}"], 3.25),
+        (["action", "--in", "{h}", "--grad-out", os.devnull], 2.5),
+        (["convert-log", "--in", "{h}", "--direction", "u-to-T", *_NULL],
+         3.25),
+        (["march", "--phi", "0", "--psi", "0", *_GRID, *_NULL,
+          "--mask-out", os.devnull], 3.25),
+        (["backlund", "--w-phi", "x", "--w-psi", "y", *_GRID, *_NULL], 3.0),
+        (["blowup-exact", *_GRID, *_NULL], 1.75),
+        (["solve-elliptic", *_GRID, *_NULL], 26.0),
+        # five GMRES iterations a step: the Krylov basis grows once
+        (["solve-elliptic", *_GRID, *_NULL, "--K", "30"], 36.25),
+    ], ids=["exact-h", "exact-e", "verify-hyperbolic", "verify-elliptic",
+            "verify-log", "action", "convert-log", "march", "backlund",
+            "blowup-exact", "solve-elliptic", "solve-elliptic-K-30"])
+    def test_traced_peak_is_bounded(self, fields, args, k):
+        args = [a.format(**fields) for a in args]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code, out, _ = invoke(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, out
+        assert peak <= k * MEMORY_N ** 2 * 8 + MEMORY_ALLOWANCE

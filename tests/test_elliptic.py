@@ -330,7 +330,7 @@ class TestKrylovSolve:
 
     def test_basis_grows_past_its_first_allocation(self):
         # with the identity as preconditioner GMRES needs tens of
-        # iterations in a cycle, past the room first allocated for 8
+        # iterations in a cycle, past the room first allocated for 4
         system = self.system()
         u, coef = system.initial_guess(), 1.0
         J = dense_jacobian(system, u, coef)
@@ -351,7 +351,8 @@ class TestKrylovSolve:
 
     def test_newton_solve_holds_few_interior_arrays(self):
         # the traced peak of a 257 x 257 solve, in interior-sized arrays:
-        # a full-size Krylov basis and whole-field FFT temporaries took 141
+        # a full-size Krylov basis and whole-field FFT temporaries took
+        # 141, a basis first sized for 8 iterations 32.5; it is 23.4
         g = Grid2D.from_bounds(-0.5, -0.5, 0.5, 0.5, 257, 257)
         prob = DirichletProblem(RectangleGeometry(g), LiouvilleParams(2.0, 1.0))
         tracemalloc.start()
@@ -361,7 +362,7 @@ class TestKrylovSolve:
         finally:
             tracemalloc.stop()
         assert report.converged
-        assert peak <= 40 * (g.nx - 2) * (g.ny - 2) * 8
+        assert peak <= 26 * (g.nx - 2) * (g.ny - 2) * 8
 
     def test_dst2_does_not_depend_on_blas_threads(self, fresh_python):
         # the largest dense sine products, and the FFT at 127 x 127, where
