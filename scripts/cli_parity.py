@@ -35,6 +35,9 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the console script's entry point, whose exit the benchmark also takes
 RUN_CLI = "import liouville.cli as c; c.main()"
+# seconds an argv may run; one that runs longer is stopped and its exit
+# code reads "timeout"
+TIMEOUT_S = 120
 
 ARGVS = [
     # closed forms, then the commands that read their fields back
@@ -61,6 +64,12 @@ ARGVS = [
     ["exact-h", "--f", "x+10^400", "--g", "y", "--nx", "3", "--ny", "3"],
     ["exact-e", "--F", "z+2^2000", "--nx", "3", "--ny", "3"],
     ["solve-elliptic", "--boundary", "x+2^2000", "--nx", "5", "--ny", "5"],
+    # constants that overflow without a power, refused by the parser
+    # (exit 1, expr.domain)
+    ["exact-h", "--f", "x+1e200^2", "--g", "y", "--nx", "3", "--ny", "3"],
+    ["solve-elliptic", "--boundary", "x+1e200^3", "--nx", "5", "--ny", "5"],
+    ["blowup-curve", "--f", "x^2-0.5+1e200^2", "--g", "exp(y)-1",
+     "--samples", "11"],
     ["blowup-curve", "--f", "x", "--g", "y - 0.5", "--samples", "11",
      "--out", "curve.csv"],
     # end-point zeros at both ends of the y-interval, and rows with no
@@ -191,6 +200,10 @@ ARGVS = [
     ["blowup-approx", "--n", "1025"],
     ["blowup-approx", "--n", "2049", "--out", "prof2049_{M}.csv"],
     ["blowup-approx", "--n", "4097", "--M", "5.2869", "8.2869", "11.2869"],
+    # levels at or below 0, each one solve (a homotopy in unit steps from
+    # -1e17 never ended: TIMEOUT_S stops such a run)
+    ["blowup-approx", "--n", "5", "--M", "-100000000000000000", "0"],
+    ["blowup-approx", "--n", "5", "--M", "-2000", "0"],
 ]
 
 
@@ -205,12 +218,17 @@ def run_side(src: pathlib.Path, work: pathlib.Path) -> list:
     results = []
     for argv in ARGVS:
         before = _snapshot(work)
-        proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
-                              cwd=work, env=env, capture_output=True)
+        try:
+            proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
+                                  cwd=work, env=env, capture_output=True,
+                                  timeout=TIMEOUT_S)
+            code, out = proc.returncode, proc.stdout
+        except subprocess.TimeoutExpired as exc:
+            code, out = "timeout", exc.stdout or b""
         after = _snapshot(work)
         written = {name: blob for name, blob in after.items()
                    if before.get(name) != blob}
-        results.append((proc.returncode, proc.stdout, written))
+        results.append((code, out, written))
     return results
 
 

@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import functools
 import gc
-import hashlib
 import json
 import math
 import os
@@ -75,6 +74,17 @@ class _Parser(argparse.ArgumentParser):
 
 _FMT = functools.partial(argparse.HelpFormatter, width=HELP_WIDTH)
 
+# sha256 from the interpreter's built-in module, as random.py takes its
+# sha512: hashlib would load OpenSSL's libcrypto, about 3 MB of every
+# process, for the same digest of the same bytes
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 # --- summary line --------------------------------------------------------
 
@@ -86,7 +96,7 @@ def _num(x) -> Optional[float]:
 
 def _digest(pairs: dict) -> str:
     blob = json.dumps(pairs, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    return sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def _finish(command: Optional[str], digest: str, payload: dict,
@@ -187,7 +197,7 @@ def _read_field(ns) -> ScalarField2D:
     run's inputs as ``ns.field_sha256``, so the digest covers what was
     read, from stdin or a file."""
     field = ScalarField2D.read_csv(sys.stdin if ns.infile == "-" else ns.infile)
-    sha = hashlib.sha256(field.grid.header().encode("utf-8"))
+    sha = sha256(field.grid.header().encode("utf-8"))
     sha.update(field.values)  # C-contiguous: the bytes of tobytes(), uncopied
     ns.field_sha256 = sha.hexdigest()
     return field

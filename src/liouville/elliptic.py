@@ -360,21 +360,26 @@ def _sine_matrices(nyi: int, nxi: int) -> Optional[tuple]:
     return sine(nyi), sine(nxi)
 
 
-def _dst2(x: np.ndarray, sines: Optional[tuple]) -> np.ndarray:
+def _dst2(x: np.ndarray, sines: Optional[tuple],
+          out: Optional[np.ndarray] = None) -> np.ndarray:
     """Unnormalized 2-D DST-I of the (ny, nx) array ``x``,
-    y_kl = 4 sum_ij x_ij sin(pi (i+1)(k+1)/(ny+1)) sin(pi (j+1)(l+1)/(nx+1)).
+    y_kl = 4 sum_ij x_ij sin(pi (i+1)(k+1)/(ny+1)) sin(pi (j+1)(l+1)/(nx+1)),
+    written into ``out`` (a new array if None; it may be ``x`` itself).
     With the symmetric ``sines`` (sy, sx) of ``_sine_matrices`` it is
     sy @ x @ sx.  Without, it goes one axis at a time, the columns of
-    ``x`` into the result and then the result's rows in place, each in
+    ``x`` into ``out`` and then the rows of ``out`` in place, each in
     blocks of lines (``_row_blocks``) whose temporaries stay in cache:
     the sine transform of a line is -Im of the real FFT of its odd
     extension [0, x, 0, -x[::-1]].  The two minus signs cancel, so
-    neither is applied.  Each line's FFT is the same whatever the block,
-    so the bits are those of a whole-array transform."""
+    neither is applied.  A block's lines are copied out before its
+    transforms are written back to the same lines.  Each line's FFT is
+    the same whatever the block, so the bits are those of a whole-array
+    transform."""
     if sines is not None:
         sy, sx = sines
-        return sy @ x @ sx
-    out = np.empty(x.shape)
+        return np.matmul(sy @ x, sx, out=out)
+    if out is None:
+        out = np.empty(x.shape)
     for src, dst in ((x.T, out.T), (out, out)):
         lines, n = src.shape
         for i0, i1 in _row_blocks(lines):
@@ -455,6 +460,7 @@ def _gmres(matvec: Callable[[np.ndarray], np.ndarray],
             hn = _l2(w)
             if hn:
                 V[j + 1] = w / hn
+            del w  # freed before the next psolve
             col = h + h2
             for i in range(j):
                 col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
@@ -494,13 +500,13 @@ class _RectSystem(_System):
         with np.errstate(over="ignore"):
             self.bc_vec = laplacian(self.bv, g.hx, g.hy).ravel()
         _require_finite_bc(self.bc_vec)
-        self._padded = np.zeros((g.ny, g.nx))
-        # eigenvalues of A on the DST-I modes; mu1 = -eig[0, 0] > 0 is
-        # the magnitude of the one closest to zero
+        # the eigenvalues of A on the DST-I modes are
+        # -4 (ey[k] + ex[l]) (``_shifted_eigenvalues``); mu1 > 0 is the
+        # magnitude of the one closest to zero, k = l = 0
         sx = np.sin(0.5 * np.pi * np.arange(1, nxi + 1) / (nxi + 1)) ** 2
         sy = np.sin(0.5 * np.pi * np.arange(1, nyi + 1) / (nyi + 1)) ** 2
-        self.eig = -4.0 * (sy[:, None] / g.hy ** 2 + sx[None, :] / g.hx ** 2)
-        self.mu1 = float(-self.eig[0, 0])
+        self._ex, self._ey = sx / g.hx ** 2, sy / g.hy ** 2
+        self.mu1 = float(4.0 * (self._ey[0] + self._ex[0]))
         self.norm_A = 4.0 / g.hx ** 2 + 4.0 / g.hy ** 2
         self.weights = 1.0  # A is symmetric
         self.geom = geom
@@ -528,16 +534,26 @@ class _RectSystem(_System):
 
     def apply_A(self, v: np.ndarray) -> np.ndarray:
         g = self.geom.grid
-        self._padded[1:-1, 1:-1] = v.reshape(self.nyi, self.nxi)
-        return laplacian(self._padded, g.hx, g.hy).ravel()
+        padded = np.zeros((g.ny, g.nx))
+        padded[1:-1, 1:-1] = v.reshape(self.nyi, self.nxi)
+        return laplacian(padded, g.hx, g.hy).ravel()
 
-    def shifted_inverse(self, r: np.ndarray, c: float) -> np.ndarray:
+    def _shifted_eigenvalues(self, c: float) -> np.ndarray:
+        """The eigenvalues of A + c I on the DST-I modes, (nyi, nxi)."""
+        eig = np.add(self._ey[:, None], self._ex)
+        eig *= -4.0
+        eig += c
+        return eig
+
+    def shifted_inverse(self, r: np.ndarray, eig: np.ndarray) -> np.ndarray:
         """(A + c I)^-1 r, exact, by two sine transforms (DST-I applied
-        twice is 4 (nxi+1)(nyi+1) times the identity)."""
+        twice is 4 (nxi+1)(nyi+1) times the identity); ``eig`` holds the
+        eigenvalues of A + c I (``_shifted_eigenvalues``)."""
         rhat = _dst2(r.reshape(self.nyi, self.nxi), self._sines)
-        rhat /= self.eig + c
-        return _dst2(rhat, self._sines).ravel() / (
-            4.0 * (self.nxi + 1) * (self.nyi + 1))
+        rhat /= eig
+        _dst2(rhat, self._sines, out=rhat)
+        rhat /= 4.0 * (self.nxi + 1) * (self.nyi + 1)
+        return rhat.ravel()
 
     def _jacobian(self, u: np.ndarray, coef: float, a: float) -> tuple:
         """The product with J = A + diag(d), d = coef a e^(a u), and the
@@ -552,10 +568,13 @@ class _RectSystem(_System):
                                         "diagonal term is not finite")
         c = min(c, 0.5 * self.mu1)
         dc = d - c
+        eig = self._shifted_eigenvalues(c)
 
         def psolve(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            z = self.shifted_inverse(v, c)
-            return z, v + dc * z
+            z = self.shifted_inverse(v, eig)
+            jz = dc * z
+            jz += v
+            return z, jz
 
         def matvec(v: np.ndarray) -> np.ndarray:
             Jv = self.apply_A(v)
@@ -599,7 +618,8 @@ class _RectSystem(_System):
         if not np.any(self.bc_vec):
             return np.zeros(self.m)
         # discrete harmonic extension: A u = -bc_vec
-        return self.shifted_inverse(-self.bc_vec, 0.0)
+        return self.shifted_inverse(-self.bc_vec,
+                                    self._shifted_eigenvalues(0.0))
 
     def center_value(self, u: np.ndarray) -> float:
         """Value at the domain center (mean of the nearest nodes when the
@@ -706,6 +726,7 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
                 message = "Newton corrections stopped contracting"
                 break
         u, coef = u + du, coef + dc
+        del du  # freed before the next solve
     report = SolveReport(it, history[-1], False, history, checked)
     raise NonConvergenceError(f"{message} (residual {history[-1]:.3e})",
                               report)
@@ -905,22 +926,22 @@ def boundary_blowup_approx(geometry: DiskGeometry, M_list: list[float],
                            tol: float = NEWTON_TOL) -> list[RadialProfile]:
     """Approximate the boundary blow-up solution of Delta u = e^u by
     solving with constant boundary data M for each M in the increasing
-    ``M_list``, continuing in M with unit-sized homotopy steps."""
+    ``M_list``.  Above 0 it continues in M by homotopy steps of at most
+    1, each from the last solution, the first from the constant guess;
+    an M <= 0, where e^u <= 1, is one solve from the constant guess."""
     Ms = [float(M) for M in M_list]
     _require_finite({"tol": tol}, M=Ms)
     if any(b <= a for a, b in zip(Ms, Ms[1:])):
         raise EllipticError(f"M_list must be strictly increasing, got {Ms}")
     out = []
-    guess = None
-    cur = min(0.0, Ms[0])
+    u, cur = None, 0.0
     for M in Ms:
         while True:
-            cur = min(cur + 1.0, M)
+            last, cur = cur, min(max(cur, 0.0) + 1.0, M)
             system = _RadialSystem(geometry, cur)
-            if guess is None:
-                guess = system.initial_guess()
-            guess = _newton(system, guess, -1.0, 1.0, tol)[0]
+            u = _newton(system, u if last > 0.0 else system.initial_guess(),
+                        -1.0, 1.0, tol)[0]
             if cur >= M:
                 break
-        out.append(system.pack(guess))
+        out.append(system.pack(u))
     return out

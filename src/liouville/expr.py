@@ -27,6 +27,9 @@ Two limits, both refused by ``parse`` with ExprSyntaxError:
   name is one level, and each operator, function call and pair of
   parentheses is one level above its deepest operand.  Neither parsing
   nor evaluation recurses deeper than that.
+
+``parse`` also evaluates each variable-free part of the expression once
+and refuses, with DomainError, the first whose value overflows to inf.
 """
 
 from __future__ import annotations
@@ -316,8 +319,9 @@ def parse(source: str, variables) -> Expr:
     for name in names:
         if name in FUNCTIONS or not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
             raise ExprError(f"invalid variable name {name!r}")
-    ast = _Parser(source, names).parse()
-    return Expr(source, names, ast)
+    expr = Expr(source, names, _Parser(source, names).parse())
+    _check_constants(expr)
+    return expr
 
 
 # --- evaluation ---------------------------------------------------------
@@ -443,6 +447,51 @@ class _Evaluator:
         else:  # pragma: no cover - parser admits only known names
             raise UnknownIdentifierError(name, node.span[0])
         return _Jet(f, f1 * u.d)
+
+
+class _Refused(Exception):
+    """A subtree ``_ConstantChecker`` leaves to evaluation."""
+
+
+def _check_constants(expr: Expr) -> None:
+    """Evaluate each variable-free subtree once, children first, as real
+    numbers, and raise DomainError naming the first whose value overflows
+    to inf: such a constant leaves no finite value to the expression.  A
+    subtree the evaluator refuses (ln or sqrt of a negative number, which
+    complex evaluation accepts) is left to evaluation."""
+    checker = _ConstantChecker(expr, {}, "", False)
+
+    def reads_variable(node: _Node) -> bool:
+        kids = [v for v in vars(node).values() if isinstance(v, _Node)]
+        reads = [reads_variable(kid) for kid in kids]
+        for kid, r in zip(kids, reads):
+            if any(reads) and not r:
+                checker.check(kid)
+        return isinstance(node, _Var) or any(reads)
+
+    if not reads_variable(expr.ast):
+        checker.check(expr.ast)
+
+
+class _ConstantChecker(_Evaluator):
+    """The evaluator on a variable-free subtree, checking the value of
+    every node (``_check_constants``)."""
+
+    def fail(self, node: _Node, message: str):
+        raise _Refused
+
+    def run(self, node: _Node) -> _Jet:
+        jet = super().run(node)
+        if not np.isfinite(jet.v):
+            raise DomainError("the constant overflows", self.expr.snippet(node))
+        return jet
+
+    def check(self, node: _Node) -> None:
+        try:
+            with np.errstate(all="ignore"):
+                self.run(node)
+        except _Refused:
+            pass
 
 
 def _as_mapping(expr: Expr, at) -> Mapping:

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 # first import
 from liouville import (_ryu, action, closedform, elliptic,  # noqa: F401
                        hyperbolic)
-from liouville.cli import _read_field, run
+from liouville.cli import _digest, _read_field, build_parser, run
 from liouville.closedform import hyperbolic_exact
 from liouville.expr import AxisPair, parse
 from liouville.fields import Grid2D, LiouvilleParams, ScalarField2D
@@ -103,6 +103,16 @@ class TestSummaryContract:
         d17 = summary_of(invoke(self.ARGS)[1])["digest"]
         d33 = summary_of(invoke(self.ARGS[:-1] + ["33"])[1])["digest"]
         assert d17 != d33
+
+    def test_digest_is_sha256_of_the_inputs(self):
+        # the built-in sha256 gives hashlib's digest of the same bytes;
+        # the value is the one hashlib gave for this argv
+        ns = vars(build_parser().parse_args(self.ARGS))
+        inputs = {k: v for k, v in ns.items() if k != "func"}
+        blob = json.dumps(inputs, sort_keys=True, default=str).encode("utf-8")
+        want = hashlib.sha256(blob).hexdigest()[:12]
+        assert _digest(inputs) == want == "e9338f0c57ea"
+        assert summary_of(invoke(self.ARGS)[1])["digest"] == want
 
     def test_digest_covers_the_field_read(self):
         # one argv, three piped fields: three digests; the same field
@@ -267,6 +277,61 @@ class TestExitCodes:
         assert doc["error"]["code"] == "expr.domain"
         assert f"'{power}'" in doc["error"]["message"]
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args, constant", [
+        (["exact-h", "--f", "x+1e200^2", "--g", "y"], "1e200^2"),
+        (["exact-h", "--f", "x+10^308*10", "--g", "y"], "10^308*10"),
+        (["exact-h", "--f", "x", "--g", "y*exp(1000)"], "exp(1000)"),
+        (["exact-h", "--f", "x+1e400", "--g", "y"], "1e400"),
+        (["exact-e", "--F", "z+1e200*1e200"], "1e200*1e200"),
+        (["solve-elliptic", "--boundary", "x+1e200^3"], "1e200^3"),
+        (["blowup-curve", "--f", "x^2-0.5+1e200^2", "--g", "exp(y)-1"],
+         "1e200^2"),
+    ], ids=["exact-h-1e200^2", "exact-h-10^308*10", "exact-h-exp-1000",
+            "exact-h-1e400", "exact-e-1e200*1e200", "solve-elliptic-1e200^3",
+            "blowup-curve-1e200^2"])
+    def test_overflowing_constant_is_domain_error(self, args, constant):
+        # a constant that overflows to inf without **: exact-h reported
+        # closedform.non_finite, solve-elliptic elliptic.error, and
+        # blowup-curve status ok with no crossing found
+        size = "5" if args[0] == "solve-elliptic" else "3"
+        grid = [] if args[0] == "blowup-curve" else ["--nx", size,
+                                                     "--ny", size]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(args + grid)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "expr.domain"
+        assert f"'{constant}'" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("M", [["-100000000000000000", "0"],
+                                   ["-2000", "0"]],
+                             ids=["M-minus-1e17", "M-minus-2000"])
+    def test_blowup_approx_below_zero_ends(self, M):
+        # the homotopy stepped by 1 from M = -1e17, where cur + 1 == cur,
+        # so it never ended, and from -2000 it made 2000 solves.  A new
+        # process, so that a run that does not end fails at the timeout
+        argv = ["blowup-approx", "--n", "5", "--M", *M]
+        code = ("import io, time, contextlib; from liouville.cli import run\n"
+                "buf, t0 = io.StringIO(), time.perf_counter()\n"
+                "with contextlib.redirect_stdout(buf):\n"
+                f"    code = run({argv!r})\n"
+                "print(code, time.perf_counter() - t0)\n"
+                "print(buf.getvalue(), end='')")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        head, out = proc.stdout.split("\n", 1)
+        exit_code, seconds = head.split()
+        assert exit_code == "0" and proc.stderr == ""
+        assert float(seconds) < 1.0
+        assert [ln for ln in out.splitlines() if ln.startswith("{")] == [
+            out.splitlines()[-1]]
+        assert summary_of(out)["M"] == [float(m) for m in M]
 
     @pytest.mark.parametrize("args, code, error", [
         (["--K", "1e300"], 1, "elliptic.singular_jacobian"),
@@ -803,6 +868,24 @@ class TestStartup:
             "if m.split('.')[0] == 'scipy'))")
         assert out.splitlines()[-1] == "[0, 0, 0] []"
 
+    def test_commands_load_no_openssl(self, fresh_python, tmp_path):
+        # the digests take sha256 from the interpreter's own module:
+        # hashlib would load OpenSSL's libcrypto, about 3 MB of every
+        # process.  (action --fd-check draws its probes through
+        # numpy.random, which loads it through hmac.)
+        path = str(tmp_path / "u.csv")
+        out = fresh_python(
+            "from liouville.cli import run; "
+            "codes = [run(['exact-h', '--f', 'x', '--g', 'y', '--nx', '5', "
+            f"'--ny', '5', '--out', {path!r}]), "
+            f"run(['verify', '--eq', 'hyperbolic', '--in', {path!r}]), "
+            f"run(['action', '--in', {path!r}]), "
+            "run(['solve-elliptic', '--nx', '9', '--ny', '9', "
+            "'--out', '/dev/null'])]; "
+            "print(codes, [m for m in ('_hashlib', 'hashlib') "
+            "if m in sys.modules])")
+        assert out.splitlines()[-1] == "[0, 0, 0, 0] []"
+
     def test_verify_imports_only_fields(self, fresh_python):
         # a verify in a pipe runs one stencil: it loads no solver, no
         # marcher, no action and no expression parser
@@ -1157,9 +1240,9 @@ class TestMemoryBounds:
           "--mask-out", os.devnull], 3.25),
         (["backlund", "--w-phi", "x", "--w-psi", "y", *_GRID, *_NULL], 3.0),
         (["blowup-exact", *_GRID, *_NULL], 1.75),
-        (["solve-elliptic", *_GRID, *_NULL], 26.0),
+        (["solve-elliptic", *_GRID, *_NULL], 22.5),
         # five GMRES iterations a step: the Krylov basis grows once
-        (["solve-elliptic", *_GRID, *_NULL, "--K", "30"], 36.25),
+        (["solve-elliptic", *_GRID, *_NULL, "--K", "30"], 32.75),
     ], ids=["exact-h", "exact-e", "verify-hyperbolic", "verify-elliptic",
             "verify-log", "action", "convert-log", "march", "backlund",
             "blowup-exact", "solve-elliptic", "solve-elliptic-K-30"])

@@ -309,10 +309,13 @@ class TestKrylovSolve:
             assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
 
     @pytest.mark.parametrize("shape", [(65, 65), (3, 300), (300, 3),
-                                       (129, 127), (95, 298), (513, 129)])
+                                       (129, 127), (95, 298), (513, 129),
+                                       (63, 63), (64, 38), (1, 64), (3, 5)])
     def test_blocked_fft_is_bit_identical_to_whole_array(self, shape):
-        # the FFT path goes in blocks of lines; these shapes end in ragged
-        # or one-line blocks on either axis
+        # the FFT path goes in blocks of lines; the first six shapes end
+        # in ragged or one-line blocks on either axis, the last four take
+        # the dense path, sy @ x @ sx.  Either path, written over its
+        # input (out=x), gives the same bits
 
         def whole(x):
             ny, nx = x.shape
@@ -326,7 +329,26 @@ class TestKrylovSolve:
             return np.fft.rfft(z, axis=1).imag[:, 1:nx + 1]
 
         x = np.random.default_rng(11).standard_normal(shape)
-        assert _dst2(x, None).tobytes() == whole(x).tobytes()
+        sines = _sine_matrices(*shape)
+        want = whole(x) if sines is None else sines[0] @ x @ sines[1]
+        assert _dst2(x, sines).tobytes() == want.tobytes()
+        assert _dst2(x, sines, out=x) is x
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nx, ny", [(9, 9), (40, 66), (131, 67)])
+    def test_shifted_eigenvalues_keep_their_bits(self, nx, ny):
+        # formed once per Jacobian from the two 1-D terms, in the order
+        # of the array -4 (sy/hy^2 + sx/hx^2) they replace, plus the shift
+        g = Grid2D.from_bounds(0.0, -0.3, 1.0, 0.7, nx, ny)
+        system = _make_system(RectangleGeometry(g), 0.0)
+        nxi, nyi = nx - 2, ny - 2
+        sx = np.sin(0.5 * np.pi * np.arange(1, nxi + 1) / (nxi + 1)) ** 2
+        sy = np.sin(0.5 * np.pi * np.arange(1, nyi + 1) / (nyi + 1)) ** 2
+        eig = -4.0 * (sy[:, None] / g.hy ** 2 + sx[None, :] / g.hx ** 2)
+        assert system.mu1 == float(-eig[0, 0])
+        for c in (0.0, -3.7, 0.5 * system.mu1):
+            got = system._shifted_eigenvalues(c)
+            assert got.tobytes() == (eig + c).tobytes()
 
     def test_basis_grows_past_its_first_allocation(self):
         # with the identity as preconditioner GMRES needs tens of
@@ -352,7 +374,9 @@ class TestKrylovSolve:
     def test_newton_solve_holds_few_interior_arrays(self):
         # the traced peak of a 257 x 257 solve, in interior-sized arrays:
         # a full-size Krylov basis and whole-field FFT temporaries took
-        # 141, a basis first sized for 8 iterations 32.5; it is 23.4
+        # 141, a basis first sized for 8 iterations 32.5, stored
+        # eigenvalues, a new array per sine transform and the last Newton
+        # correction held through the next solve 23.4; it is 20.5
         g = Grid2D.from_bounds(-0.5, -0.5, 0.5, 0.5, 257, 257)
         prob = DirichletProblem(RectangleGeometry(g), LiouvilleParams(2.0, 1.0))
         tracemalloc.start()
@@ -362,7 +386,7 @@ class TestKrylovSolve:
         finally:
             tracemalloc.stop()
         assert report.converged
-        assert peak <= 26 * (g.nx - 2) * (g.ny - 2) * 8
+        assert peak <= 22.5 * (g.nx - 2) * (g.ny - 2) * 8
 
     def test_dst2_does_not_depend_on_blas_threads(self, fresh_python):
         # the largest dense sine products, and the FFT at 127 x 127, where
@@ -940,6 +964,27 @@ class TestBoundaryBlowupApprox:
         monkeypatch.setattr(elliptic, "_newton", solve)
         with pytest.raises(EllipticError, match="M must be finite"):
             boundary_blowup_approx(DiskGeometry(65), Ms)
+
+    @pytest.mark.parametrize("Ms, levels", [
+        ([3.0, 4.5], [1.0, 2.0, 3.0, 4.0, 4.5]),
+        ([-1e17, 0.0], [-1e17, 0.0]),
+        ([-3.0, -0.5, 2.5], [-3.0, -0.5, 1.0, 2.0, 2.5]),
+    ], ids=["positive", "minus-1e17", "mixed"])
+    def test_unit_steps_only_above_zero(self, Ms, levels, monkeypatch):
+        # each M <= 0 is one solve from its constant guess, as is the
+        # first step above 0; further steps start from the last solution
+        solved, newton = [], elliptic._newton
+
+        def counted(system, u, *args):
+            solved.append((system.boundary, bool(np.all(u == u[0]))))
+            assert len(solved) <= len(levels), "more solves than levels"
+            return newton(system, u, *args)
+
+        monkeypatch.setattr(elliptic, "_newton", counted)
+        profs = boundary_blowup_approx(DiskGeometry(65), Ms)
+        assert [b for b, _ in solved] == levels
+        assert [c for _, c in solved] == [b <= 1.0 for b in levels]
+        assert [p.values[-1] for p in profs] == Ms
 
     def test_rejects_non_increasing_levels(self):
         with pytest.raises(EllipticError):

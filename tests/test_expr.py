@@ -7,6 +7,7 @@ outcome everywhere the expression is smooth.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,38 @@ class TestParse:
             parse("x", ("x", "x"))
         with pytest.raises(ExprError):
             parse("x", ("exp",))
+
+    @pytest.mark.parametrize("src, constant", [
+        ("x+1e200^2", "1e200^2"),
+        ("x+10^308*10", "10^308*10"),
+        ("x*exp(1000)", "exp(1000)"),
+        ("1e400", "1e400"),
+        ("x+1/(1e200*1e200)", "1e200*1e200"),
+        ("sin(x)-cosh(800)+sinh(800)", "cosh(800)"),
+    ])
+    def test_overflowing_constant_is_refused(self, src, constant):
+        # refused once at parse time, each variable-free subtree checked,
+        # inner ones first; no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                parse(src, ("x",))
+        assert err.value.snippet == constant
+        assert "overflows" in str(err.value)
+
+    @pytest.mark.parametrize("src", ["x*sqrt(-1)", "x+ln(-2)", "x+1/0",
+                                     "x+1e-200*1e-200", "x+1e200*1e100"])
+    def test_finite_or_refused_constants_parse(self, src):
+        # sqrt and ln of a negative number are complex-valued constants,
+        # refused by real evaluation, not by the parser; 1/0 is refused
+        # at evaluation as before
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse(src, ("x",))
+
+    def test_complex_constants_evaluate(self):
+        value, _ = eval_complex(parse("z*sqrt(-1)+ln(-1)", ("z",)), 2.0)
+        assert np.isfinite(value) and abs(value.imag) == 2.0 + math.pi
 
     def test_reparse_source_round_trip(self):
         src = "exp(x)*sin(x) - x^3/(1+x^2)"
