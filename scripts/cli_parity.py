@@ -148,6 +148,10 @@ ARGVS = [
     ["solve-elliptic", "--nx", "257", "--ny", "257", "--out", "rect257.csv"],
     ["solve-elliptic", "--nx", "257", "--ny", "257", "--K", "30",
      "--out", "rect257_K30.csv"],
+    # an expression ring, on the FFT path with a ragged last row block
+    # (a 127 x 99 interior)
+    ["solve-elliptic", "--K", "30", "--nx", "129", "--ny", "101",
+     "--boundary", "sin(3*x)+y^2", "--out", "rect129x101.csv"],
     ["solve-elliptic", "--domain", "-0.4", "-0.4", "0.4", "0.4",
      "--nx", "65", "--ny", "65", "--K", "-1",
      "--boundary", "ln(8/(1+x^2+y^2)^2)", "--out", "rect65.csv"],
@@ -204,6 +208,13 @@ ARGVS = [
     # -1e17 never ended: TIMEOUT_S stops such a run)
     ["blowup-approx", "--n", "5", "--M", "-100000000000000000", "0"],
     ["blowup-approx", "--n", "5", "--M", "-2000", "0"],
+    # negative values in exponent notation, each its own argument (exit 1
+    # with cli.usage before argparse took them as values)
+    ["solve-elliptic", "--K", "-1e-3", "--nx", "33", "--ny", "33"],
+    ["blowup-approx", "--n", "9", "--M", "-1E+300", "0"],
+    # a negated constant in complex evaluation: sqrt(-0.04) is the
+    # principal 0.2i (it was -0.2i)
+    ["exact-e", "--F", "z/2+sqrt(-0.04)", "--nx", "17", "--ny", "17"],
 ]
 
 

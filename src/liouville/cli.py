@@ -71,6 +71,15 @@ class _Parser(argparse.ArgumentParser):
         # argparse would drop a failed write and exit 0
         raise SystemExit(_emit(self.format_help(), None, 0))
 
+    def _parse_optional(self, arg_string):
+        # argparse's own negative-number pattern has no exponent, so it
+        # takes "-1e-3" for an option; whatever float() reads is a value
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 _FMT = functools.partial(argparse.HelpFormatter, width=HELP_WIDTH)
 

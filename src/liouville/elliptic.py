@@ -495,11 +495,15 @@ class _RectSystem(_System):
     def __init__(self, geom: RectangleGeometry, boundary: Union[Expr, float]):
         g = geom.grid
         nxi, nyi = g.nx - 2, g.ny - 2
-        self.bv = self._boundary_values(g, boundary)
+        bv = self._boundary_values(g, boundary)
         # A applied to the ring data alone: the interior of bv is zero
         with np.errstate(over="ignore"):
-            self.bc_vec = laplacian(self.bv, g.hx, g.hy).ravel()
+            self.bc_vec = laplacian(bv, g.hx, g.hy).ravel()
         _require_finite_bc(self.bc_vec)
+        # the ring that ``pack`` puts around the interior: bottom and top
+        # rows, then the left and right columns between them
+        self._ring = (bv[0].copy(), bv[-1].copy(),
+                      bv[1:-1, 0].copy(), bv[1:-1, -1].copy())
         # the eigenvalues of A on the DST-I modes are
         # -4 (ey[k] + ex[l]) (``_shifted_eigenvalues``); mu1 > 0 is the
         # magnitude of the one closest to zero, k = l = 0
@@ -533,10 +537,19 @@ class _RectSystem(_System):
         return bv
 
     def apply_A(self, v: np.ndarray) -> np.ndarray:
+        """The stencil, one row block (``_row_blocks``) at a time, on a
+        copy of the block's rows and their halo rows padded with zeros:
+        the bits of ``laplacian`` on the whole zero-padded field."""
         g = self.geom.grid
-        padded = np.zeros((g.ny, g.nx))
-        padded[1:-1, 1:-1] = v.reshape(self.nyi, self.nxi)
-        return laplacian(padded, g.hx, g.hy).ravel()
+        v2 = v.reshape(self.nyi, self.nxi)
+        out = np.empty((self.nyi, self.nxi))
+        for j0, j1 in _row_blocks(self.nyi):
+            # row k of ``padded`` is interior row j0 - 1 + k
+            lo, hi = max(j0 - 1, 0), min(j1 + 1, self.nyi)
+            padded = np.zeros((j1 - j0 + 2, g.nx))
+            padded[lo - j0 + 1:hi - j0 + 1, 1:-1] = v2[lo:hi]
+            out[j0:j1] = laplacian(padded, g.hx, g.hy)
+        return out.ravel()
 
     def _shifted_eigenvalues(self, c: float) -> np.ndarray:
         """The eigenvalues of A + c I on the DST-I modes, (nyi, nxi)."""
@@ -559,15 +572,18 @@ class _RectSystem(_System):
         """The product with J = A + diag(d), d = coef a e^(a u), and the
         preconditioner v -> (P v, J P v) with P = (A + c I)^-1, c the mean
         of d clipped at mu1/2 so that A + c I stays negative definite.
-        J P v = v + (d - c) P v needs no stencil."""
-        d = coef * a * np.exp(a * u)
+        J P v = v + (d - c) P v needs no stencil.  Through the solve it
+        holds d - c and the eigenvalues of A + c I, not d: the product
+        with J, once a GMRES cycle, forms d from ``u`` a row block at a
+        time."""
+        dc = coef * a * np.exp(a * u)
         with np.errstate(over="ignore"):
-            c = float(d.mean())
+            c = float(dc.mean())
         if not np.isfinite(c):
             raise SingularJacobianError("the mean of the Jacobian's "
                                         "diagonal term is not finite")
         c = min(c, 0.5 * self.mu1)
-        dc = d - c
+        dc -= c
         eig = self._shifted_eigenvalues(c)
 
         def psolve(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,7 +594,9 @@ class _RectSystem(_System):
 
         def matvec(v: np.ndarray) -> np.ndarray:
             Jv = self.apply_A(v)
-            Jv += d * v
+            for j0, j1 in _row_blocks(self.nyi):
+                rows = slice(j0 * self.nxi, j1 * self.nxi)
+                Jv[rows] += coef * a * np.exp(a * u[rows]) * v[rows]
             return Jv
 
         return matvec, psolve
@@ -624,17 +642,20 @@ class _RectSystem(_System):
     def center_value(self, u: np.ndarray) -> float:
         """Value at the domain center (mean of the nearest nodes when the
         center falls between them)."""
-        full = self.pack(u).values
-        ic, jc = (self.geom.grid.nx - 1) / 2, (self.geom.grid.ny - 1) / 2
+        # the nearest nodes are interior nodes on any grid of 3 x 3 or more
+        inner = u.reshape(self.nyi, self.nxi)
+        ic, jc = (self.nxi - 1) / 2, (self.nyi - 1) / 2
         i0, i1 = int(np.floor(ic)), int(np.ceil(ic))
         j0, j1 = int(np.floor(jc)), int(np.ceil(jc))
-        return float(0.25 * (full[j0, i0] + full[j0, i1]
-                             + full[j1, i0] + full[j1, i1]))
+        return float(0.25 * (inner[j0, i0] + inner[j0, i1]
+                             + inner[j1, i0] + inner[j1, i1]))
 
     def pack(self, u: np.ndarray) -> ScalarField2D:
-        full = self.bv.copy()
+        g = self.geom.grid
+        full = np.empty((g.ny, g.nx))
+        full[0], full[-1], full[1:-1, 0], full[1:-1, -1] = self._ring
         full[1:-1, 1:-1] = u.reshape(self.nyi, self.nxi)
-        return ScalarField2D(self.geom.grid, full)
+        return ScalarField2D(g, full)
 
 
 def _make_system(geometry: Geometry, boundary: Union[Expr, float]):

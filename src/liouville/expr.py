@@ -365,6 +365,11 @@ class _Evaluator:
             return _Jet(v, seed)
         if isinstance(node, _Neg):
             u = self.run(node.operand)
+            if self.is_complex:
+                # as the binary 0 - u, whose zero parts are +0: -1 lies
+                # on the upper side of the cut of ln and sqrt, where
+                # their principal values are
+                return _Jet(complex(0.0) - u.v, 0.0 - u.d)
             return _Jet(-u.v, -u.d)
         if isinstance(node, _BinOp):
             return self.binop(node)

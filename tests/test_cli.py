@@ -612,6 +612,53 @@ class TestExitCodes:
         assert "a = 1" in summary_of(out)["error"]["message"]
 
 
+class TestNegation:
+    """A minus sign on the command line and in an expression."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve-elliptic", "--nx", "9", "--ny", "9", "--K", "-1e-3"],
+        ["solve-elliptic", "--nx", "9", "--ny", "9", "--K", "-1E+0",
+         "--a", "-2.5e-1", "--domain", "-1e-1", "-2E-1", "1e-1", "2e-1"],
+        ["blowup-approx", "--n", "9", "--M", "-1e300", "0"],
+        ["blowup-approx", "--n", "9", "--M", "-1E+300", "-1e-3"],
+    ], ids=["K", "K-a-domain", "M", "M-both"])
+    def test_exponent_notation_negatives_are_values(self, args):
+        # argparse's negative-number pattern has no exponent: it read
+        # "-1e-3" as an unknown option and refused "--K -1e-3" with
+        # "expected one argument"
+        code, out, err = invoke(args)
+        assert code == 0, out
+        assert summary_of(out)["status"] == "ok" and err == ""
+
+    def test_separate_value_equals_attached_value(self):
+        grid = ["solve-elliptic", "--nx", "9", "--ny", "9"]
+        assert invoke(grid + ["--K", "-1e-3"]) == invoke(grid + ["--K=-1e-3"])
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_non_finite_negatives_reach_the_finite_check(self, value):
+        code, out, _ = invoke(["solve-elliptic", "--K", value])
+        assert code == 1
+        assert summary_of(out)["error"]["code"] == "fields.error"
+
+    def test_non_number_after_option_is_usage_error(self):
+        code, out, _ = invoke(["solve-elliptic", "--K", "-1e-3x"])
+        assert code == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "cli.usage"
+        assert "expected one argument" in doc["error"]["message"]
+
+    def test_negated_constant_is_its_zero_minus_spelling(self):
+        # sqrt(-0.04) is the principal 0.2i, as sqrt(0-0.04) always was;
+        # a negated constant took -0.2i, moving F by 0.4i
+        fields = []
+        for F in ("z/2+sqrt(-0.04)", "z/2+sqrt(0-0.04)", "z/2-sqrt(0-0.04)"):
+            code, out, _ = invoke(["exact-e", "--F", F, "--nx", "9",
+                                   "--ny", "9"])
+            assert code == 0, out
+            fields.append(out.rsplit("\n", 2)[0])
+        assert fields[0] == fields[1] != fields[2]
+
+
 class TestPipeFlows:
     EXACT = ["exact-h", "--f", "exp(x)", "--g", "exp(y)",
              "--domain", "1", "1", "2", "2", "--nx", "65", "--ny", "65"]
@@ -1240,12 +1287,17 @@ class TestMemoryBounds:
           "--mask-out", os.devnull], 3.25),
         (["backlund", "--w-phi", "x", "--w-psi", "y", *_GRID, *_NULL], 3.0),
         (["blowup-exact", *_GRID, *_NULL], 1.75),
-        (["solve-elliptic", *_GRID, *_NULL], 22.5),
+        (["solve-elliptic", *_GRID, *_NULL], 19.0),
         # five GMRES iterations a step: the Krylov basis grows once
-        (["solve-elliptic", *_GRID, *_NULL, "--K", "30"], 32.75),
+        (["solve-elliptic", *_GRID, *_NULL, "--K", "30"], 30.5),
+        # a radial profile of as many nodes as the field has values; M = 2
+        # takes one homotopy step from the solution at M = 1
+        (["blowup-approx", "--n", str(MEMORY_N ** 2), "--M", "2", *_NULL],
+         21.75),
     ], ids=["exact-h", "exact-e", "verify-hyperbolic", "verify-elliptic",
             "verify-log", "action", "convert-log", "march", "backlund",
-            "blowup-exact", "solve-elliptic", "solve-elliptic-K-30"])
+            "blowup-exact", "solve-elliptic", "solve-elliptic-K-30",
+            "blowup-approx"])
     def test_traced_peak_is_bounded(self, fields, args, k):
         args = [a.format(**fields) for a in args]
         gc.collect()

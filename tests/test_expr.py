@@ -247,6 +247,34 @@ class TestEvalComplex:
         with pytest.raises(ExprError):
             eval_complex(parse("x+y", ("x", "y")), 0.0j)
 
+    @pytest.mark.parametrize("src, want", [
+        ("sqrt(-1)", 1j), ("ln(-1)", math.pi * 1j), ("sqrt(-4)", 2j),
+        ("z*sqrt(-1)", 0.5j), ("-(-(-1))+0*z", -1.0)])
+    def test_negation_gives_principal_values(self, src, want):
+        # a negated constant is 0 - c, whose zero imaginary part is +0:
+        # -1 lies on the upper side of the cut of sqrt and ln.  It took
+        # -0, which gave -1j and -pi i
+        value, _ = eval_complex(parse(src, ("z",)), 0.5)
+        assert value == want
+        assert math.copysign(1.0, value.imag) == math.copysign(1.0, want.imag)
+
+    @pytest.mark.parametrize("src, spelled", [
+        ("sqrt(-1)*z", "sqrt(0-1)*z"), ("ln(-2)+z", "ln(0-2)+z"),
+        ("-z", "0-z"), ("exp(-z)-z", "exp(0-z)-z"), ("z/(-3)", "z/(0-3)"),
+        ("(-z)^3", "(0-z)^3")])
+    def test_negation_is_zero_minus_bit_for_bit(self, src, spelled):
+        z = np.array([0.5, -0.25 + 0.0j, 0.0 - 1.5j, 2.0 + 1.0j])
+        for at in (z, complex(z[1])):
+            got = eval_complex(parse(src, ("z",)), at)
+            want = eval_complex(parse(spelled, ("z",)), at)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    def test_real_negation_keeps_negative_zero(self):
+        # real evaluation negates as before: -x at x = 0 is -0.0
+        value = eval_dual(parse("-x", ("x",)), 0.0, "x").value
+        assert math.copysign(1.0, value) == -1.0
+
 
 CORPUS = [
     "exp(x)",
