@@ -215,6 +215,20 @@ ARGVS = [
     # a negated constant in complex evaluation: sqrt(-0.04) is the
     # principal 0.2i (it was -0.2i)
     ["exact-e", "--F", "z/2+sqrt(-0.04)", "--nx", "17", "--ny", "17"],
+    # tables of several writer blocks: a profile of 20001 rows, a curve
+    # with NA rows, and a ragged 1025 x 1023 mask
+    ["blowup-approx", "--n", "20001", "--M", "2", "--out", "prof20001.csv"],
+    ["blowup-curve", "--f", "x^2-0.6", "--g", "exp(y)-1", "--samples",
+     "20001", "--out", "curve20001.csv"],
+    ["march", "--phi", "0", "--psi", "0", "--domain", "0", "0", "3", "3",
+     "--nx", "1025", "--ny", "1023", "--threshold", "1.0",
+     "--out", "march1025.csv", "--mask-out", "mask1025.csv"],
+    # expressions that begin with a minus, each its own argument (exit 1
+    # with cli.usage before such an argument was taken as a value)
+    ["exact-h", "--f", "-x", "--g", "-y", "--nx", "9", "--ny", "9"],
+    ["march", "--phi", "-2*ln(1.3-0.5*x)", "--psi", "-2*ln(1.3-0.5*y)",
+     "--nx", "33", "--ny", "33"],
+    ["solve-elliptic", "--boundary", "-x", "--nx", "17", "--ny", "17"],
 ]
 
 

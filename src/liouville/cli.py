@@ -72,13 +72,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_emit(self.format_help(), None, 0))
 
     def _parse_optional(self, arg_string):
-        # argparse's own negative-number pattern has no exponent, so it
-        # takes "-1e-3" for an option; whatever float() reads is a value
-        try:
-            float(arg_string)
-        except ValueError:
-            return super()._parse_optional(arg_string)
-        return None
+        # argparse takes "-1e-3" and "-x" for options; a single-dash
+        # argument that names none of ours (only -h does) is a value
+        if (arg_string[:1] == "-" and arg_string[1:2] != "-"
+                and arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 _FMT = functools.partial(argparse.HelpFormatter, width=HELP_WIDTH)

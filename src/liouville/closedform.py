@@ -226,7 +226,8 @@ class BlowupCurve:
     tol: float
 
     def write_csv(self, path) -> None:
-        write_table(path, "x,y", self.samples)
+        # None (no crossing) reads as NaN, which a found crossing never is
+        write_table(path, "x,y", np.array(self.samples, dtype=float), na="NA")
 
 
 def blowup_curve(cp: AxisPair, x_range: tuple[float, float],

@@ -150,7 +150,7 @@ class RadialProfile:
         return float(self.values[0])
 
     def write_csv(self, path) -> None:
-        write_table(path, "r,u", zip(self.r.tolist(), self.values.tolist()))
+        write_table(path, "r,u", np.column_stack((self.r, self.values)))
 
 
 # --- discrete systems ---------------------------------------------------
@@ -189,11 +189,10 @@ def _require_finite_bc(bc_vec: np.ndarray) -> None:
 
 
 def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
-                      ) -> tuple[Callable[[np.ndarray], np.ndarray],
-                                 Callable[[], np.ndarray]]:
+                      ) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the tridiagonal matrix with sub-, main and super-diagonal
     ``lo``, ``di``, ``up`` by cyclic reduction (Buzbee, Golub & Nielson
-    1970) and return its solve and the solve of e0 = (1, 0, ..., 0).
+    1970) and return its solve.
 
     Each level uses the odd-numbered rows to eliminate their unknowns
     from the even-numbered rows, which halves the system, until one
@@ -234,16 +233,6 @@ def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
             d = d[0::2].copy()
             d[1:] -= alpha * do[:alpha.size]
             d[:bo.size] -= gamma * do
-        return back_substitute(d, kept)
-
-    def first_column() -> np.ndarray:
-        # the reduction subtracts multiples of odd rows, which are zero
-        # in e0 at every level: it leaves e0 as it is
-        return back_substitute(np.ones(1), [np.zeros(lv[3].size)
-                                            for lv in levels])
-
-    @np.errstate(all="ignore")
-    def back_substitute(d: np.ndarray, kept: list) -> np.ndarray:
         x = d / b
         for (alpha, _, ao, bo, co), do in zip(reversed(levels), reversed(kept)):
             # the odd unknowns from their solved even neighbours
@@ -257,7 +246,7 @@ def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
                 "non-finite solution of the tridiagonal system")
         return x
 
-    return solve, first_column
+    return solve
 
 
 class _RadialSystem(_System):
@@ -299,7 +288,7 @@ class _RadialSystem(_System):
         """J = A + diag(coef a e^(a u)), factored once by cyclic
         reduction; every solve reuses the factors."""
         return _cyclic_reduction(self.lo, self.di + coef * a * np.exp(a * u),
-                                 self.up)[0]
+                                 self.up)
 
     def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
                         row: np.ndarray, corner: float) -> Callable:
@@ -310,13 +299,13 @@ class _RadialSystem(_System):
         symmetric, and K is negative definite wherever J's top eigenvalue
         is <= 0, because a null vector v of a tridiagonal J has v_0 != 0.
         With x = K^-1 f + alpha x_0 K^-1 e0 - y K^-1 col, the unknowns
-        (x_0, y) solve a 2x2 system: one factorisation, two solves and
-        the back-substitution of K^-1 e0."""
+        (x_0, y) solve a 2x2 system: one factorisation and the solves of
+        e0 and col."""
         alpha = float(self.di[0])
         d = self.di + lam * np.exp(u)
         d[0] += alpha
-        solve, first_column = _cyclic_reduction(self.lo, d, self.up)
-        e, b = first_column(), solve(col)
+        solve = _cyclic_reduction(self.lo, d, self.up)
+        e, b = solve(np.eye(1, d.size)[0]), solve(col)  # K^-1 e0, K^-1 col
         m00, m01 = 1.0 - alpha * float(e[0]), float(b[0])
         m10 = alpha * float(np.einsum("i,i", row, e))
         m11 = corner - float(np.einsum("i,i", row, b))
@@ -519,6 +508,7 @@ class _RectSystem(_System):
         self._sines = _sine_matrices(nyi, nxi)
 
     @staticmethod
+    @np.errstate(over="ignore", invalid="ignore")  # refused, not warned
     def _boundary_values(g: Grid2D, boundary: Union[Expr, float]) -> np.ndarray:
         """Full (ny, nx) array holding the Dirichlet data on its ring,
         zeros inside."""
@@ -803,7 +793,7 @@ class Branch:
 
     def write_csv(self, path) -> None:
         write_table(path, "s,lambda,u0",
-                    ((pt.s, pt.lam, pt.u0) for pt in self.points))
+                    np.array([(pt.s, pt.lam, pt.u0) for pt in self.points]))
 
 
 def _predict(points: list[BranchPoint], ds: float) -> tuple:

@@ -562,6 +562,7 @@ class AxisPair:
             if len(e.vars) != 1:
                 raise NotUnivariateError(f"{role} must be univariate, has vars {e.vars}")
 
+    @np.errstate(over="ignore", invalid="ignore")  # callers refuse inf, nan
     def sample(self, xs: np.ndarray, ys: np.ndarray) -> tuple:
         """``((fx, fx'), (gy, gy'))`` on ``xs`` and ``ys``, broadcast to each axis."""
         out = []

@@ -129,14 +129,27 @@ def open_text(path_or_file, mode: str = "r"):
             fh.close()
 
 
-def write_table(path, header: str, rows) -> None:
-    """Write ``header``, then one comma-separated line per row: ``None`` as
-    ``NA``, any other cell as its repr (pass Python scalars, e.g. via
-    ``.tolist()``).  ``path`` may be an open text stream."""
+def write_table(path, header: str, values: np.ndarray, na: str = "nan") -> None:
+    """Write ``header``, then the rows of the 2-D float array ``values``,
+    comma-separated: each value's repr(), which keeps the round trip
+    bit-exact, NaN spelled ``na``.  ``path`` may be an open text stream.
+    numpy formats row-major blocks of ``_CSV_BLOCK_VALUES`` values; while
+    one block drains into the stream, the next is formatted."""
+    from ._ryu import format_csv
+
+    flat, nx, block = np.ravel(values), values.shape[1], _CSV_BLOCK_VALUES
+
+    def text(k: int) -> str:
+        run = format_csv(flat[k:k + block], nx, k)
+        # no other value's repr holds "nan"
+        return run if na == "nan" else run.replace("nan", na)
+
     with open_text(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join("NA" if c is None else repr(c) for c in row) + "\n")
+        if flat.size <= block:
+            fh.write(text(0))
+        else:
+            _write_overlapped(fh, map(text, range(0, flat.size, block)))
 
 
 @dataclass(frozen=True)
@@ -216,24 +229,8 @@ class ScalarField2D:
         return cls(grid, np.broadcast_to(fn(X, Y), (grid.ny, grid.nx)).astype(float))
 
     def write_csv(self, path) -> None:
-        """Write ``# nx ny x0 y0 hx hy`` then ny comma-separated rows of
-        the values' repr(), which keeps the round trip bit-exact.
-        ``path`` may be an open text stream.
-
-        numpy formats the values in row-major blocks of
-        ``_CSV_BLOCK_VALUES``; while one block drains into the stream,
-        the next is formatted."""
-        from ._ryu import format_csv
-
-        flat, nx, block = np.ravel(self.values), self.grid.nx, _CSV_BLOCK_VALUES
-        with open_text(path, "w") as fh:
-            fh.write(self.grid.header() + "\n")
-            if flat.size <= block:
-                fh.write(format_csv(flat, nx))
-            else:
-                _write_overlapped(fh, (
-                    format_csv(flat[k:k + block], nx, k)
-                    for k in range(0, flat.size, block)))
+        """``# nx ny x0 y0 hx hy``, then the rows (:func:`write_table`)."""
+        write_table(path, self.grid.header(), self.values)
 
     @classmethod
     def read_csv(cls, path) -> "ScalarField2D":

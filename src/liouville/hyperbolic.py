@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expr import AxisPair
 from .fields import (BLOWUP_THRESHOLD, Grid2D, LiouvilleParams, ScalarField2D,
-                     write_table)
+                     open_text)
 
 __all__ = [
     "GoursatData",
@@ -63,7 +63,14 @@ class MarchResult:
         return int(self.mask.sum())
 
     def write_mask_csv(self, path) -> None:
-        write_table(path, self.field.grid.header(), self.mask.astype(int).tolist())
+        """The grid header, then rows of flags, 1 where a node is masked."""
+        cells = np.empty(self.mask.shape + (2,), dtype=np.uint8)
+        cells[..., 0] = ord("0") + self.mask.astype(np.uint8)
+        cells[..., 1] = ord(",")
+        cells[:, -1, 1] = ord("\n")
+        with open_text(path, "w") as fh:
+            fh.write(self.field.grid.header() + "\n")
+            fh.write(str(cells, "ascii"))
 
 
 def _fsc_step(w: np.ndarray, z: np.ndarray) -> np.ndarray:

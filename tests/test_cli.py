@@ -605,6 +605,27 @@ class TestExitCodes:
         assert doc["error"]["code"] == "closedform.non_finite"
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, exit_code, error", [
+        (["march", "--phi", "1e308*x*10", "--psi", "0"], 1,
+         "hyperbolic.error"),
+        (["march", "--phi", "exp(1000*x)", "--psi", "1"], 1,
+         "hyperbolic.error"),
+        (["backlund", "--w-phi", "1e308*x*10"], 2, "hyperbolic.ode_overflow"),
+        (["solve-elliptic", "--boundary", "1e308*x*10"], 1, "elliptic.error"),
+    ], ids=["march-product", "march-exp", "backlund-product",
+            "solve-elliptic-product"])
+    def test_overflowing_edge_data_warns_nothing(self, args, exit_code,
+                                                 error):
+        # the edge expressions overflow at some nodes: numpy's overflow
+        # RuntimeWarning reached stderr before the summary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(args)
+        assert code == exit_code
+        assert out.count("\n") == 1
+        assert summary_of(out)["error"]["code"] == error
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_log_form_pins_a(self):
         code, out, _ = invoke(["verify", "--eq", "log", "--a", "2"],
                               stdin_text="")
@@ -634,6 +655,31 @@ class TestNegation:
         grid = ["solve-elliptic", "--nx", "9", "--ny", "9"]
         assert invoke(grid + ["--K", "-1e-3"]) == invoke(grid + ["--K=-1e-3"])
 
+    @pytest.mark.parametrize("command, option, expr, rest", [
+        ("exact-h", "--f", "-x", ["--g", "-y"]),
+        ("march", "--phi", "-2*ln(1.3-0.5*x)", ["--psi", "-2*ln(1.3-0.5*y)"]),
+        ("solve-elliptic", "--boundary", "-x", []),
+    ], ids=["exact-h", "march", "solve-elliptic"])
+    def test_leading_minus_expression_is_a_value(self, command, option, expr,
+                                                 rest):
+        # argparse took "-x" for an option: "expected one argument"
+        args = [command, *rest, "--nx", "9", "--ny", "9"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(args + [option, expr])
+        assert code == 0 and err == "", out
+        assert invoke(args + [f"{option}={expr}"]) == (code, out, err)
+
+    def test_dash_h_is_still_help(self):
+        code, out, _ = invoke(["exact-h", "-h"])
+        assert code == 0
+        assert out == (DATA / "help_exact_h.txt").read_text()
+
+    def test_unknown_long_option_is_still_usage_error(self):
+        code, out, _ = invoke(["exact-h", "--f", "x", "--g", "y", "--bogus"])
+        assert code == 1
+        assert summary_of(out)["error"]["code"] == "cli.usage"
+
     @pytest.mark.parametrize("value", ["-inf", "-nan"])
     def test_non_finite_negatives_reach_the_finite_check(self, value):
         code, out, _ = invoke(["solve-elliptic", "--K", value])
@@ -645,7 +691,7 @@ class TestNegation:
         assert code == 1
         doc = summary_of(out)
         assert doc["error"]["code"] == "cli.usage"
-        assert "expected one argument" in doc["error"]["message"]
+        assert "invalid float value" in doc["error"]["message"]
 
     def test_negated_constant_is_its_zero_minus_spelling(self):
         # sqrt(-0.04) is the principal 0.2i, as sqrt(0-0.04) always was;
@@ -1284,7 +1330,7 @@ class TestMemoryBounds:
         (["convert-log", "--in", "{h}", "--direction", "u-to-T", *_NULL],
          3.25),
         (["march", "--phi", "0", "--psi", "0", *_GRID, *_NULL,
-          "--mask-out", os.devnull], 3.25),
+          "--mask-out", os.devnull], 2.25),
         (["backlund", "--w-phi", "x", "--w-psi", "y", *_GRID, *_NULL], 3.0),
         (["blowup-exact", *_GRID, *_NULL], 1.75),
         (["solve-elliptic", *_GRID, *_NULL], 19.0),

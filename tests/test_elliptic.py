@@ -522,17 +522,6 @@ class TestCyclicReduction:
                     J, np.linalg.solve(J, rhs), rhs))
         assert worst_cr <= 10 * worst_lu
 
-    def test_first_column_is_the_solve_of_e0(self):
-        # the reduction leaves e0 as it is, so skipping it moves no bit
-        rng = np.random.default_rng(9)
-        for m in (2, 3, 4, 5, 64, 255, 256):
-            lo, up = rng.normal(size=m - 1), rng.normal(size=m - 1)
-            di = rng.normal(size=m) + 4.0
-            solve, first_column = _cyclic_reduction(lo, di, up)
-            e0 = np.zeros(m)
-            e0[0] = 1.0
-            assert first_column().tobytes() == solve(e0).tobytes()
-
     @pytest.mark.parametrize("k", range(7))
     def test_singular_matrix_raises(self, k):
         # a zero row keeps every pivot it reaches at exactly zero, odd or

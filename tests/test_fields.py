@@ -38,8 +38,10 @@ from liouville.fields import (
     residual_elliptic,
     residual_hyperbolic,
     residual_log,
-    write_table,
 )
+from liouville.closedform import BlowupCurve
+from liouville.elliptic import RadialProfile
+from liouville.hyperbolic import MarchResult
 
 P11 = LiouvilleParams(1.0, 1.0)
 
@@ -165,6 +167,15 @@ class TestCsvRoundTrip:
             ScalarField2D.read_csv(io.StringIO("# 100000 100000 0 0 1 1\n"))
 
 
+def repr_table(stream, header, rows):
+    """The reference table writer: ``header``, then one comma-separated
+    line per row, ``None`` as ``NA`` and any other cell as its repr."""
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join("NA" if c is None else repr(c) for c in row)
+                     + "\n")
+
+
 def repr_rows(values):
     """The reference CSV text of a 2-D array: ``repr`` of each value."""
     return "".join(",".join(map(repr, row)) + "\n" for row in values.tolist())
@@ -249,10 +260,43 @@ class TestWriteCsvBlocks:
         threads = threading.active_count()
         got, want = io.StringIO(), io.StringIO()
         f.write_csv(got)
-        write_table(want, f.grid.header(),
-                    (row.tolist() for row in values))
+        repr_table(want, f.grid.header(),
+                   (row.tolist() for row in values))
         assert got.getvalue() == want.getvalue()
         assert threading.active_count() == threads
+
+    def test_profile_of_several_blocks_matches_repr_writer(self):
+        rng = np.random.default_rng(3)
+        r = np.linspace(0.0, 1.0, 20001)
+        prof = RadialProfile(r, rng.standard_normal(20001) * 1e3)
+        got, want = io.StringIO(), io.StringIO()
+        prof.write_csv(got)
+        repr_table(want, "r,u", zip(r.tolist(), prof.values.tolist()))
+        assert got.getvalue() == want.getvalue()
+
+    def test_curve_na_rows_at_a_block_seam_match_repr_writer(self):
+        # 2^13 rows a block: no crossing on either side of the first seam
+        rng = np.random.default_rng(4)
+        xs, ys = np.linspace(-1.0, 1.0, 20001).tolist(), rng.standard_normal(
+            20001).tolist()
+        for k in (0, 8190, 8191, 8192, 8193, 20000):
+            ys[k] = None
+        curve = BlowupCurve(list(zip(xs, ys)), 1e-12)
+        got, want = io.StringIO(), io.StringIO()
+        curve.write_csv(got)
+        repr_table(want, "x,y", curve.samples)
+        assert got.getvalue() == want.getvalue()
+
+    def test_ragged_mask_matches_repr_writer(self):
+        rng = np.random.default_rng(5)
+        mask = rng.random((7, 13)) < 0.3
+        grid = Grid2D(13, 7, -1.0, 0.5, 0.25, 0.125)
+        result = MarchResult(ScalarField2D(grid, np.where(mask, np.nan, 1.0)),
+                             mask)
+        got, want = io.StringIO(), io.StringIO()
+        result.write_mask_csv(got)
+        repr_table(want, grid.header(), mask.astype(int).tolist())
+        assert got.getvalue() == want.getvalue()
 
     def test_write_failure_is_raised_promptly(self, monkeypatch):
         # 100 blocks of 4 rows; the stream fails on its third block
