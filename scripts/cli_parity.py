@@ -118,6 +118,8 @@ ARGVS = [
     ["march", "--phi", "0", "--psi", "0", "--domain", "0", "0", "3", "3",
      "--nx", "33", "--ny", "33", "--threshold", "1.0",
      "--out", "march.csv", "--mask-out", "mask.csv"],
+    # Goursat data whose corner values differ (exit 1)
+    ["march", "--phi", "-2*ln(1.3-0.5*x)", "--psi", "0"],
     # K a < 0 (Wright omega), and data where e^(beta (c+s)) overflows
     ["march", "--phi", "sin(3*x)", "--psi", "sin(5*y)", "--K=-3", "--a", "2",
      "--out", "march_omega.csv"],
@@ -184,6 +186,9 @@ ARGVS = [
     ["gelfand", "--geometry", "rectangle", "--nx", "17", "--ny", "25"],
     ["gelfand", "--geometry", "rectangle", "--nx", "161", "--ny", "161",
      "--u0-cap", "1.0", "--out", "branch_rect161.csv"],
+    # an even, asymmetric 16 x 10 interior, whose center value is the
+    # mean of four nodes
+    ["gelfand", "--geometry", "rectangle", "--nx", "18", "--ny", "12"],
     # m = 99 unknowns, not a power of two; the one-node rectangle, whose
     # fold is lambda = 16/e at u = 1; a branch capped just past its fold
     ["gelfand", "--n", "100", "--out", "branch100.csv"],

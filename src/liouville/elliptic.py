@@ -10,15 +10,15 @@ alone.  On an interior of at most _DENSE_SINE_MAX nodes along each axis
 the sine transform is two BLAS products with the dense sine matrices,
 faster there than the FFT and small enough that OpenBLAS runs them on
 one thread; larger interiors go through the FFT.
-Every solve runs one Newton loop, ``_newton``.  On top of the plain
-Dirichlet solver sit a pseudo-arclength continuation of the Gelfand
-branch Delta u + lambda e^u = 0, whose steps and fold run that loop on
-bordered solves, and the boundary blow-up exhaustion u|_boundary = M.
+Every solve runs one Newton loop, ``_newton``, and each of its steps is
+one call of the geometry's only linear solve, ``solve``: without a
+border in the plain Dirichlet solver and the boundary blow-up exhaustion
+u|_boundary = M, with one in the steps and fold of the pseudo-arclength
+continuation of the Gelfand branch Delta u + lambda e^u = 0.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -163,8 +163,9 @@ class RadialProfile:
 
 
 class _System:
-    """F(u) above; subclasses apply ``A`` and set ``bc_vec``, ``m`` and
-    ``norm_A`` = ||A|| in the max norm (the largest absolute row sum)."""
+    """F(u) above; subclasses apply ``A``, set ``bc_vec``, ``m`` and
+    ``norm_A`` = ||A|| in the max norm (the largest absolute row sum), and
+    give the one linear solve ``solve(u, coef, a, f, border=None)``."""
 
     def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
         return self.apply_A(u) + self.bc_vec + coef * np.exp(a * u)
@@ -283,26 +284,23 @@ class _RadialSystem(_System):
         Av[:-1] += self.up * v[1:]
         return Av
 
-    def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-        """J = A + diag(coef a e^(a u)), factored once by cyclic
-        reduction; every solve reuses the factors."""
-        return _cyclic_reduction(self.lo, self.di + coef * a * np.exp(a * u),
-                                 self.up)
-
-    def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
-                        row: np.ndarray, corner: float) -> Callable:
-        """(f, n) -> (x, y) solving [J, col; row, corner] [x; y] = [f; n]
-        with J the Gelfand Jacobian at (u, lam), which may be singular:
-        the fold solve drives it there.  The factored matrix is
+    def solve(self, u: np.ndarray, coef: float, a: float, f: np.ndarray,
+              border: Optional[tuple] = None) -> tuple[np.ndarray, float]:
+        """(J^-1 f, 0), J = A + diag(coef a e^(a u)) factored by cyclic
+        reduction.  With ``border`` = (col, row, corner, n), the (x, y) of
+        [J, col; row, corner] [x; y] = [f; n], where J may be singular (the
+        fold solve drives it there); the factored matrix is then
         K = J + alpha e0 e0^T with alpha = di[0] = -4/h^2.  W K is
         symmetric, and K is negative definite wherever J's top eigenvalue
         is <= 0, because a null vector v of a tridiagonal J has v_0 != 0.
         With x = K^-1 f + alpha x_0 K^-1 e0 - y K^-1 col, the unknowns
         (x_0, y) solve a 2x2 system: one factorisation and the solves of
-        e0 and col."""
+        e0, col and f."""
+        d = self.di + coef * a * np.exp(a * u)
+        if border is None:
+            return _cyclic_reduction(self.lo, d, self.up)(f), 0.0
+        col, row, corner, n = border
         alpha = float(self.di[0])
-        d = self.di + lam * np.exp(u)
         d[0] += alpha
         solve = _cyclic_reduction(self.lo, d, self.up)
         e, b = solve(np.eye(1, d.size)[0]), solve(col)  # K^-1 e0, K^-1 col
@@ -312,14 +310,10 @@ class _RadialSystem(_System):
         det = m00 * m11 - m01 * m10
         if det == 0.0 or not np.isfinite(det):
             raise SingularJacobianError("degenerate bordered system")
-
-        def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
-            a = solve(f)
-            a0, r = float(a[0]), n - float(np.einsum("i,i", row, a))
-            x0, y = (m11 * a0 - m01 * r) / det, (m00 * r - m10 * a0) / det
-            return a + (alpha * x0) * e - y * b, y
-
-        return bordered
+        x = solve(f)  # K^-1 f
+        k0, r = float(x[0]), n - float(np.einsum("i,i", row, x))
+        x0, y = (m11 * k0 - m01 * r) / det, (m00 * r - m10 * k0) / det
+        return x + (alpha * x0) * e - y * b, y
 
     def initial_guess(self) -> np.ndarray:
         # harmonic extension of constant data is the constant itself
@@ -591,36 +585,33 @@ class _RectSystem(_System):
 
         return matvec, psolve
 
-    def jacobian_solver(self, u: np.ndarray, coef: float, a: float,
-                        ) -> Callable[[np.ndarray], np.ndarray]:
-        """GMRES on J, preconditioned as in ``_jacobian``."""
-        return functools.partial(_gmres, *self._jacobian(u, coef, a))
+    def solve(self, u: np.ndarray, coef: float, a: float, f: np.ndarray,
+              border: Optional[tuple] = None) -> tuple[np.ndarray, float]:
+        """(J^-1 f, 0) by GMRES on J = A + diag(coef a e^(a u)),
+        preconditioned as in ``_jacobian``.  With ``border`` = (col, row,
+        corner, n), the (x, y) of [J, col; row, corner] [x; y] = [f; n]:
+        one GMRES on the (m+1)-vector, right-preconditioned by
+        blockdiag((A + c I)^-1, 1)."""
+        jv, psolve = self._jacobian(u, coef, a)
+        if border is None:
+            return _gmres(jv, psolve, f), 0.0
+        col, row, corner, n = border
 
-    def bordered_solver(self, u: np.ndarray, lam: float, col: np.ndarray,
-                        row: np.ndarray, corner: float) -> Callable:
-        """(f, n) -> (x, y) solving [J, col; row, corner] [x; y] = [f; n]
-        with J the Gelfand Jacobian at (u, lam): one GMRES on the
-        (m+1)-vector, right-preconditioned by blockdiag((A + c I)^-1, 1)."""
-        jv, psolve = self._jacobian(u, lam, 1.0)
-
-        def border(jx: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
+        def bordered(jx: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
             out = np.empty(x.size + 1)
             np.add(jx, y * col, out=out[:-1])
             out[-1] = np.einsum("i,i", row, x) + corner * y
             return out
 
         def matvec(v: np.ndarray) -> np.ndarray:
-            return border(jv(v[:-1]), v[:-1], v[-1])
+            return bordered(jv(v[:-1]), v[:-1], v[-1])
 
         def bpsolve(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             z, jz = psolve(v[:-1])
-            return np.append(z, v[-1]), border(jz, z, v[-1])
+            return np.append(z, v[-1]), bordered(jz, z, v[-1])
 
-        def bordered(f: np.ndarray, n: float) -> tuple[np.ndarray, float]:
-            x = _gmres(matvec, bpsolve, np.append(f, n))
-            return x[:-1], float(x[-1])
-
-        return bordered
+        x = _gmres(matvec, bpsolve, np.append(f, n))
+        return x[:-1], float(x[-1])
 
     def initial_guess(self) -> np.ndarray:
         if not np.any(self.bc_vec):
@@ -693,10 +684,9 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
     the first evaluated |F| <= max(tol, ``rounding_floor``) with |N| <=
     tol; fails at a non-finite residual or floor, after ``max_iter``
     steps, at a correction whose norm is not > 0, or at the first step
-    no shorter than the one before
-    (Deuflhard 2004, ch. 3 and 5).  Returns (u, coef, report, Theta_0
-    = |dx_1|/|dx_0|, or 0); the report's residuals are max(|F|, |N|),
-    its tolerance the threshold checked last."""
+    no shorter than the one before (Deuflhard 2004, ch. 3 and 5).
+    Returns (u, coef, report, Theta_0 = |dx_1|/|dx_0|, or 0); the report's
+    residuals are max(|F|, |N|), its tolerance the threshold checked last."""
     history, steps, theta0, checked = [], [], 0.0, tol
     for it in itertools.count():
         # an overflowing e^(a u) is a non-finite residual, handled below
@@ -720,12 +710,11 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
             message = f"no convergence in {max_iter} iterations"
             break
         np.negative(F, out=F)  # the right-hand side -F, in place
-        if border is None:
-            du, dc = system.jacobian_solver(u, coef, a)(F), 0.0
-        else:
+        edge = None
+        if border is not None:
             scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
-            du, dc = system.bordered_solver(u, coef, np.exp(u), scale * row,
-                                            scale * corner)(F, -scale * N)
+            edge = (np.exp(u), scale * row, scale * corner, -scale * N)
+        du, dc = system.solve(u, coef, a, F, edge)
         steps.append(_norm(du, dc))
         # a zero correction, or one whose norm underflows, leaves u as it is
         if not steps[-1] > 0.0:
@@ -847,7 +836,7 @@ def _fold_border(system, c: np.ndarray) -> Callable:
     wc, zero = system.weights * c, np.zeros(system.m)
 
     def sigma(u, lam):
-        v, sig = system.bordered_solver(u, lam, c, wc, 0.0)(zero, 1.0)
+        v, sig = system.solve(u, lam, 1.0, zero, (c, wc, 0.0, 1.0))
         g = system.weights * np.exp(u) * v * v
         return sig, -lam * g, -float(g.sum())
 

@@ -156,7 +156,7 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
         raise HyperbolicError("the blow-up threshold must be finite")
     if abs(bottom[0] - left[0]) > CORNER_TOL:
         raise CornerMismatchError(
-            f"phi(x0) = {bottom[0]!r} but psi(y0) = {left[0]!r} "
+            f"phi(x0) = {float(bottom[0])!r} but psi(y0) = {float(left[0])!r} "
             f"(difference {abs(bottom[0] - left[0]):.3e})")
 
     nx, ny = grid.nx, grid.ny

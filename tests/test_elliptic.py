@@ -137,6 +137,20 @@ class TestRectangleSolve:
         assert len(report.newton_history) == report.iterations + 1
 
 
+    @pytest.mark.parametrize("nxi, nyi", [(6, 4), (6, 5), (5, 7)],
+                             ids=["even-even", "even-odd", "odd-odd"])
+    def test_center_value_is_the_mean_of_the_nearest_nodes(self, nxi, nyi):
+        # an asymmetric field, so that no two of the nearest nodes agree
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, nxi + 2, nyi + 2)
+        system = _make_system(RectangleGeometry(g), 0.0)
+        u = np.random.default_rng(nxi * nyi).uniform(1.0, 2.0, system.m)
+        cols, rows = ({math.floor((n - 1) / 2), math.ceil((n - 1) / 2)}
+                      for n in (g.nx, g.ny))
+        nearest = system.pack(u).values[np.ix_(sorted(rows), sorted(cols))]
+        assert system.center_value(u) == pytest.approx(nearest.mean(),
+                                                       rel=1e-15)
+
+
 class TestDiskSolve:
     def test_rounding_floor_ends_the_solve(self):
         # at n = 1025 the residual reaches 6e-10 after 4 steps, above the
@@ -160,20 +174,22 @@ class TestDiskSolve:
 
     def test_every_jacobian_solve_is_used(self, monkeypatch):
         # the loop stops on an evaluated residual, so it never solves for
-        # a step it then throws away
-        calls = []
-        jacobian_solver = elliptic._RadialSystem.jacobian_solver
+        # a step it then throws away: one solve without a border per
+        # iteration, on the disk and on a rectangle
+        for cls, geometry in ((elliptic._RadialSystem, DiskGeometry(1025)),
+                              (elliptic._RectSystem, rect(33))):
+            calls, solve = [], cls.solve
 
-        def counted(self, *args):
-            calls.append(args)
-            return jacobian_solver(self, *args)
+            def counted(self, *args, calls=calls, solve=solve):
+                calls.append(args)
+                return solve(self, *args)
 
-        monkeypatch.setattr(elliptic._RadialSystem, "jacobian_solver",
-                            counted)
-        _, report = solve_dirichlet(DirichletProblem(
-            DiskGeometry(1025), LiouvilleParams(1.0, 1.0), 2.0))
-        assert report.converged
-        assert len(calls) == report.iterations
+            monkeypatch.setattr(cls, "solve", counted)
+            _, report = solve_dirichlet(DirichletProblem(
+                geometry, LiouvilleParams(1.0, 1.0), 2.0))
+            assert report.converged
+            assert len(calls) == report.iterations > 0
+            assert all(args[4] is None for args in calls)
 
     def test_matches_radial_family(self):
         fam = gelfand_radial(0.5)
@@ -285,7 +301,7 @@ class TestKrylovSolve:
         u = system.initial_guess()
         coef, a = 1.0, 1.0
         b = -system.residual(u, coef, a)
-        x = system.jacobian_solver(u, coef, a)(b)
+        x, _ = system.solve(u, coef, a, b)
         r = b - system.jacobian_matvec(u, coef, a, x)
         assert np.linalg.norm(r) <= GMRES_RTOL * np.linalg.norm(b)
 
@@ -446,8 +462,8 @@ class TestKrylovSolve:
                             counted("cycles", np.linalg.solve))
         rng = np.random.default_rng(3)
         col, row = np.exp(u), rng.normal(size=system.m) / system.m
-        system.bordered_solver(u, 3.0, col, row, 0.5)(
-            rng.normal(size=system.m), 0.2)
+        system.solve(u, 3.0, 1.0, rng.normal(size=system.m),
+                     (col, row, 0.5, 0.2))
         assert counts["preconditioner"] >= 3
         assert counts["stencil"] <= counts["cycles"] + 1
 
@@ -459,9 +475,8 @@ class TestKrylovSolve:
         g = self.GRID
         mu1 = sum(4.0 / h ** 2 * math.sin(0.5 * math.pi / (n - 1)) ** 2
                   for h, n in ((g.hx, g.nx), (g.hy, g.ny)))
-        solve = system.jacobian_solver(np.zeros(system.m), mu1, 1.0)
         with pytest.raises(SingularJacobianError):
-            solve(np.ones(system.m))
+            system.solve(np.zeros(system.m), mu1, 1.0, np.ones(system.m))
 
 
 def disk_jacobian(system, u, coef, a=1.0):
@@ -487,7 +502,7 @@ class TestCyclicReduction:
             u = rng.normal(0.0, 1.0, system.m)
             rhs = rng.normal(size=system.m)
             J = disk_jacobian(system, u, coef)
-            x = system.jacobian_solver(u, coef, 1.0)(rhs)
+            x, _ = system.solve(u, coef, 1.0, rhs)
             dense = np.linalg.solve(J, rhs)
             assert np.abs(x - dense).max() <= 1e-12 * np.abs(dense).max()
             assert rel_residual(J, x, rhs) <= 10 * max(
@@ -515,9 +530,9 @@ class TestCyclicReduction:
         worst_cr = worst_lu = 0.0
         for u, lam in made:
             J = disk_jacobian(system, u, lam)
-            solve = system.jacobian_solver(u, lam, 1.0)
             for rhs in (-np.exp(u), generic):
-                worst_cr = max(worst_cr, rel_residual(J, solve(rhs), rhs))
+                x, _ = system.solve(u, lam, 1.0, rhs)
+                worst_cr = max(worst_cr, rel_residual(J, x, rhs))
                 worst_lu = max(worst_lu, rel_residual(
                     J, np.linalg.solve(J, rhs), rhs))
         assert worst_cr <= 10 * worst_lu
@@ -540,10 +555,10 @@ class TestCyclicReduction:
         u = np.zeros(system.m)
         u[5] = np.nan
         with pytest.raises(SingularJacobianError):
-            system.jacobian_solver(u, 1.0, 1.0)
-        solve = system.jacobian_solver(np.zeros(system.m), 1.0, 1.0)
+            system.solve(u, 1.0, 1.0, np.zeros(system.m))
         with pytest.raises(SingularJacobianError):
-            solve(np.full(system.m, 1e308))
+            system.solve(np.zeros(system.m), 1.0, 1.0,
+                         np.full(system.m, 1e308))
 
 
 BORDER_GEOMETRIES = [
@@ -568,7 +583,7 @@ class TestBorderedSolve:
         rng = np.random.default_rng(11)
         f, n = rng.normal(size=system.m), 0.3
         dense = np.linalg.solve(B, np.append(f, n))
-        x, y = system.bordered_solver(u, lam, col, row, corner)(f, n)
+        x, y = system.solve(u, lam, 1.0, f, (col, row, corner, n))
         got = np.append(x, y)
         # GMRES stops at a relative residual of 1e-8
         assert np.abs(got - dense).max() <= 1e-7 * np.abs(dense).max()
@@ -599,7 +614,7 @@ class TestBorderedSolve:
         B = np.block([[J, col[:, None]], [row[None, :], np.array([[corner]])]])
         f, n = np.array([1.0, -2.0]), 0.5
         dense = np.linalg.solve(B, np.append(f, n))
-        x, y = system.bordered_solver(u, lam, col, row, corner)(f, n)
+        x, y = system.solve(u, lam, 1.0, f, (col, row, corner, n))
         assert np.abs(np.append(x, y) - dense).max() <= 1e-14 * np.abs(dense).max()
 
     @pytest.mark.parametrize("geometry", [
@@ -673,6 +688,20 @@ class TestFold:
         assert fold is not None and not branch.aborted
         assert 6.8079 < fold.lam0 < 6.8081
         assert pts[fold.index].u0 <= fold.u0 <= pts[fold.index + 1].u0
+
+    def test_square_fold_extrapolates_to_the_continuum(self):
+        # the folds at 17^2, 33^2 and 65^2, Romberg-extrapolated in h^2
+        # and then h^4, against the unit-square Bratu fold 6.80812442
+        # (Boyd 1986 gives about 6.80812)
+        folds = []
+        for n in (17, 33, 65):
+            g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, n, n)
+            branch = continue_branch(RectangleGeometry(g), u0_cap=1.5)
+            assert branch.fold is not None and not branch.aborted
+            folds.append(branch.fold.lam0)
+        h2 = [(4.0 * fine - coarse) / 3.0
+              for coarse, fine in zip(folds, folds[1:])]
+        assert abs((16.0 * h2[1] - h2[0]) / 15.0 - 6.80812442) <= 1e-7
 
     def test_disk_fold_has_a_clean_h4_term(self, branch257):
         # lambda0_h = 2 - (7/9) h^2 + C h^4: the h^4 coefficient read at
@@ -895,25 +924,45 @@ class TestContinuation:
         system = _make_system(geom, 0.0)
         u_pred, lam_pred, tu, tl = _predict(
             continue_branch(geom, max_steps=4).points, 4.0)
-        solves, bordered_solver = [], system.bordered_solver
+        solves, solve = [], system.solve
 
-        def counted(*factors):
-            solve = bordered_solver(*factors)
-
-            def bordered(*rhs):
-                solves.append(rhs)
-                return solve(*rhs)
-
-            return bordered
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
 
         def plane(u, lam):
             return _dot(u - u_pred, lam - lam_pred, tu, tl), tu / system.m, tl
 
-        system.bordered_solver = counted
+        system.solve = counted
         with pytest.raises(NonConvergenceError) as info:
             _newton(system, u_pred, lam_pred, 1.0, 1e-10, 12, border=plane)
         assert len(solves) == 2
         assert info.value.report.iterations == 1
+
+    @pytest.mark.parametrize("geometry", [rect(33), DiskGeometry(1025)],
+                             ids=["rectangle", "disk"])
+    def test_every_corrector_solve_is_used(self, geometry):
+        # a corrector that converges makes one bordered solve per
+        # iteration, and none for the iterate it accepts
+        system = _make_system(geometry, 0.0)
+        start = continue_branch(geometry, max_steps=4).points
+        tu, tl = secant(start[-2], start[-1])
+        u_pred, lam_pred = start[-1].u + 0.05 * tu, start[-1].lam + 0.05 * tl
+        solves, solve = [], system.solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        def plane(u, lam):
+            return _dot(u - u_pred, lam - lam_pred, tu, tl), tu / system.m, tl
+
+        system.solve = counted
+        report = _newton(system, u_pred, lam_pred, 1.0, 1e-10, 12,
+                         border=plane)[2]
+        assert report.converged
+        assert len(solves) == report.iterations > 0
+        assert all(args[4] is not None for args in solves)
 
     @pytest.mark.parametrize("geometry", [rect(17), DiskGeometry(65)],
                              ids=["rectangle", "disk"])

@@ -240,9 +240,12 @@ class TestLambertW:
 
 class TestMarchValidation:
     def test_corner_mismatch(self):
-        with pytest.raises(CornerMismatchError):
+        # the corner values are printed as plain floats, not numpy reprs
+        with pytest.raises(CornerMismatchError) as info:
             march(GoursatData(parse("0", ("x",)), parse("1", ("y",))), P11,
                   Grid2D.from_bounds(0, 0, 1, 1, 9, 9))
+        assert str(info.value).startswith("phi(x0) = 0.0 but psi(y0) = 1.0 ")
+        assert "np.float64(" not in str(info.value)
 
     def test_edge_shapes(self):
         g = Grid2D.from_bounds(0, 0, 1, 1, 9, 9)
