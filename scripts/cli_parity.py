@@ -54,6 +54,11 @@ ARGVS = [
     # every function and operator rule of the expression evaluator
     ["exact-h", "--f", "sqrt(x)*sinh(x)+x^3/cosh(x)-cos(x)",
      "--g", "exp(sin(y))+ln(y)-y^-2", "--nx", "9", "--ny", "9"],
+    # left-associative - and / chains (f' = 0.75, g' = 1), and a chain
+    # whose quotient divides by zero at the node x = 1 (exit 1,
+    # expr.domain)
+    ["exact-h", "--f", "8-4-2*x/4/2+x", "--g", "y-1-1+3"],
+    ["exact-h", "--f", "2+1/(x-1-0)*3", "--g", "y"],
     # expressions past the parser's limits (exit 1): an exponent past
     # 2^53, and parentheses nested past 100 levels
     ["exact-h", "--f", "x^(10^400)", "--g", "y", "--nx", "3", "--ny", "3"],

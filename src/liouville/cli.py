@@ -153,21 +153,21 @@ def _field_stats(field: ScalarField2D) -> dict:
 # --- shared flag groups --------------------------------------------------
 
 
-def _add_rect(p, domain, nx=65, ny=65) -> None:
+def _add_rect(p, domain) -> None:
     p.add_argument("--domain", nargs=4, type=float, default=list(domain),
                    metavar=("X0", "Y0", "X1", "Y1"),
                    help="rectangle corners x0 y0 x1 y1, dimensionless "
                         "(default %(default)s)")
-    p.add_argument("--nx", type=int, default=nx,
+    p.add_argument("--nx", type=int, default=65,
                    help="grid nodes along x (default %(default)s)")
-    p.add_argument("--ny", type=int, default=ny,
+    p.add_argument("--ny", type=int, default=65,
                    help="grid nodes along y (default %(default)s)")
 
 
-def _add_params(p, K=1.0, a=1.0) -> None:
-    p.add_argument("--K", type=float, default=K,
+def _add_params(p) -> None:
+    p.add_argument("--K", type=float, default=1.0,
                    help="coefficient K, dimensionless (default %(default)s)")
-    p.add_argument("--a", type=float, default=a,
+    p.add_argument("--a", type=float, default=1.0,
                    help="exponent coefficient a, dimensionless "
                         "(default %(default)s)")
 
@@ -178,9 +178,9 @@ def _add_out(p, what="field CSV") -> None:
                         "(default %(default)s)")
 
 
-def _add_in(p, what="field CSV") -> None:
+def _add_in(p) -> None:
     p.add_argument("--in", dest="infile", default="-",
-                   help=f"{what} source, '-' for stdin (default %(default)s)")
+                   help="field CSV source, '-' for stdin (default %(default)s)")
 
 
 def _grid(ns) -> Grid2D:
@@ -401,15 +401,16 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
     total = (nx - 2) * (ny - 2)
     picks = rng.choice(total, size=min(n_probe, total), replace=False)
     worst = 0.0
+    bumped = field.values.copy()
     for flat in np.sort(picks):
         j = 1 + int(flat) // (nx - 2)
         i = 1 + int(flat) % (nx - 2)
         step = 1e-6 * (1.0 + abs(field.values[j, i]))
-        bumped = field.values.copy()
         bumped[j, i] += step
         plus = action_value(ScalarField2D(field.grid, bumped), p)
         bumped[j, i] -= 2.0 * step
         minus = action_value(ScalarField2D(field.grid, bumped), p)
+        bumped[j, i] = field.values[j, i]
         fd = (plus - minus) / (2.0 * step)
         scale = max(abs(fd), abs(grad.values[j, i]), 1e-30)
         worst = max(worst, abs(fd - grad.values[j, i]) / scale)

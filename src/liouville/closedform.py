@@ -223,7 +223,6 @@ class BlowupCurve:
     y = None where the locus does not cross the searched y-interval."""
 
     samples: list[tuple[float, Optional[float]]]
-    tol: float
 
     def write_csv(self, path) -> None:
         # None (no crossing) reads as NaN, which a found crossing never is
@@ -298,7 +297,7 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
         raise ClosedFormError(f"the crossing at sample {bad[0]} (x = "
                               f"{float(xs[bad[0]])!r}) is not finite")
     return BlowupCurve([(x, v if ok else None) for x, v, ok in
-                        zip(xs.tolist(), y.tolist(), found.tolist())], tol)
+                        zip(xs.tolist(), y.tolist(), found.tolist())])
 
 
 def convert_log_form(field: ScalarField2D, direction: str) -> ScalarField2D:

@@ -163,30 +163,30 @@ class RadialProfile:
 
 
 class _System:
-    """F(u) above; subclasses apply ``A``, set ``bc_vec``, ``m`` and
-    ``norm_A`` = ||A|| in the max norm (the largest absolute row sum), and
+    """F(u) above; subclasses apply ``A``, set ``bc_vec``, ``m``, the max
+    norms ``norm_A`` (the largest absolute row sum) and ``bc_max``, and
     give the one linear solve ``solve(u, coef, a, f, border=None)``."""
 
-    def residual(self, u: np.ndarray, coef: float, a: float) -> np.ndarray:
-        return self.apply_A(u) + self.bc_vec + coef * np.exp(a * u)
-
-    def rounding_floor(self, u: np.ndarray, coef: float, a: float) -> float:
-        """The max-norm rounding error of F(u): no residual gets below it."""
-        return float(np.finfo(float).eps) * (
-            self.norm_A * float(np.abs(u).max())
-            + float(np.abs(self.bc_vec).max())
-            + abs(coef) * float(np.exp(a * u).max()))
+    def residual(self, u: np.ndarray, coef: float, a: float) -> tuple:
+        """(F(u), e^(a u), floor) from one exponential: floor is the
+        max-norm rounding error of F(u), which no residual gets below."""
+        e = np.exp(a * u)
+        floor = float(np.finfo(float).eps) * (
+            self.norm_A * float(np.abs(u).max()) + self.bc_max
+            + abs(coef) * float(e.max()))
+        return self.apply_A(u) + self.bc_vec + coef * e, e, floor
 
     def jacobian_matvec(self, u: np.ndarray, coef: float, a: float,
                         v: np.ndarray) -> np.ndarray:
         return self.apply_A(v) + coef * a * np.exp(a * u) * v
 
 
-def _require_finite_bc(bc_vec: np.ndarray) -> None:
+def _require_finite_bc(bc_vec: np.ndarray) -> float:
     """Refuse boundary data whose term in F, A applied to the data,
-    overflows (it is computed with overflow warnings off)."""
+    overflows (computed with overflow warnings off); return its max norm."""
     if not np.all(np.isfinite(bc_vec)):
         raise EllipticError("the boundary term A u|_boundary overflows")
+    return float(np.abs(bc_vec).max())
 
 
 def _cyclic_reduction(lo: np.ndarray, di: np.ndarray, up: np.ndarray,
@@ -270,7 +270,7 @@ class _RadialSystem(_System):
         self.bc_vec = np.zeros(m)
         with np.errstate(over="ignore"):
             self.bc_vec[-1] = (1.0 / h ** 2 + 1.0 / (2 * r[-1] * h)) * boundary
-        _require_finite_bc(self.bc_vec)
+        self.bc_max = _require_finite_bc(self.bc_vec)
         self.norm_A = 8.0 / h ** 2  # the center row
         # the diagonal W that makes W A symmetric: r_i, and h/8 at the center
         self.weights = np.append(h / 8, r)
@@ -482,7 +482,7 @@ class _RectSystem(_System):
         # A applied to the ring data alone: the interior of bv is zero
         with np.errstate(over="ignore"):
             self.bc_vec = laplacian(bv, g.hx, g.hy).ravel()
-        _require_finite_bc(self.bc_vec)
+        self.bc_max = _require_finite_bc(self.bc_vec)
         # the ring that ``pack`` puts around the interior: bottom and top
         # rows, then the left and right columns between them
         self._ring = (bv[0].copy(), bv[-1].copy(),
@@ -681,7 +681,7 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
     gradient (row, corner), and each step is one solve of J bordered by
     e^u = dF/dlam and that row, scaled to unit max(|row|, |corner|) so
     that a tiny fold gradient does not stall the Krylov solve.  Stops at
-    the first evaluated |F| <= max(tol, ``rounding_floor``) with |N| <=
+    the first evaluated |F| <= max(tol, ``residual``'s floor) with |N| <=
     tol; fails at a non-finite residual or floor, after ``max_iter``
     steps, at a correction whose norm is not > 0, or at the first step
     no shorter than the one before (Deuflhard 2004, ch. 3 and 5).
@@ -691,8 +691,7 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
     for it in itertools.count():
         # an overflowing e^(a u) is a non-finite residual, handled below
         with np.errstate(over="ignore", invalid="ignore"):
-            F = system.residual(u, coef, a)
-            floor = system.rounding_floor(u, coef, a)
+            F, e, floor = system.residual(u, coef, a)
         nrm = float(np.abs(F).max())
         if not np.isfinite(nrm + floor):
             history.append(nrm)
@@ -713,7 +712,9 @@ def _newton(system, u: np.ndarray, coef: float, a: float,
         edge = None
         if border is not None:
             scale = 1.0 / max(float(np.abs(row).max()), abs(corner))
-            edge = (np.exp(u), scale * row, scale * corner, -scale * N)
+            # the bordered callers pass a = 1, so e is e^u = dF/dlam
+            edge = (e, scale * row, scale * corner, -scale * N)
+        del e  # a Dirichlet solve runs without it
         du, dc = system.solve(u, coef, a, F, edge)
         steps.append(_norm(du, dc))
         # a zero correction, or one whose norm underflows, leaves u as it is

@@ -146,7 +146,6 @@ def _tokenize(src: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, src: str, variables: tuple[str, ...]):
-        self.src = src
         self.vars = variables
         self.tokens = _tokenize(src)
         self.k = 0
@@ -174,19 +173,17 @@ class _Parser:
         return node
 
     def expr(self) -> _Node:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next()
-            rhs = self.term()
-            node = _BinOp((node.span[0], rhs.span[1]), op.text, node, rhs,
-                          depth=1 + max(node.depth, rhs.depth))
-        return node
+        return self.chain("+-", self.term)
 
     def term(self) -> _Node:
-        node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        return self.chain("*/", self.unary)
+
+    def chain(self, ops: str, operand) -> _Node:
+        """``operand (op operand)*``, left associative, op in ``ops``."""
+        node = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
             op = self.next()
-            rhs = self.unary()
+            rhs = operand()
             node = _BinOp((node.span[0], rhs.span[1]), op.text, node, rhs,
                           depth=1 + max(node.depth, rhs.depth))
         return node
@@ -537,13 +534,8 @@ def eval_complex(expr: Expr, z) -> tuple:
     """Evaluate a univariate expression holomorphically; returns (F, F')."""
     if len(expr.vars) != 1:
         raise ExprError("eval_complex needs a univariate expression")
-    name = expr.vars[0]
-    if isinstance(z, np.ndarray):
-        z = z.astype(complex)
-    else:
-        z = complex(z)
-    jet = _Evaluator(expr, {name: z}, name, True).run(expr.ast)
-    return jet.v, jet.d
+    z = z.astype(complex) if isinstance(z, np.ndarray) else complex(z)
+    return tuple(eval_dual(expr, z, expr.vars[0]))
 
 
 # --- one expression per grid axis ---------------------------------------

@@ -43,6 +43,16 @@ class TestParse:
         assert d("2+3*4^2", 0.0).value == 50.0
         assert d("-x^2", 3.0).value == -9.0
         assert d("(1+x)*(1-x)", 0.5).value == 0.75
+        # - and / chains associate to the left: right association would
+        # give 6, 4 and -1 for the first three
+        assert d("8-4-2", 0.0).value == 2.0
+        assert d("8/4/2", 0.0).value == 1.0
+        assert d("2-3*4/6+1", 0.0).value == 1.0
+        assert d("x-1-1", 3.0) == (1.0, 1.0)
+        # the division's operand is (x-1-0), so its snippet names it
+        with pytest.raises(DomainError) as err:
+            d("2+1/(x-1-0)*3", 1.0)
+        assert err.value.snippet == "x-1-0"
 
     def test_integer_exponents_fold(self):
         assert d("x^(2+1)", 2.0).value == 8.0

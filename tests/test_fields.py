@@ -281,7 +281,7 @@ class TestWriteCsvBlocks:
             20001).tolist()
         for k in (0, 8190, 8191, 8192, 8193, 20000):
             ys[k] = None
-        curve = BlowupCurve(list(zip(xs, ys)), 1e-12)
+        curve = BlowupCurve(list(zip(xs, ys)))
         got, want = io.StringIO(), io.StringIO()
         curve.write_csv(got)
         repr_table(want, "x,y", curve.samples)

@@ -20,7 +20,7 @@ def written(write_csv) -> str:
 
 
 def test_blowup_curve_with_na_row():
-    curve = BlowupCurve([(0.0, 0.5), (0.5, None), (1.0, 0.1)], 1e-12)
+    curve = BlowupCurve([(0.0, 0.5), (0.5, None), (1.0, 0.1)])
     assert written(curve.write_csv) == "x,y\n0.0,0.5\n0.5,NA\n1.0,0.1\n"
 
 
