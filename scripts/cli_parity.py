@@ -18,6 +18,11 @@ at the rounding floor and move under any change of arithmetic order)
 and over the CSV cells (matched by row and column) of stdout and every
 written file.
 
+Byte-identical output holds on one host, with one numpy build at one
+SIMD level: numpy picks its exp and log loops by CPU feature, and the
+loops differ in the last bits.  So each side's numpy SIMD ``found``
+list is printed first.
+
     git archive --prefix=parent/ HEAD~1 | tar -x -C /tmp
     python scripts/cli_parity.py --base /tmp/parent
 """
@@ -38,6 +43,9 @@ RUN_CLI = "import liouville.cli as c; c.main()"
 # seconds an argv may run; one that runs longer is stopped and its exit
 # code reads "timeout"
 TIMEOUT_S = 120
+# numpy's SIMD extensions in use beyond its baseline, as a JSON list
+SIMD_FOUND = ("import json, numpy; print(json.dumps(numpy.show_config("
+              "mode='dicts')['SIMD Extensions']['found']))")
 
 ARGVS = [
     # closed forms, then the commands that read their fields back
@@ -182,6 +190,8 @@ ARGVS = [
     # boundary data whose term in F overflows, on both geometries (exit 1)
     ["solve-elliptic", "--boundary=1e308"],
     ["solve-elliptic", "--geometry", "disk", "--boundary=-1e308"],
+    # past the radial node cap, below MAX_NODES (exit 1)
+    ["solve-elliptic", "--geometry", "disk", "--n", "1048577"],
     # continuation on both geometries
     ["gelfand"],
     ["gelfand", "--n", "1025", "--out", "branch1025.csv"],
@@ -210,10 +220,14 @@ ARGVS = [
     # bordered solves on the FFT path
     ["gelfand", "--geometry", "rectangle", "--nx", "131", "--ny", "67",
      "--u0-cap", "1.5"],
-    # boundary blow-up homotopy
+    # boundary blow-up approximation, one solve per M
     ["blowup-approx", "--n", "1025"],
     ["blowup-approx", "--n", "2049", "--out", "prof2049_{M}.csv"],
     ["blowup-approx", "--n", "4097", "--M", "5.2869", "8.2869", "11.2869"],
+    # Newton from the constant guess converges through M = 40, and not
+    # at M = 60 (exit 2)
+    ["blowup-approx", "--n", "257", "--M", "40"],
+    ["blowup-approx", "--n", "257", "--M", "60"],
     # levels at or below 0, each one solve (a homotopy in unit steps from
     # -1e17 never ended: TIMEOUT_S stops such a run)
     ["blowup-approx", "--n", "5", "--M", "-100000000000000000", "0"],
@@ -246,10 +260,13 @@ def _snapshot(work: pathlib.Path) -> dict:
     return {p.name: p.read_bytes() for p in work.iterdir() if p.is_file()}
 
 
-def run_side(src: pathlib.Path, work: pathlib.Path) -> list:
-    """Run every argv under ``src`` in ``work``; return per-argv
-    (exit code, stdout bytes, {written file: bytes})."""
+def run_side(src: pathlib.Path, work: pathlib.Path) -> tuple:
+    """Run every argv under ``src`` in ``work``; return numpy's SIMD
+    ``found`` list there and per-argv (exit code, stdout bytes,
+    {written file: bytes})."""
     env = dict(os.environ, PYTHONPATH=str(src))
+    simd = subprocess.run([sys.executable, "-c", SIMD_FOUND], env=env,
+                          capture_output=True, text=True).stdout.strip()
     results = []
     for argv in ARGVS:
         before = _snapshot(work)
@@ -264,7 +281,7 @@ def run_side(src: pathlib.Path, work: pathlib.Path) -> list:
         written = {name: blob for name, blob in after.items()
                    if before.get(name) != blob}
         results.append((code, out, written))
-    return results
+    return simd, results
 
 
 def _leaves(doc, path=()):
@@ -359,8 +376,9 @@ def main() -> int:
         here_dir, base_dir = pathlib.Path(tmp, "here"), pathlib.Path(tmp, "b")
         here_dir.mkdir()
         base_dir.mkdir()
-        here = run_side(ROOT / "src", here_dir)
-        base = run_side(base_src, base_dir)
+        here_simd, here = run_side(ROOT / "src", here_dir)
+        base_simd, base = run_side(base_src, base_dir)
+    print(f"numpy SIMD found: here {here_simd}, base {base_simd}")
     n_diff = 0
     for argv, h, b in zip(ARGVS, here, base):
         diffs = _differences(h, b)

@@ -156,10 +156,10 @@ def test_criterion_4(disk_branch_2049):
 
 
 def test_criterion_5():
-    """Large-boundary-data homotopy toward the boundary blow-up profile:
-    center values for M = 5, 8, 11 increase toward ln 8 with strictly
-    shrinking gaps, final gap at most 0.02 (frozen from a pre-run of the
-    radial solver at this resolution).  Under 30 s."""
+    """Large boundary data toward the boundary blow-up profile, one
+    solve per M: center values for M = 5, 8, 11 increase toward ln 8
+    with strictly shrinking gaps, final gap at most 0.02 (frozen from a
+    pre-run of the radial solver at this resolution).  Under 30 s."""
     t0 = time.perf_counter()
     profiles = boundary_blowup_approx(DiskGeometry(4097), [5.0, 8.0, 11.0])
     centers = [p.u0 for p in profiles]

@@ -311,8 +311,8 @@ class TestExitCodes:
                                    ["-2000", "0"]],
                              ids=["M-minus-1e17", "M-minus-2000"])
     def test_blowup_approx_below_zero_ends(self, M):
-        # the homotopy stepped by 1 from M = -1e17, where cur + 1 == cur,
-        # so it never ended, and from -2000 it made 2000 solves.  A new
+        # a homotopy in unit steps from M = -1e17, where cur + 1 == cur,
+        # never ended, and from -2000 it made 2000 solves.  A new
         # process, so that a run that does not end fails at the timeout
         argv = ["blowup-approx", "--n", "5", "--M", *M]
         code = ("import io, time, contextlib; from liouville.cli import run\n"
@@ -431,12 +431,19 @@ class TestExitCodes:
         ["solve-elliptic", "--geometry", "disk", "--n", "100000000"],
         ["gelfand", "--n", "100000000"],
         ["blowup-approx", "--n", "100000000"],
+        # below MAX_NODES but past the radial cap, where the radial
+        # solve's rounding overtakes its discretization error: gelfand
+        # --n 262145 put its fold above lambda = 2 under status ok
+        ["solve-elliptic", "--geometry", "disk", "--n", "1048577"],
+        ["gelfand", "--n", "262145"],
     ], ids=["exact-h", "exact-e", "blowup-exact", "march", "backlund",
             "solve-elliptic", "gelfand-rectangle", "solve-elliptic-disk",
-            "gelfand-disk", "blowup-approx"])
+            "gelfand-disk", "blowup-approx", "solve-elliptic-radial-cap",
+            "gelfand-radial-cap"])
     def test_grid_cap_is_checked_before_allocating(self, args):
         # the cap is checked when the grid or disk is built, before any
-        # array; without it these sizes would ask for tens of gigabytes
+        # array; without it the first ten sizes would ask for tens of
+        # gigabytes
         code, out, err = invoke(args)
         assert code == 1
         assert out.count("\n") == 1
@@ -546,8 +553,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("M", [["nan"], ["3", "inf"]])
     def test_non_finite_M_is_rejected(self, M, monkeypatch):
-        # the homotopy steps until it reaches M, which a NaN or infinite
-        # M never lets it do: the check must come before any solve
+        # a NaN or infinite M is refused before any solve
         def solve(*args):
             raise AssertionError("solved before M was checked")
 
@@ -1302,10 +1308,12 @@ _NULL = ["--out", os.devnull]
 
 class TestMemoryBounds:
     """Each command's traced peak, run in process, is at most k field-
-    sized arrays (``MEMORY_N``^2 doubles) plus ``MEMORY_ALLOWANCE``.  k
-    is the largest (peak - allowance) / field bytes measured at 363^2,
-    513^2 and 1025^2, plus about 15 %, rounded up to a quarter; README
-    "Limits" states the bounds at MAX_NODES.  tracemalloc counts numpy's
+    sized arrays (``MEMORY_N``^2 doubles; ``--n`` doubles for the radial
+    profile of ``blowup-approx``) plus ``MEMORY_ALLOWANCE``.  k is the
+    largest (peak - allowance) / array bytes measured at 363^2, 513^2
+    and 1025^2 nodes (16,385, 32,769 and 65,537 radial nodes), plus
+    about 15 %, rounded up to a quarter; README "Limits" states the
+    bounds at MAX_NODES and at the radial cap.  tracemalloc counts numpy's
     buffers, not RSS, so the bounds do not depend on the host."""
 
     @pytest.fixture(scope="class")
@@ -1336,10 +1344,10 @@ class TestMemoryBounds:
         (["solve-elliptic", *_GRID, *_NULL], 19.0),
         # five GMRES iterations a step: the Krylov basis grows once
         (["solve-elliptic", *_GRID, *_NULL, "--K", "30"], 30.5),
-        # a radial profile of as many nodes as the field has values; M = 2
-        # takes one homotopy step from the solution at M = 1
-        (["blowup-approx", "--n", str(MEMORY_N ** 2), "--M", "2", *_NULL],
-         21.75),
+        # k in radial arrays of its --n nodes, here the radial cap: M = 2
+        # is one Newton solve from the constant guess
+        (["blowup-approx", "--n", str(elliptic.MAX_RADIAL_NODES), "--M", "2",
+          *_NULL], 12.25),
     ], ids=["exact-h", "exact-e", "verify-hyperbolic", "verify-elliptic",
             "verify-log", "action", "convert-log", "march", "backlund",
             "blowup-exact", "solve-elliptic", "solve-elliptic-K-30",
@@ -1354,4 +1362,6 @@ class TestMemoryBounds:
         finally:
             tracemalloc.stop()
         assert code == 0, out
-        assert peak <= k * MEMORY_N ** 2 * 8 + MEMORY_ALLOWANCE
+        values = int(args[args.index("--n") + 1]) if "--n" in args else (
+            MEMORY_N ** 2)
+        assert peak <= k * values * 8 + MEMORY_ALLOWANCE

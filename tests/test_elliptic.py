@@ -1,4 +1,4 @@
-"""Newton solver, branch continuation, and large-data homotopy checked
+"""Newton solver, branch continuation, and large boundary data checked
 against the closed-form families."""
 
 import math
@@ -11,6 +11,7 @@ from liouville import elliptic
 from liouville.closedform import AnalyticSeed, elliptic_exact, gelfand_radial
 from liouville.elliptic import (
     GMRES_RTOL,
+    MAX_RADIAL_NODES,
     BranchPoint,
     DirichletProblem,
     DiskGeometry,
@@ -30,6 +31,7 @@ from liouville.elliptic import (
 )
 from liouville.errors import (
     EllipticError,
+    GridTooLargeError,
     NonConvergenceError,
     SingularJacobianError,
 )
@@ -201,6 +203,15 @@ class TestDiskSolve:
             errs.append(float(np.abs(prof.values - fam.profile()(prof.r)).max()))
         assert errs[-1] <= 1e-5
         assert 1.8 <= math.log2(errs[0] / errs[1]) <= 2.2
+
+    def test_solve_at_the_node_cap_meets_the_closed_form(self):
+        # past the cap the rounding floor, growing as eps 8/h^2, overtakes
+        # the h^2 discretization error; at the cap it has not yet
+        fam = gelfand_radial(3.0 - 2.0 * math.sqrt(2.0))  # lambda = 1
+        prof, report = solve_dirichlet(DirichletProblem(
+            DiskGeometry(MAX_RADIAL_NODES), LiouvilleParams(-fam.lam, 1.0)))
+        assert report.converged
+        assert float(np.abs(prof.values - fam.profile()(prof.r)).max()) <= 1e-9
 
     def test_boundary_node_exact(self):
         prof, _ = solve_dirichlet(
@@ -1014,10 +1025,25 @@ class TestBoundaryBlowupApprox:
         assert prof.values[-1] == 3.0
         assert prof.u0 < 3.0
 
+    @pytest.mark.parametrize("M", [2.0, 5.0, 8.0])
+    def test_second_order_against_the_closed_form(self, M):
+        # u_M(r) = ln(8b / (1 - b r^2)^2) with 8b / (1 - b)^2 = e^M is the
+        # radial solution with u(1) = M; 1 - b and 1 - b r^2 are formed
+        # without cancellation, so u_M stays accurate at large M
+        one_minus_b = 16.0 / (8.0 + math.sqrt(64.0 + 32.0 * math.exp(M)))
+        b = 1.0 - one_minus_b
+        errs = []
+        for n in (129, 257, 513, 1025):
+            (prof,) = boundary_blowup_approx(DiskGeometry(n), [M])
+            exact = (math.log(8.0 * b)
+                     - 2.0 * np.log(one_minus_b + b * (1.0 - prof.r ** 2)))
+            errs.append(float(np.abs(prof.values - exact).max()))
+        for lo, hi in zip(errs, errs[1:]):
+            assert 1.8 <= math.log2(lo / hi) <= 2.2
+
     @pytest.mark.parametrize("Ms", [[math.nan], [3.0, math.inf]])
     def test_rejects_non_finite_levels(self, Ms, monkeypatch):
-        # cur >= M never holds for these: without the check the homotopy
-        # steps forever, so it must come before any solve
+        # a non-finite M is refused before any solve
         def solve(*args):
             raise AssertionError("solved before the levels were checked")
 
@@ -1025,25 +1051,23 @@ class TestBoundaryBlowupApprox:
         with pytest.raises(EllipticError, match="M must be finite"):
             boundary_blowup_approx(DiskGeometry(65), Ms)
 
-    @pytest.mark.parametrize("Ms, levels", [
-        ([3.0, 4.5], [1.0, 2.0, 3.0, 4.0, 4.5]),
-        ([-1e17, 0.0], [-1e17, 0.0]),
-        ([-3.0, -0.5, 2.5], [-3.0, -0.5, 1.0, 2.0, 2.5]),
-    ], ids=["positive", "minus-1e17", "mixed"])
-    def test_unit_steps_only_above_zero(self, Ms, levels, monkeypatch):
-        # each M <= 0 is one solve from its constant guess, as is the
-        # first step above 0; further steps start from the last solution
+    @pytest.mark.parametrize("Ms", [[3.0, 4.5], [-1e17, 0.0],
+                                    [-3.0, -0.5, 2.5]],
+                             ids=["positive", "minus-1e17", "mixed"])
+    def test_one_solve_per_level(self, Ms, monkeypatch):
+        # each M is one Newton solve from the constant vector M, whatever
+        # the M before it
         solved, newton = [], elliptic._newton
 
         def counted(system, u, *args):
-            solved.append((system.boundary, bool(np.all(u == u[0]))))
-            assert len(solved) <= len(levels), "more solves than levels"
+            constant = bool(np.all(u == system.boundary))
+            solved.append((system.boundary, constant))
+            assert len(solved) <= len(Ms), "more solves than levels"
             return newton(system, u, *args)
 
         monkeypatch.setattr(elliptic, "_newton", counted)
         profs = boundary_blowup_approx(DiskGeometry(65), Ms)
-        assert [b for b, _ in solved] == levels
-        assert [c for _, c in solved] == [b <= 1.0 for b in levels]
+        assert solved == [(M, True) for M in Ms]
         assert [p.values[-1] for p in profs] == Ms
 
     def test_rejects_non_increasing_levels(self):
@@ -1057,6 +1081,9 @@ class TestValidation:
     def test_geometry_bounds(self):
         with pytest.raises(EllipticError):
             DiskGeometry(2)
+        assert DiskGeometry(MAX_RADIAL_NODES).n == MAX_RADIAL_NODES
+        with pytest.raises(GridTooLargeError):
+            DiskGeometry(MAX_RADIAL_NODES + 1)
         with pytest.raises(EllipticError):
             RectangleGeometry(Grid2D.from_bounds(0, 0, 1, 1, 2, 5))
         # 1/h^2 overflows: the stencil and its norm are not finite
