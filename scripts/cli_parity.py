@@ -53,12 +53,15 @@ ARGVS = [
      "--out", "exact_h.csv"],
     ["exact-e", "--F", "z", "--nx", "17", "--ny", "17"],
     ["blowup-exact", "--nx", "17", "--ny", "17"],
-    # closed forms whose intermediate values over- or underflow although
-    # u is finite (exit 1)
+    # closed forms whose intermediate values over- or underflow, or have
+    # a subnormal factor, although u is finite: taken in log form there
     ["exact-h", "--f", "x", "--g", "y", "--K", "1e-308"],
     ["exact-h", "--f", "1e200*x", "--g", "1e200*y", "--nx", "3", "--ny", "3"],
     ["exact-h", "--f", "1e-200*x", "--g", "1e-200*y"],
+    ["exact-h", "--f", "x+1e200", "--g", "y+1e200"],
+    ["exact-h", "--f", "1e-160*x", "--g", "1e-160*y"],
     ["exact-e", "--F", "1e-200*z", "--nx", "3", "--ny", "3"],
+    ["exact-e", "--F", "1e-160*z"],
     # every function and operator rule of the expression evaluator
     ["exact-h", "--f", "sqrt(x)*sinh(x)+x^3/cosh(x)-cos(x)",
      "--g", "exp(sin(y))+ln(y)-y^-2", "--nx", "9", "--ny", "9"],
@@ -119,6 +122,8 @@ ARGVS = [
     ["convert-log", "--in", "exact_h1025.csv", "--direction", "u-to-T",
      "--out", "T1025.csv"],
     ["verify", "--eq", "log", "--in", "T1025.csv"],
+    # a field of more than 2^17 values is digested through hashlib
+    ["verify", "--eq", "hyperbolic", "--in", "exact_h1025.csv"],
     ["exact-h", "--f", "exp(x)", "--g", "exp(y)", "--nx", "20000",
      "--ny", "3", "--out", "exact_h20000.csv"],
     ["verify", "--eq", "hyperbolic", "--in", "exact_h20000.csv"],
@@ -131,6 +136,10 @@ ARGVS = [
     ["march", "--phi", "0", "--psi", "0", "--domain", "0", "0", "3", "3",
      "--nx", "33", "--ny", "33", "--threshold", "1.0",
      "--out", "march.csv", "--mask-out", "mask.csv"],
+    # the mask along a singular line that crosses the domain
+    ["march", "--phi", "ln(2/(x-2)^2)", "--psi", "ln(2/(-2+y)^2)",
+     "--domain", "-2", "-2", "1", "1", "--nx", "97", "--ny", "97",
+     "--out", "march_cross.csv", "--mask-out", "mask_cross.csv"],
     # Goursat data whose corner values differ (exit 1)
     ["march", "--phi", "-2*ln(1.3-0.5*x)", "--psi", "0"],
     # K a < 0 (Wright omega), and data where e^(beta (c+s)) overflows

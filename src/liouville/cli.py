@@ -84,7 +84,8 @@ _FMT = functools.partial(argparse.HelpFormatter, width=HELP_WIDTH)
 
 # sha256 from the interpreter's built-in module, as random.py takes its
 # sha512: hashlib would load OpenSSL's libcrypto, about 3 MB of every
-# process, for the same digest of the same bytes
+# process, for the same digest of the same bytes (``_read_field`` loads
+# it for large fields only)
 try:
     from _sha2 import sha256  # CPython >= 3.12
 except ImportError:
@@ -205,7 +206,14 @@ def _read_field(ns) -> ScalarField2D:
     run's inputs as ``ns.field_sha256``, so the digest covers what was
     read, from stdin or a file."""
     field = ScalarField2D.read_csv(sys.stdin if ns.infile == "-" else ns.infile)
-    sha = sha256(field.grid.header().encode("utf-8"))
+    header = field.grid.header().encode("utf-8")
+    if field.values.size > 2 ** 17:
+        # OpenSSL's sha256 takes 6 ns a value against 32 ns, which repays
+        # the 4 ms import of hashlib above about 1.5e5 values
+        import hashlib
+        sha = hashlib.sha256(header)
+    else:
+        sha = sha256(header)
     sha.update(field.values)  # C-contiguous: the bytes of tobytes(), uncopied
     ns.field_sha256 = sha.hexdigest()
     return field

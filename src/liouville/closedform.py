@@ -66,6 +66,11 @@ class AnalyticSeed:
             raise ClosedFormError(f"F must be univariate, has vars {self.F.vars}")
 
 
+def _tiny(v) -> np.ndarray:
+    """Where ``v`` is zero or subnormal: a factor that has lost bits."""
+    return np.abs(v) < np.finfo(float).tiny
+
+
 def _finite(field: ScalarField2D) -> ScalarField2D:
     """Return ``field`` if every node is finite, else raise
     NonFiniteValueError with the count and the first such node in
@@ -95,6 +100,9 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
     """Sample u = (1/a) ln(2 f'(x) g'(y) / (a K (f+g)^2)) on ``grid``,
     with f = ``cp.fx`` and g = ``cp.gy``.
 
+    Where that quotient is not finite or has a zero or subnormal factor,
+    u = (ln 2 + ln|f'| + ln|g'| - ln|a| - ln|K| - 2 ln|f+g|)/a instead.
+
     Raises SingularNodeError if f+g vanishes exactly at a node, SignError
     unless the signs of a, K, f' and g' multiply to +1 everywhere on the
     grid, and NonFiniteValueError where u is not finite.
@@ -116,8 +124,15 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
         q_min = np.minimum(q_min, np.min(q))
         bad_sign = bad_sign or bool(np.any(sg[j0:j1, None] * sf[None, :] <= 0))
         if not bad_sign:
-            u[j0:j1] = (np.log(2.0 * fp[None, :] * gp[j0:j1, None]
-                               / (p.a * p.K)) - np.log(s * s)) / p.a
+            num = 2.0 * fp[None, :] * gp[j0:j1, None]
+            quot, s2 = num / (p.a * p.K), s * s
+            u[j0:j1] = (np.log(quot) - np.log(s2)) / p.a
+            jj, ii = np.nonzero(~np.isfinite(u[j0:j1]) | _tiny(num)
+                                | _tiny(quot) | _tiny(s2) | _tiny(p.a * p.K))
+            u[j0 + jj, ii] = (np.log(2.0) + np.log(np.abs(fp[ii]))
+                              + np.log(np.abs(gp[j0 + jj])) - np.log(abs(p.a))
+                              - np.log(abs(p.K))
+                              - 2.0 * np.log(np.abs(s[jj, ii]))) / p.a
     if bad_sign:
         raise SignError(
             "a*K*f'(x)*g'(y) must be positive on the whole grid "
@@ -134,6 +149,8 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
     The "minus" sign solves Delta u = K e^(a u) for K > 0 and requires
     |F| < 1 on the grid; "plus" solves it for K < 0.  Requires a > 0 (the
     additive normalization ln(a|K|) has no real value otherwise).
+    Where that quotient is not finite or has a zero or subnormal factor,
+    u = (ln 8 + 2 ln|F'| - 2 ln(1 -+ |F|^2) - ln a - ln|K|)/a instead.
     Raises NonFiniteValueError where u is not finite.
     """
     if not all(np.isfinite(c) and c != 0 for c in (K, a)):
@@ -164,10 +181,17 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
         if degenerate is None and not outside:
             den = 1.0 - mod2 if seed.sign == "minus" else 1.0 + mod2
             mag2 = (Fp * Fp.conj()).real
-            u[j0:j1] = (np.log(8.0 * mag2 / (den * den))
-                        - np.log(a * abs(K))) / a
+            quot = 8.0 * mag2 / (den * den)
+            u[j0:j1] = (np.log(quot) - np.log(a * abs(K))) / a
+            jj, ii = np.nonzero(~np.isfinite(u[j0:j1]) | _tiny(mag2)
+                                | _tiny(quot) | _tiny(a * K))
+            # ln(1 + |F|^2) as logaddexp: finite where |F|^2 is not
+            ln_den = (np.log1p(-mod2[jj, ii]) if seed.sign == "minus" else
+                      np.logaddexp(0.0, 2.0 * np.log(np.abs(F[jj, ii]))))
+            u[j0 + jj, ii] = (np.log(8.0) + 2.0 * np.log(np.abs(Fp[jj, ii]))
+                              - 2.0 * ln_den - np.log(a) - np.log(abs(K))) / a
         # drop this block's arrays before the next block's jets are built
-        F = Fp = mod2 = den = mag2 = None
+        F = Fp = mod2 = den = mag2 = quot = None
     if degenerate is not None:
         raise SeedDegenerateError(*degenerate)
     if outside:

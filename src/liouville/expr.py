@@ -328,20 +328,6 @@ class EvalResult(NamedTuple):
     d1: Union[float, complex, np.ndarray]
 
 
-class _Jet:
-    """First-order jet (value, d); payloads are scalars or numpy arrays."""
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v, d):
-        self.v = v
-        self.d = d
-
-
-def _any(cond) -> bool:
-    return bool(np.any(cond))
-
-
 class _Evaluator:
     def __init__(self, expr: Expr, values: Mapping, wrt: str, is_complex: bool):
         self.expr = expr
@@ -352,22 +338,22 @@ class _Evaluator:
     def fail(self, node: _Node, message: str):
         raise DomainError(message, self.expr.snippet(node))
 
-    def run(self, node: _Node) -> _Jet:
+    def run(self, node: _Node) -> EvalResult:
         if isinstance(node, _Num):
             v = complex(node.value) if self.is_complex else node.value
-            return _Jet(v, 0.0)
+            return EvalResult(v, 0.0)
         if isinstance(node, _Var):
             v = self.values[node.name]
             seed = 1.0 if node.name == self.wrt else 0.0
-            return _Jet(v, seed)
+            return EvalResult(v, seed)
         if isinstance(node, _Neg):
-            u = self.run(node.operand)
+            u, du = self.run(node.operand)
             if self.is_complex:
                 # as the binary 0 - u, whose zero parts are +0: -1 lies
                 # on the upper side of the cut of ln and sqrt, where
                 # their principal values are
-                return _Jet(complex(0.0) - u.v, 0.0 - u.d)
-            return _Jet(-u.v, -u.d)
+                return EvalResult(complex(0.0) - u, 0.0 - du)
+            return EvalResult(-u, -du)
         if isinstance(node, _BinOp):
             return self.binop(node)
         if isinstance(node, _Pow):
@@ -376,34 +362,34 @@ class _Evaluator:
             return self.call(node)
         raise TypeError(node)
 
-    def binop(self, node: _BinOp) -> _Jet:
-        u = self.run(node.left)
-        w = self.run(node.right)
+    def binop(self, node: _BinOp) -> EvalResult:
+        u, du = self.run(node.left)
+        w, dw = self.run(node.right)
         if node.op == "+":
-            return _Jet(u.v + w.v, u.d + w.d)
+            return EvalResult(u + w, du + dw)
         if node.op == "-":
-            return _Jet(u.v - w.v, u.d - w.d)
+            return EvalResult(u - w, du - dw)
         if node.op == "*":
-            return _Jet(u.v * w.v, u.d * w.v + u.v * w.d)
+            return EvalResult(u * w, du * w + u * dw)
         # division
-        if _any(w.v == 0):
+        if np.any(w == 0):
             self.fail(node.right, "division by zero")
-        v = u.v / w.v
-        return _Jet(v, (u.d - v * w.d) / w.v)
+        v = u / w
+        return EvalResult(v, (du - v * dw) / w)
 
-    def intpow(self, node: _Pow) -> _Jet:
+    def intpow(self, node: _Pow) -> EvalResult:
         n = node.exponent
         u = self.run(node.base)
+        t, dt = u
         if n == 0:
-            one = np.ones_like(u.v) if isinstance(u.v, np.ndarray) else (u.v * 0 + 1.0)
-            return _Jet(one, 0.0)
+            one = np.ones_like(t) if isinstance(t, np.ndarray) else (t * 0 + 1.0)
+            return EvalResult(one, 0.0)
         if n == 1:
             return u
-        if n < 0 and _any(u.v == 0):
+        if n < 0 and np.any(t == 0):
             self.fail(node.base, "zero raised to a negative power")
         # f = p*t*t and f' = n*p*t with p = t^(n-2): one power evaluation,
         # and a rounding order that CLI output is pinned to byte for byte
-        t = u.v
         try:
             p = t ** (n - 2) if n != 2 else (np.ones_like(t) if isinstance(t, np.ndarray) else 1.0)
         except OverflowError:
@@ -412,28 +398,27 @@ class _Evaluator:
             self.fail(node, "the power overflows")
         f = p * t * t
         f1 = n * p * t
-        return _Jet(f, f1 * u.d)
+        return EvalResult(f, f1 * dt)
 
-    def call(self, node: _Call) -> _Jet:
-        u = self.run(node.arg)
-        t = u.v
+    def call(self, node: _Call) -> EvalResult:
+        t, dt = self.run(node.arg)
         name = node.func
         if name == "exp":
             f = f1 = np.exp(t)
         elif name == "ln":
             if self.is_complex:
-                if _any(t == 0):
+                if np.any(t == 0):
                     self.fail(node.arg, "log of zero (branch point)")
-            elif _any(np.real(t) <= 0):
+            elif np.any(np.real(t) <= 0):
                 self.fail(node.arg, "log of a non-positive number")
             f = np.log(t)
             f1 = 1.0 / t
         elif name == "sqrt":
             if self.is_complex:
-                if _any(t == 0):
+                if np.any(t == 0):
                     self.fail(node.arg, "sqrt at zero (branch point)")
             else:
-                if _any(t <= 0):
+                if np.any(t <= 0):
                     self.fail(node.arg, "sqrt of a non-positive number "
                                         "(the derivative is singular at zero)")
             f = np.sqrt(t)
@@ -448,7 +433,7 @@ class _Evaluator:
             f, f1 = np.cosh(t), np.sinh(t)
         else:  # pragma: no cover - parser admits only known names
             raise UnknownIdentifierError(name, node.span[0])
-        return _Jet(f, f1 * u.d)
+        return EvalResult(f, f1 * dt)
 
 
 class _Refused(Exception):
@@ -482,11 +467,11 @@ class _ConstantChecker(_Evaluator):
     def fail(self, node: _Node, message: str):
         raise _Refused
 
-    def run(self, node: _Node) -> _Jet:
-        jet = super().run(node)
-        if not np.isfinite(jet.v):
+    def run(self, node: _Node) -> EvalResult:
+        res = super().run(node)
+        if not np.isfinite(res.value):
             raise DomainError("the constant overflows", self.expr.snippet(node))
-        return jet
+        return res
 
     def check(self, node: _Node) -> None:
         try:
@@ -525,9 +510,8 @@ def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
     values = _as_mapping(expr, at)
     if wrt not in expr.vars:
         raise ExprError(f"cannot differentiate with respect to {wrt!r}")
-    jet = _Evaluator(expr, values, wrt,
-                     any(map(np.iscomplexobj, values.values()))).run(expr.ast)
-    return EvalResult(jet.v, jet.d)
+    return _Evaluator(expr, values, wrt,
+                      any(map(np.iscomplexobj, values.values()))).run(expr.ast)
 
 
 def eval_complex(expr: Expr, z) -> tuple:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -222,11 +222,6 @@ class ScalarField2D:
                 f"(ny, nx) = ({self.grid.ny}, {self.grid.nx})"
             )
         self.values = v
-
-    @classmethod
-    def sample(cls, grid: Grid2D, fn: Callable) -> "ScalarField2D":
-        X, Y = grid.meshgrid()
-        return cls(grid, np.broadcast_to(fn(X, Y), (grid.ny, grid.nx)).astype(float))
 
     def write_csv(self, path) -> None:
         """``# nx ny x0 y0 hx hy``, then the rows (:func:`write_table`)."""

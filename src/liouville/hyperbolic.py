@@ -53,19 +53,19 @@ WaveSolution = AxisPair  # w(x, y) = phi(x) + psi(y), solving w_xy = 0
 
 @dataclass
 class MarchResult:
-    """Marched field plus its blow-up mask (True = masked node)."""
+    """Marched field; its NaN nodes are the blow-up mask."""
 
     field: ScalarField2D
-    mask: np.ndarray
 
     @property
     def n_masked(self) -> int:
-        return int(self.mask.sum())
+        return int(np.isnan(self.field.values).sum())
 
     def write_mask_csv(self, path) -> None:
         """The grid header, then rows of flags, 1 where a node is masked."""
-        cells = np.empty(self.mask.shape + (2,), dtype=np.uint8)
-        cells[..., 0] = ord("0") + self.mask.astype(np.uint8)
+        mask = np.isnan(self.field.values)
+        cells = np.empty(mask.shape + (2,), dtype=np.uint8)
+        cells[..., 0] = ord("0") + mask.astype(np.uint8)
         cells[..., 1] = ord(",")
         cells[:, -1, 1] = ord("\n")
         with open_text(path, "w") as fh:
@@ -180,8 +180,7 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
             raise CellIterationDivergenceError(int(i[k]), int(j[k]))
         U[j, i] = np.where(z <= blowup_threshold, z, np.nan)
 
-    field = ScalarField2D(grid, U)
-    return MarchResult(field, np.isnan(U))
+    return MarchResult(ScalarField2D(grid, U))
 
 
 def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,

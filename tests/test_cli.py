@@ -114,6 +114,20 @@ class TestSummaryContract:
         assert _digest(inputs) == want == "e9338f0c57ea"
         assert summary_of(invoke(self.ARGS)[1])["digest"] == want
 
+    @pytest.mark.parametrize("n", [362, 363], ids=["built-in", "hashlib"])
+    def test_field_sha256_on_either_side_of_the_hashlib_cut(self, n,
+                                                            tmp_path):
+        # 362^2 values and fewer hash through the built-in sha256, 363^2
+        # through hashlib: both give hashlib's digest of the same bytes
+        grid = Grid2D(n, n, 0.0, 0.0, 0.5, 0.25)
+        field = ScalarField2D(grid, np.arange(n * n, dtype=float).reshape(n, n))
+        field.write_csv(tmp_path / "u.csv")
+        ns = argparse.Namespace(infile=str(tmp_path / "u.csv"))
+        _read_field(ns)
+        want = hashlib.sha256(grid.header().encode("utf-8")
+                              + field.values.tobytes()).hexdigest()
+        assert ns.field_sha256 == want
+
     def test_digest_covers_the_field_read(self):
         # one argv, three piped fields: three digests; the same field
         # twice: the same digest
@@ -595,13 +609,31 @@ class TestExitCodes:
         ["exact-h", "--f", "1e200*x", "--g", "1e200*y", "--nx", "3",
          "--ny", "3"],
         ["exact-h", "--f", "1e-200*x", "--g", "1e-200*y"],
+        ["exact-h", "--f", "x+1e200", "--g", "y+1e200"],
+        ["exact-h", "--f", "1e-160*x", "--g", "1e-160*y"],
         ["exact-e", "--F", "1e-200*z", "--nx", "3", "--ny", "3"],
+        ["exact-e", "--F", "1e-160*z"],
     ], ids=["exact-h-K-tiny", "exact-h-pair-huge", "exact-h-pair-tiny",
-            "exact-e-seed-tiny"])
+            "exact-h-pair-offset", "exact-h-pair-subnormal",
+            "exact-e-seed-tiny", "exact-e-seed-subnormal"])
+    def test_closed_forms_finite_through_over_and_underflow(self, args):
+        # u is finite although an intermediate value of the closed form
+        # over- or underflows or is subnormal: the closed form is taken
+        # in log form there, without warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(args)
+        assert code == 0 and err == ""
+        assert summary_of(out)["status"] == "ok"
+        assert np.isfinite(ScalarField2D.read_csv(io.StringIO(out)).values).all()
+
+    @pytest.mark.parametrize("args", [
+        ["exact-h", "--f", "x", "--g", "y", "--a", "1e-307"],
+        ["exact-e", "--F", "z", "--a", "1e-307", "--nx", "3", "--ny", "3"],
+    ], ids=["exact-h-a-tiny", "exact-e-a-tiny"])
     def test_non_finite_closed_forms_are_data_errors(self, args):
-        # u overflows or underflows on the way, though it is finite: the
-        # first two wrote inf and nan under status: ok, the third reported
-        # closedform.sign with "min 0.0", all with RuntimeWarnings
+        # u = ln(...)/a itself overflows, in either form of the closed
+        # form: a data error, not inf under status: ok
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(args)
@@ -1161,6 +1193,50 @@ class TestSolverCommands:
         assert doc["report"]["converged"] is True
         # Lap u = e^u with zero boundary keeps the interior negative
         assert doc["u_min"] < 0 and doc["u_max"] == 0.0
+
+    def test_solve_elliptic_disk_meets_the_closed_form(self):
+        # Lap u = K e^u, u = 0 on the unit circle: u = 2 ln((1 - b)/(1 -
+        # b r^2)), so u(0) = 2 ln(1 - b), with 8 b = K (1 - b)^2, b < 1
+        K = 1.0
+        b = (K + 4.0 - math.sqrt(8.0 * K + 16.0)) / K
+        exact = 2.0 * math.log1p(-b)
+        errors = []
+        for n in (33, 65, 129):
+            code, out, _ = invoke(["solve-elliptic", "--geometry", "disk",
+                                   "--n", str(n), "--K", str(K),
+                                   "--out", "/dev/null"])
+            assert code == 0
+            doc = summary_of(out)
+            assert doc["status"] == "ok" and doc["report"]["converged"]
+            errors.append(abs(doc["u_center"] - exact))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.8 <= math.log2(coarse / fine) <= 2.2
+
+    @pytest.mark.parametrize("args", [
+        ["--nx", "9", "--ny", "9"], ["--geometry", "disk", "--n", "33"],
+    ], ids=["rectangle", "disk"])
+    def test_newton_iteration_cap_is_exit_two(self, args):
+        # Newton needs three iterations from u = 0 on either geometry
+        code, out, err = invoke(["solve-elliptic", *args, "--max-iter", "1",
+                                 "--out", "/dev/null"])
+        assert code == 2
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "elliptic.non_convergence"
+        assert doc["error"]["message"].startswith(
+            "no convergence in 1 iterations")
+        assert err.startswith("error:")
+
+    def test_fd_check_needs_a_3x3_grid(self):
+        field = "# 2 2 0.0 0.0 1.0 1.0\n0.0,0.0\n0.0,0.0\n"
+        code, out, err = invoke(["action", "--fd-check", "3"],
+                                stdin_text=field)
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"] == {"code": "cli.usage", "message":
+                                "--fd-check needs at least a 3x3 grid"}
+        assert err.startswith("error:")
 
     def test_gelfand_reports_fold(self):
         code, out, _ = invoke(["gelfand", "--n", "65", "--out", "/dev/null"])

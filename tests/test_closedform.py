@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liouville import closedform
 from liouville.closedform import (
@@ -52,6 +52,7 @@ from liouville.fields import (
 )
 
 P11 = LiouvilleParams(1.0, 1.0)
+EPS = np.finfo(float).eps
 LN8 = math.log(8.0)
 
 
@@ -113,25 +114,101 @@ class TestHyperbolicExact:
 
     def test_tiny_factors_are_not_a_sign_error(self):
         # a*K*f'*g' underflows to 0 although every factor is positive;
-        # the closed form then underflows too, which is its own error
+        # the closed form is then taken in log form
+        g = square(0.5, 1.5, 5)
+        X, Y = g.meshgrid()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteValueError):
-                hyperbolic_exact(pair("1e-200*x", "1e-200*y"), P11,
-                                 square(0.5, 1.5, 5))
+            u = hyperbolic_exact(pair("1e-200*x", "1e-200*y"), P11, g)
+        np.testing.assert_allclose(u.values, math.log(2.0) - 2 * np.log(X + Y),
+                                   rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("fsrc, gsrc, p", [
-        ("x", "y", LiouvilleParams(1e-308, 1.0)),
-        ("1e200*x", "1e200*y", P11),
-        ("-x", "y - 10", LiouvilleParams(-1e-308, 1.0)),
-    ], ids=["K-tiny", "pair-huge", "negative-f-prime"])
-    def test_non_finite_value_is_raised(self, fsrc, gsrc, p):
-        # u is finite in exact arithmetic, but 2 f' g' / (a K) or (f+g)^2
-        # overflows; the sampler raises instead of writing inf or nan
+    @pytest.mark.parametrize("fsrc, gsrc, p, want", [
+        ("x", "y", LiouvilleParams(1e-308, 1.0),
+         lambda X, Y: math.log(2.0) - math.log(1e-308) - 2 * np.log(X + Y)),
+        ("1e200*x", "1e200*y", P11,
+         lambda X, Y: math.log(2.0) - 2 * np.log(X + Y)),
+        ("-x", "y - 10", LiouvilleParams(-1e-308, 1.0),
+         lambda X, Y: (math.log(2.0) - math.log(1e-308)
+                       - 2 * np.log(X + 10 - Y))),
+        ("1e-160*x", "1e-160*y", P11,
+         lambda X, Y: math.log(2.0) - 2 * np.log(X + Y)),
+        ("x+1e200", "y+1e200", P11,
+         lambda X, Y: np.full(X.shape, math.log(2.0) - 2 * math.log(2e200))),
+    ], ids=["K-tiny", "pair-huge", "negative-f-prime", "pair-subnormal",
+            "pair-offset"])
+    def test_log_form_where_a_factor_leaves_the_normal_range(self, fsrc, gsrc,
+                                                             p, want):
+        # u is finite, but 2 f' g' / (a K) or (f+g)^2 overflows, or a
+        # factor of it is subnormal: those nodes are taken in log form
+        g = square(0.5, 1.5, 5)
+        X, Y = g.meshgrid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = hyperbolic_exact(pair(fsrc, gsrc), p, g)
+        np.testing.assert_allclose(u.values, want(X, Y), rtol=0, atol=1e-12)
+
+    def test_non_finite_value_is_raised(self):
+        # u = ln(2 f' g' / (a K (f+g)^2))/a itself overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValueError, match="at 25 node"):
-                hyperbolic_exact(pair(fsrc, gsrc), p, square(0.5, 1.5, 5))
+                hyperbolic_exact(pair("x", "y"), LiouvilleParams(1.0, 1e-307),
+                                 square(0.5, 1.5, 5))
+
+    # increasing on [0.5, 1.5] for p > 0, and positive for q >= 0
+    FAMILY = ("{p}*{t}+{q}", "exp({p}*{t})+{q}", "sinh({p}*{t})+{q}")
+    DRAW = st.tuples(st.sampled_from(FAMILY), st.floats(0.1, 3.0),
+                     st.floats(0.0, 2.0))
+
+    @staticmethod
+    def tol(cp, p, grid, u, c):
+        """Four ulps of the logs the closed form takes, of 2, f', g', a, K
+        and f + g, over a; scaling f and g or K by c moves them by up to
+        4 |ln c| in all.  Each is rounded at its own magnitude, which
+        the cancellation between them can leave far above |u|."""
+        (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
+        logs = (math.log(2.0) + abs(math.log(p.a)) + abs(math.log(p.K))
+                + np.abs(np.log(fp))[None, :] + np.abs(np.log(gp))[:, None]
+                + 2 * np.abs(np.log(fv[None, :] + gv[:, None])))
+        return 4 * EPS * (1 + np.abs(u) + (logs + 4 * abs(math.log(c))) / p.a)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(DRAW, DRAW, st.floats(0.25, 4.0), st.floats(0.1, 10.0),
+           st.floats(-300.0, 300.0))
+    @example(("exp({p}*{t})+{q}", 3.0, 2.0), ("{p}*{t}+{q}", 0.1, 0.0),
+             4.0, 10.0, 300.0)
+    @example(("{p}*{t}+{q}", 0.1, 0.0), ("sinh({p}*{t})+{q}", 3.0, 2.0),
+             0.25, 0.1, -300.0)
+    def test_scaling_the_pair_leaves_u(self, fd, gd, a, K, e):
+        # u(c f, c g) = u(f, g): scales that leave the normal range
+        # between them reach the log form
+        fsrc = fd[0].format(p=fd[1], t="x", q=fd[2])
+        gsrc = gd[0].format(p=gd[1], t="y", q=gd[2])
+        c, p, g = 10.0 ** e, LiouvilleParams(K, a), square(0.5, 1.5, 5)
+        cp = pair(fsrc, gsrc)
+        u = hyperbolic_exact(cp, p, g).values
+        uc = hyperbolic_exact(pair(f"{c!r}*({fsrc})", f"{c!r}*({gsrc})"),
+                              p, g).values
+        assert np.all(np.abs(uc - u) <= self.tol(cp, p, g, u, c))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(DRAW, DRAW, st.floats(0.25, 4.0), st.floats(0.1, 10.0),
+           st.floats(-307.0, 307.0))
+    @example(("exp({p}*{t})+{q}", 3.0, 2.0), ("{p}*{t}+{q}", 0.1, 0.0),
+             4.0, 10.0, 307.0)
+    @example(("{p}*{t}+{q}", 0.1, 0.0), ("sinh({p}*{t})+{q}", 3.0, 2.0),
+             0.25, 0.1, -307.0)
+    def test_scaling_K_shifts_u(self, fd, gd, a, K, e):
+        # u(c K) = u(K) - ln(c)/a; a K c may overflow or be subnormal,
+        # which reaches the log form
+        cp = pair(fd[0].format(p=fd[1], t="x", q=fd[2]),
+                  gd[0].format(p=gd[1], t="y", q=gd[2]))
+        c, p, g = 10.0 ** e, LiouvilleParams(K, a), square(0.5, 1.5, 5)
+        u = hyperbolic_exact(cp, p, g).values
+        uc = hyperbolic_exact(cp, LiouvilleParams(c * K, a), g).values
+        assert np.all(np.abs(uc - (u - math.log(c) / a))
+                      <= self.tol(cp, p, g, u, c))
 
     def test_linear_pair_bound(self):
         # superconvergent case: assert the h^2 bound it easily satisfies
@@ -165,6 +242,17 @@ class TestHyperbolicExact:
 
 
 class TestEllipticExact:
+    @pytest.mark.parametrize("Fsrc, names, sign, message", [
+        ("z", ("z",), "both", "sign must be 'plus' or 'minus'"),
+        ("x*y", ("x", "y"), "minus", "F must be univariate"),
+    ], ids=["sign", "bivariate"])
+    def test_seed_is_validated(self, Fsrc, names, sign, message):
+        with pytest.raises(ClosedFormError) as err:
+            AnalyticSeed(parse(Fsrc, names), sign)
+        assert type(err.value) is ClosedFormError
+        assert err.value.code == "closedform.error"
+        assert message in str(err.value)
+
     def test_center_value(self):
         u = elliptic_exact(seed("z"), 1.0, 1.0, square(-0.2, 0.2, 5))
         assert u.values[2, 2] == pytest.approx(LN8, abs=1e-14)
@@ -188,15 +276,32 @@ class TestEllipticExact:
         with pytest.raises(DomainViolationError):
             elliptic_exact(seed("z"), 1.0, 1.0, square(-0.8, 0.8, 9))
 
-    @pytest.mark.parametrize("Fsrc, sign, K", [
-        ("1e-200*z", "minus", 1.0), ("exp(2000*z)", "plus", -1.0),
-    ], ids=["underflow", "overflow"])
-    def test_non_finite_value_is_raised(self, Fsrc, sign, K):
-        # |F'|^2 underflows to 0, or |F|^2 and |F'|^2 overflow
+    @pytest.mark.parametrize("Fsrc, sign, K, want", [
+        ("1e-200*z", "minus", 1.0,
+         lambda X: np.full(X.shape, LN8 + 2 * math.log(1e-200))),
+        ("exp(2000*z)", "plus", -1.0,
+         lambda X: (LN8 + 2 * math.log(2000.0) + 4000.0 * X
+                    - 2 * np.logaddexp(0.0, 4000.0 * X))),
+        ("1e-160*z", "minus", 1.0,
+         lambda X: np.full(X.shape, LN8 + 2 * math.log(1e-160))),
+    ], ids=["underflow", "overflow", "subnormal"])
+    def test_log_form_where_a_factor_leaves_the_normal_range(self, Fsrc, sign,
+                                                             K, want):
+        # |F'|^2 underflows to 0 or is subnormal, or |F|^2 and |F'|^2
+        # overflow: those nodes are taken in log form
+        g = square(-0.2, 0.2, 5)
+        X, _ = g.meshgrid()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteValueError):
-                elliptic_exact(seed(Fsrc, sign), K, 1.0, square(-0.2, 0.2, 5))
+            u = elliptic_exact(seed(Fsrc, sign), K, 1.0, g)
+        np.testing.assert_allclose(u.values, want(X), rtol=0, atol=1e-12)
+
+    def test_non_finite_value_is_raised(self):
+        # u = (ln(8|F'|^2/(1 - |F|^2)^2) - ln(a K))/a itself overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="at 25 node"):
+                elliptic_exact(seed("z"), 1.0, 1e-307, square(-0.2, 0.2, 5))
 
     def test_degenerate_seed(self):
         with pytest.raises(SeedDegenerateError) as err:
@@ -302,18 +407,19 @@ class TestRowBlocks:
                            f"grid (min {float(gp.min())!r})")] * 4
 
     def test_first_non_finite_node_in_a_later_block(self, per_block_height):
-        # (f + g)^2 with g = e^(800 y) overflows from y = 0.445, row 89 of
-        # 200, in the second block
+        # g' = 800 e^(800 y) overflows from y = 0.88, row 176 of 200, in
+        # the third block; (f + g)^2 overflows from row 89 on, where the
+        # log form keeps u finite
         g = Grid2D(131, 200, 1.0, 0.0, 0.01, 0.005)
         with np.errstate(over="ignore"):
-            bad = np.flatnonzero(np.isinf(np.exp(800.0 * g.y()) ** 2))
+            bad = np.flatnonzero(np.isinf(np.exp(800.0 * g.y()) * 800.0))
         errors = per_block_height(lambda: raised(lambda: hyperbolic_exact(
             pair("x", "exp(800*y)"), P11, g)))
-        assert bad[0] == 89
+        assert bad[0] == 176
         assert errors == [(NonFiniteValueError,
                            f"u is not finite at {bad.size * 131} node(s), the "
-                           "first at node (i=0, j=89), (x, y) = "
-                           f"(1.0, {float(g.y()[89])!r}): an intermediate "
+                           "first at node (i=0, j=176), (x, y) = "
+                           f"(1.0, {float(g.y()[176])!r}): an intermediate "
                            "value of the closed form over- or underflows")] * 4
 
     def test_first_degenerate_node_in_a_later_block(self, per_block_height):

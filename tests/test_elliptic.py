@@ -1102,6 +1102,16 @@ class TestValidation:
             with pytest.raises(EllipticError, match="must be finite"):
                 call()
 
+    @pytest.mark.parametrize("geometry", [rect(9), DiskGeometry(9)],
+                             ids=["rectangle", "disk"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_constant_boundary(self, geometry, value):
+        with pytest.raises(EllipticError) as err:
+            DirichletProblem(geometry, LiouvilleParams(1.0, 1.0), value)
+        assert type(err.value) is EllipticError
+        assert err.value.code == "elliptic.error"
+        assert "boundary value must be finite" in str(err.value)
+
     def test_disk_rejects_expression_boundary(self):
         with pytest.raises(EllipticError):
             DirichletProblem(DiskGeometry(65), LiouvilleParams(-1.0, 1.0),

@@ -196,6 +196,17 @@ class TestEvalDual:
         with pytest.raises(DomainError):
             d("sqrt(x)", -0.5)
 
+    @pytest.mark.parametrize("src, at, snippet", [
+        ("x^-2", 0.0, "x"), ("(x-1)^-3", np.array([0.5, 1.0]), "x-1"),
+    ], ids=["scalar", "array"])
+    def test_zero_to_a_negative_power(self, src, at, snippet):
+        with pytest.raises(DomainError) as err:
+            d(src, at)
+        assert type(err.value) is DomainError
+        assert err.value.code == "expr.domain"
+        assert err.value.snippet == snippet
+        assert "zero raised to a negative power" in str(err.value)
+
     def test_trig_and_hyperbolic(self):
         x = 0.7
         r = d("sin(x)", x)
@@ -247,6 +258,17 @@ class TestEvalComplex:
     def test_pole(self):
         with pytest.raises(DomainError):
             eval_complex(parse("1/z", ("z",)), 0.0j)
+
+    @pytest.mark.parametrize("src, message", [
+        ("ln(z)", "log of zero (branch point)"),
+        ("sqrt(z)", "sqrt at zero (branch point)"),
+    ], ids=["ln", "sqrt"])
+    def test_branch_point_at_zero(self, src, message):
+        with pytest.raises(DomainError) as err:
+            eval_complex(parse(src, ("z",)), np.array([1.0 + 1.0j, 0.0j]))
+        assert type(err.value) is DomainError
+        assert err.value.code == "expr.domain"
+        assert message in str(err.value)
 
     def test_square_at_i(self):
         r = eval_dual(parse("z^2", ("z",)), 1j, "z")

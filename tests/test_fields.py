@@ -124,7 +124,8 @@ class TestCsvRoundTrip:
 
     def test_stream_with_trailing_summary_line(self):
         buf = io.StringIO()
-        f = ScalarField2D.sample(unit_grid(4), lambda x, y: x + 2 * y)
+        X, Y = unit_grid(4).meshgrid()
+        f = ScalarField2D(unit_grid(4), X + 2 * Y)
         f.write_csv(buf)
         buf.write(json.dumps({"status": "ok"}) + "\n")
         buf.seek(0)
@@ -291,8 +292,7 @@ class TestWriteCsvBlocks:
         rng = np.random.default_rng(5)
         mask = rng.random((7, 13)) < 0.3
         grid = Grid2D(13, 7, -1.0, 0.5, 0.25, 0.125)
-        result = MarchResult(ScalarField2D(grid, np.where(mask, np.nan, 1.0)),
-                             mask)
+        result = MarchResult(ScalarField2D(grid, np.where(mask, np.nan, 1.0)))
         got, want = io.StringIO(), io.StringIO()
         result.write_mask_csv(got)
         repr_table(want, grid.header(), mask.astype(int).tolist())
@@ -367,9 +367,9 @@ class TestReadCsvBlocks:
                               values.view(np.uint64))
 
     def test_summary_line_after_several_blocks(self):
-        f = ScalarField2D.sample(Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0,
-                                                    1000, 40),
-                                 lambda x, y: x - 3 * y)
+        g = Grid2D.from_bounds(0.0, 0.0, 1.0, 1.0, 1000, 40)
+        X, Y = g.meshgrid()
+        f = ScalarField2D(g, X - 3 * Y)
         buf = io.StringIO()
         f.write_csv(buf)
         buf.write(json.dumps({"status": "ok"}) + "\n")
@@ -413,9 +413,9 @@ class TestResidualElliptic:
 
     def test_harmonic_plus_linear(self):
         # Delta(x^2 - y^2) = 0 exactly for the 5-point stencil
-        f = ScalarField2D.sample(unit_grid(9), lambda x, y: x * x - y * y)
-        r = residual_elliptic(f, LiouvilleParams(2.0, 1.0))
         X, Y = unit_grid(9).meshgrid()
+        f = ScalarField2D(unit_grid(9), X * X - Y * Y)
+        r = residual_elliptic(f, LiouvilleParams(2.0, 1.0))
         expect = -2.0 * np.exp(X * X - Y * Y)[1:-1, 1:-1]
         assert np.allclose(r.values[1:-1, 1:-1], expect, rtol=1e-13)
 
@@ -433,7 +433,8 @@ class TestResidualHyperbolic:
     def test_linear_field_matches_pointwise(self):
         # D_xy of x + y vanishes, so r = -e^(cell average of x + y)
         g = unit_grid(6)
-        f = ScalarField2D.sample(g, lambda x, y: x + y)
+        X, Y = g.meshgrid()
+        f = ScalarField2D(g, X + Y)
         r = residual_hyperbolic(f, P11)
         Xc, Yc = g.cell_centers().meshgrid()
         assert np.allclose(r.values, -np.exp(Xc + Yc), rtol=1e-14)
@@ -474,7 +475,8 @@ class TestResidualLog:
 
     def test_agrees_with_hyperbolic_residual(self):
         g = Grid2D.from_bounds(0.5, 0.5, 1.5, 1.5, 33, 33)
-        u = ScalarField2D.sample(g, lambda x, y: np.log(2.0) - 2 * np.log(x + y))
+        X, Y = g.meshgrid()
+        u = ScalarField2D(g, np.log(2.0) - 2 * np.log(X + Y))
         r_h = residual_hyperbolic(u, P11)
         r_log = residual_log(ScalarField2D(g, np.exp(u.values)), 1.0)
         # r_log = r_h / Tbar with the geometric cell mean Tbar.  The

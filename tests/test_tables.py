@@ -40,7 +40,7 @@ def test_radial_profile_from_arrays():
 def test_march_mask():
     grid = Grid2D(3, 2, 0.0, -0.5, 0.5, 0.25)
     values = np.array([[0.0, 1.0, np.nan], [2.0, np.nan, np.nan]])
-    result = MarchResult(ScalarField2D(grid, values), np.isnan(values))
+    result = MarchResult(ScalarField2D(grid, values))
     assert written(result.write_mask_csv) == (
         "# 3 2 0.0 -0.5 0.5 0.25\n0,0,1\n0,1,1\n")
 
