@@ -53,8 +53,9 @@ ARGVS = [
      "--out", "exact_h.csv"],
     ["exact-e", "--F", "z", "--nx", "17", "--ny", "17"],
     ["blowup-exact", "--nx", "17", "--ny", "17"],
-    # closed forms whose intermediate values over- or underflow, or have
-    # a subnormal factor, although u is finite: taken in log form there
+    # closed forms whose quotient 2 f' g'/(a K (f+g)^2) or 8|F'|^2/(1 -+
+    # |F|^2)^2 would over- or underflow, or have a subnormal factor,
+    # although u, a sum of logarithms, is finite
     ["exact-h", "--f", "x", "--g", "y", "--K", "1e-308"],
     ["exact-h", "--f", "1e200*x", "--g", "1e200*y", "--nx", "3", "--ny", "3"],
     ["exact-h", "--f", "1e-200*x", "--g", "1e-200*y"],

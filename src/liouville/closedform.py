@@ -66,11 +66,6 @@ class AnalyticSeed:
             raise ClosedFormError(f"F must be univariate, has vars {self.F.vars}")
 
 
-def _tiny(v) -> np.ndarray:
-    """Where ``v`` is zero or subnormal: a factor that has lost bits."""
-    return np.abs(v) < np.finfo(float).tiny
-
-
 def _finite(field: ScalarField2D) -> ScalarField2D:
     """Return ``field`` if every node is finite, else raise
     NonFiniteValueError with the count and the first such node in
@@ -89,8 +84,8 @@ def _finite(field: ScalarField2D) -> ScalarField2D:
         raise NonFiniteValueError(
             f"u is not finite at {count} node(s), the first at node "
             f"(i={i}, j={j}), (x, y) = ({float(field.grid.x()[i])!r}, "
-            f"{float(field.grid.y()[j])!r}): an intermediate value of the "
-            "closed form over- or underflows")
+            f"{float(field.grid.y()[j])!r}): u overflows, or an input of "
+            "the closed form (f, g, f + g, f', g', F or F') is not finite")
     return field
 
 
@@ -98,10 +93,9 @@ def _finite(field: ScalarField2D) -> ScalarField2D:
 def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
                      grid: Grid2D) -> ScalarField2D:
     """Sample u = (1/a) ln(2 f'(x) g'(y) / (a K (f+g)^2)) on ``grid``,
-    with f = ``cp.fx`` and g = ``cp.gy``.
-
-    Where that quotient is not finite or has a zero or subnormal factor,
-    u = (ln 2 + ln|f'| + ln|g'| - ln|a| - ln|K| - 2 ln|f+g|)/a instead.
+    with f = ``cp.fx`` and g = ``cp.gy``, as the sum of logarithms
+    u = (ln 2 + ln|f'| + ln|g'| - ln|a| - ln|K| - 2 ln|f+g|)/a: finite
+    wherever u and the inputs are.
 
     Raises SingularNodeError if f+g vanishes exactly at a node, SignError
     unless the signs of a, K, f' and g' multiply to +1 everywhere on the
@@ -111,6 +105,10 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
     # signs one by one: a product of tiny positive factors underflows to 0
     sf = np.sign(p.a) * np.sign(p.K) * np.sign(fp)
     sg = np.sign(gp)
+    # the logs of the 1-D factors, once: per node only ln|f+g| is taken
+    ln_f = (np.log(2.0) + np.log(np.abs(fp)) - np.log(abs(p.a))
+            - np.log(abs(p.K)))
+    ln_g = np.log(np.abs(gp))
     u = np.empty((grid.ny, grid.nx))
     q_min, bad_sign = np.inf, False
     for j0, j1 in _row_blocks(grid.ny):
@@ -124,15 +122,8 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
         q_min = np.minimum(q_min, np.min(q))
         bad_sign = bad_sign or bool(np.any(sg[j0:j1, None] * sf[None, :] <= 0))
         if not bad_sign:
-            num = 2.0 * fp[None, :] * gp[j0:j1, None]
-            quot, s2 = num / (p.a * p.K), s * s
-            u[j0:j1] = (np.log(quot) - np.log(s2)) / p.a
-            jj, ii = np.nonzero(~np.isfinite(u[j0:j1]) | _tiny(num)
-                                | _tiny(quot) | _tiny(s2) | _tiny(p.a * p.K))
-            u[j0 + jj, ii] = (np.log(2.0) + np.log(np.abs(fp[ii]))
-                              + np.log(np.abs(gp[j0 + jj])) - np.log(abs(p.a))
-                              - np.log(abs(p.K))
-                              - 2.0 * np.log(np.abs(s[jj, ii]))) / p.a
+            u[j0:j1] = (ln_f[None, :] + ln_g[j0:j1, None]
+                        - 2.0 * np.log(np.abs(s))) / p.a
     if bad_sign:
         raise SignError(
             "a*K*f'(x)*g'(y) must be positive on the whole grid "
@@ -144,13 +135,15 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
 @np.errstate(all="ignore")
 def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
                    grid: Grid2D) -> ScalarField2D:
-    """Sample u = (1/a)(ln(8|F'|^2/(1 -+ |F|^2)^2) - ln(a|K|)) on ``grid``.
+    """Sample u = (1/a)(ln(8|F'|^2/(1 -+ |F|^2)^2) - ln(a|K|)) on ``grid``,
+    as the sum of logarithms
+    u = (ln 8 + 2 ln|F'| - 2 ln(1 -+ |F|^2) - ln a - ln|K|)/a, with
+    ln(1 - |F|^2) taken as log1p and ln(1 + |F|^2) as logaddexp(0, 2 ln|F|):
+    finite wherever u is and F, F' are.
 
     The "minus" sign solves Delta u = K e^(a u) for K > 0 and requires
     |F| < 1 on the grid; "plus" solves it for K < 0.  Requires a > 0 (the
     additive normalization ln(a|K|) has no real value otherwise).
-    Where that quotient is not finite or has a zero or subnormal factor,
-    u = (ln 8 + 2 ln|F'| - 2 ln(1 -+ |F|^2) - ln a - ln|K|)/a instead.
     Raises NonFiniteValueError where u is not finite.
     """
     if not all(np.isfinite(c) and c != 0 for c in (K, a)):
@@ -163,6 +156,7 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
     if a < 0:
         raise SignError("the analytic-seed solution requires a > 0")
     x, y = grid.x(), grid.y()
+    ln_c = np.log(8.0) - np.log(a) - np.log(abs(K))
     u = np.empty((grid.ny, grid.nx))
     degenerate, mod2_max, outside = None, -np.inf, False
     # the checks are raised after the last block, so that an expression
@@ -174,24 +168,17 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
         zero = np.argwhere(Fp == 0)
         if zero.size and degenerate is None:
             degenerate = (int(zero[0][1]), j0 + int(zero[0][0]))
-        mod2 = (F * F.conj()).real
         if seed.sign == "minus":
+            mod2 = (F * F.conj()).real
             mod2_max = np.maximum(mod2_max, mod2.max())
             outside = outside or bool(np.any(mod2 >= 1.0))
         if degenerate is None and not outside:
-            den = 1.0 - mod2 if seed.sign == "minus" else 1.0 + mod2
-            mag2 = (Fp * Fp.conj()).real
-            quot = 8.0 * mag2 / (den * den)
-            u[j0:j1] = (np.log(quot) - np.log(a * abs(K))) / a
-            jj, ii = np.nonzero(~np.isfinite(u[j0:j1]) | _tiny(mag2)
-                                | _tiny(quot) | _tiny(a * K))
             # ln(1 + |F|^2) as logaddexp: finite where |F|^2 is not
-            ln_den = (np.log1p(-mod2[jj, ii]) if seed.sign == "minus" else
-                      np.logaddexp(0.0, 2.0 * np.log(np.abs(F[jj, ii]))))
-            u[j0 + jj, ii] = (np.log(8.0) + 2.0 * np.log(np.abs(Fp[jj, ii]))
-                              - 2.0 * ln_den - np.log(a) - np.log(abs(K))) / a
+            ln_den = (np.log1p(-mod2) if seed.sign == "minus" else
+                      np.logaddexp(0.0, 2.0 * np.log(np.abs(F))))
+            u[j0:j1] = (ln_c + 2.0 * np.log(np.abs(Fp)) - 2.0 * ln_den) / a
         # drop this block's arrays before the next block's jets are built
-        F = Fp = mod2 = den = mag2 = quot = None
+        F = Fp = mod2 = ln_den = None
     if degenerate is not None:
         raise SeedDegenerateError(*degenerate)
     if outside:

@@ -151,8 +151,9 @@ class NonMonotoneGError(ClosedFormError):
 
 
 class NonFiniteValueError(ClosedFormError):
-    """A closed form or the u <-> T = e^u conversion left finite inputs
-    with a non-finite value."""
+    """A closed form's u is not finite, because u overflows or an input
+    (f, g, f + g, f', g', F or F') is not finite; or T = e^u overflows
+    where u is finite."""
 
     code = "closedform.non_finite"
 

@@ -617,9 +617,9 @@ class TestExitCodes:
             "exact-h-pair-offset", "exact-h-pair-subnormal",
             "exact-e-seed-tiny", "exact-e-seed-subnormal"])
     def test_closed_forms_finite_through_over_and_underflow(self, args):
-        # u is finite although an intermediate value of the closed form
-        # over- or underflows or is subnormal: the closed form is taken
-        # in log form there, without warnings
+        # u is finite although the quotient of the closed form would
+        # over- or underflow or have a subnormal factor: u is a sum of
+        # logarithms, taken without warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(args)
@@ -632,8 +632,8 @@ class TestExitCodes:
         ["exact-e", "--F", "z", "--a", "1e-307", "--nx", "3", "--ny", "3"],
     ], ids=["exact-h-a-tiny", "exact-e-a-tiny"])
     def test_non_finite_closed_forms_are_data_errors(self, args):
-        # u = ln(...)/a itself overflows, in either form of the closed
-        # form: a data error, not inf under status: ok
+        # u = ln(...)/a itself overflows: a data error, not inf under
+        # status: ok
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(args)

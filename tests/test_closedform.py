@@ -114,7 +114,7 @@ class TestHyperbolicExact:
 
     def test_tiny_factors_are_not_a_sign_error(self):
         # a*K*f'*g' underflows to 0 although every factor is positive;
-        # the closed form is then taken in log form
+        # u takes the log of each factor, so nothing underflows
         g = square(0.5, 1.5, 5)
         X, Y = g.meshgrid()
         with warnings.catch_warnings():
@@ -139,8 +139,8 @@ class TestHyperbolicExact:
             "pair-offset"])
     def test_log_form_where_a_factor_leaves_the_normal_range(self, fsrc, gsrc,
                                                              p, want):
-        # u is finite, but 2 f' g' / (a K) or (f+g)^2 overflows, or a
-        # factor of it is subnormal: those nodes are taken in log form
+        # u is finite, but 2 f' g' / (a K) or (f+g)^2 would overflow, or
+        # a factor of it is subnormal: u takes the log of each factor
         g = square(0.5, 1.5, 5)
         X, Y = g.meshgrid()
         with warnings.catch_warnings():
@@ -162,16 +162,22 @@ class TestHyperbolicExact:
                      st.floats(0.0, 2.0))
 
     @staticmethod
-    def tol(cp, p, grid, u, c):
-        """Four ulps of the logs the closed form takes, of 2, f', g', a, K
-        and f + g, over a; scaling f and g or K by c moves them by up to
-        4 |ln c| in all.  Each is rounded at its own magnitude, which
-        the cancellation between them can leave far above |u|."""
+    def logs(cp, p, grid):
+        """The magnitudes of the logs the closed form takes, of 2, f', g',
+        a, K and f + g, summed at each node.  Each is rounded at its own
+        magnitude, which the cancellation between them can leave far
+        above |u|."""
         (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
-        logs = (math.log(2.0) + abs(math.log(p.a)) + abs(math.log(p.K))
+        return (math.log(2.0) + abs(math.log(p.a)) + abs(math.log(p.K))
                 + np.abs(np.log(fp))[None, :] + np.abs(np.log(gp))[:, None]
                 + 2 * np.abs(np.log(fv[None, :] + gv[:, None])))
-        return 4 * EPS * (1 + np.abs(u) + (logs + 4 * abs(math.log(c))) / p.a)
+
+    @classmethod
+    def tol(cls, cp, p, grid, u, c):
+        """Four ulps of ``logs`` over a; scaling f and g or K by c moves
+        them by up to 4 |ln c| in all."""
+        return 4 * EPS * (1 + np.abs(u) + (cls.logs(cp, p, grid)
+                                           + 4 * abs(math.log(c))) / p.a)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(DRAW, DRAW, st.floats(0.25, 4.0), st.floats(0.1, 10.0),
@@ -181,8 +187,8 @@ class TestHyperbolicExact:
     @example(("{p}*{t}+{q}", 0.1, 0.0), ("sinh({p}*{t})+{q}", 3.0, 2.0),
              0.25, 0.1, -300.0)
     def test_scaling_the_pair_leaves_u(self, fd, gd, a, K, e):
-        # u(c f, c g) = u(f, g): scales that leave the normal range
-        # between them reach the log form
+        # u(c f, c g) = u(f, g), also for scales that take f and g out
+        # of the normal range
         fsrc = fd[0].format(p=fd[1], t="x", q=fd[2])
         gsrc = gd[0].format(p=gd[1], t="y", q=gd[2])
         c, p, g = 10.0 ** e, LiouvilleParams(K, a), square(0.5, 1.5, 5)
@@ -200,8 +206,7 @@ class TestHyperbolicExact:
     @example(("{p}*{t}+{q}", 0.1, 0.0), ("sinh({p}*{t})+{q}", 3.0, 2.0),
              0.25, 0.1, -307.0)
     def test_scaling_K_shifts_u(self, fd, gd, a, K, e):
-        # u(c K) = u(K) - ln(c)/a; a K c may overflow or be subnormal,
-        # which reaches the log form
+        # u(c K) = u(K) - ln(c)/a; a K c may overflow or be subnormal
         cp = pair(fd[0].format(p=fd[1], t="x", q=fd[2]),
                   gd[0].format(p=gd[1], t="y", q=gd[2]))
         c, p, g = 10.0 ** e, LiouvilleParams(K, a), square(0.5, 1.5, 5)
@@ -209,6 +214,23 @@ class TestHyperbolicExact:
         uc = hyperbolic_exact(cp, LiouvilleParams(c * K, a), g).values
         assert np.all(np.abs(uc - (u - math.log(c) / a))
                       <= self.tol(cp, p, g, u, c))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0), st.floats(0.25, 4.0),
+           st.floats(0.1, 10.0))
+    @example(3.0, 0.1, 0.25, 0.1)
+    @example(0.1, 3.0, 4.0, 10.0)
+    def test_exp_pair_is_accurate(self, p, q, a, K):
+        # f = e^(p x), g = e^(q y): u = (ln(2 p q/(a K)) + p x + q y
+        # - 2 ln(e^(p x) + e^(q y)))/a, to eight ulps of the logs the
+        # closed form takes, over a
+        cp, g = pair(f"exp({p!r}*x)", f"exp({q!r}*y)"), square(0.5, 1.5, 9)
+        X, Y = g.meshgrid()
+        params = LiouvilleParams(K, a)
+        u = hyperbolic_exact(cp, params, g).values
+        want = (math.log(2 * p * q / (a * K)) + p * X + q * Y
+                - 2 * np.logaddexp(p * X, q * Y)) / a
+        assert np.all(np.abs(u - want) <= 8 * EPS * self.logs(cp, params, g) / a)
 
     def test_linear_pair_bound(self):
         # superconvergent case: assert the h^2 bound it easily satisfies
@@ -287,8 +309,8 @@ class TestEllipticExact:
     ], ids=["underflow", "overflow", "subnormal"])
     def test_log_form_where_a_factor_leaves_the_normal_range(self, Fsrc, sign,
                                                              K, want):
-        # |F'|^2 underflows to 0 or is subnormal, or |F|^2 and |F'|^2
-        # overflow: those nodes are taken in log form
+        # |F'|^2 would underflow to 0 or be subnormal, or |F|^2 and
+        # |F'|^2 would overflow: u takes ln|F'| and ln(1 -+ |F|^2) instead
         g = square(-0.2, 0.2, 5)
         X, _ = g.meshgrid()
         with warnings.catch_warnings():
@@ -302,6 +324,24 @@ class TestEllipticExact:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValueError, match="at 25 node"):
                 elliptic_exact(seed("z"), 1.0, 1e-307, square(-0.2, 0.2, 5))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(0.1, 1.4), st.floats(0.25, 4.0), st.floats(0.1, 10.0))
+    @example(1.4, 0.25, 0.1)
+    @example(0.1, 4.0, 10.0)
+    def test_linear_seed_is_accurate(self, c, a, K):
+        # F = c z with the minus sign, |F|^2 <= 0.98 on the grid:
+        # u = (ln(8 c^2/(a K)) - 2 ln(1 - c^2 |z|^2))/a, to eight ulps of
+        # the logs the closed form takes, of 8, F', 1 - |F|^2, a and K,
+        # over a
+        g = square(-0.5, 0.5, 9)
+        X, Y = g.meshgrid()
+        u = elliptic_exact(seed(f"{c!r}*z"), K, a, g).values
+        ln_den = np.log1p(-c * c * (X * X + Y * Y))
+        want = (math.log(8 * c * c / (a * K)) - 2 * ln_den) / a
+        logs = (LN8 + 2 * abs(math.log(c)) + 2 * np.abs(ln_den)
+                + abs(math.log(a)) + abs(math.log(K)))
+        assert np.all(np.abs(u - want) <= 8 * EPS * logs / a)
 
     def test_degenerate_seed(self):
         with pytest.raises(SeedDegenerateError) as err:
@@ -408,8 +448,8 @@ class TestRowBlocks:
 
     def test_first_non_finite_node_in_a_later_block(self, per_block_height):
         # g' = 800 e^(800 y) overflows from y = 0.88, row 176 of 200, in
-        # the third block; (f + g)^2 overflows from row 89 on, where the
-        # log form keeps u finite
+        # the third block; (f + g)^2 would overflow from row 89 on, but u
+        # takes ln|f + g| and stays finite there
         g = Grid2D(131, 200, 1.0, 0.0, 0.01, 0.005)
         with np.errstate(over="ignore"):
             bad = np.flatnonzero(np.isinf(np.exp(800.0 * g.y()) * 800.0))
@@ -419,8 +459,9 @@ class TestRowBlocks:
         assert errors == [(NonFiniteValueError,
                            f"u is not finite at {bad.size * 131} node(s), the "
                            "first at node (i=0, j=176), (x, y) = "
-                           f"(1.0, {float(g.y()[176])!r}): an intermediate "
-                           "value of the closed form over- or underflows")] * 4
+                           f"(1.0, {float(g.y()[176])!r}): u overflows, or "
+                           "an input of the closed form (f, g, f + g, f', "
+                           "g', F or F') is not finite")] * 4
 
     def test_first_degenerate_node_in_a_later_block(self, per_block_height):
         # F' = 4 z (z^2 + 4) vanishes at z = -2i (row 142) and z = 0

@@ -274,6 +274,28 @@ def test_converged_reports_meet_their_tolerance(monkeypatch):
         assert report.tolerance >= tol
 
 
+@pytest.mark.parametrize("geometry, norm_A, bc_max", [
+    # center row 8/h^2; boundary term (1/h^2 + 1/(2 r h)) 2 at r = 1 - h
+    (DiskGeometry(1025), 8.0 * 1024 ** 2, (1024 ** 2 + 512 / (1 - 1 / 1024)) * 2),
+    # 4/hx^2 + 4/hy^2; the nodes next to a corner see the ring twice
+    (RectangleGeometry(Grid2D.from_bounds(-0.5, -0.5, 0.5, 0.5, 257, 257)),
+     8.0 * 256 ** 2, 2.0 * 2 * 256 ** 2),
+], ids=["disk", "rectangle"])
+def test_tolerance_is_the_rounding_floor_of_the_solution(geometry, norm_A,
+                                                         bc_max):
+    # boundary 2 puts the rounding floor of F above the 1e-10 target, so
+    # the report's tolerance is the floor, recomputed here at the returned
+    # unknowns: eps (||A|| max|u| + bc_max + |K| max e^(a u)), bit for bit
+    u, report = solve_dirichlet(DirichletProblem(
+        geometry, LiouvilleParams(1.0, 1.0), 2.0))
+    u = (u.values[:-1] if isinstance(geometry, DiskGeometry)
+         else u.values[1:-1, 1:-1])
+    floor = np.finfo(float).eps * (norm_A * float(np.abs(u).max()) + bc_max
+                                   + float(np.exp(u).max()))
+    assert report.converged
+    assert report.tolerance == floor > 1e-10
+
+
 class TestKrylovSolve:
     """The matrix-free rectangle solve against dense direct solves of the
     same discrete system, on a grid with hx != hy."""
