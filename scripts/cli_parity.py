@@ -8,8 +8,9 @@ than one, and the elliptic solves at several sizes) once under
 the ``liouville`` console script runs it.  Each side runs the
 list in order in its own empty directory, so commands that read a field
 read the file an earlier command of the same side wrote.  For each argv
-the stdout bytes, the exit code and every file the command wrote are
-compared; one SAME/DIFF line is printed per argv and the exit code is 1
+the stdout bytes, the stderr bytes, the exit code and every file the
+command wrote are compared (so a numpy warning or a traceback on stderr
+reads DIFF); one SAME/DIFF line is printed per argv and the exit code is 1
 if any argv differs.  The verdict is byte-based; a DIFF line also gives
 the largest relative difference between the two sides' numbers, apart
 over the JSON summary values (matched by key), over the solvers'
@@ -272,8 +273,8 @@ def _snapshot(work: pathlib.Path) -> dict:
 
 def run_side(src: pathlib.Path, work: pathlib.Path) -> tuple:
     """Run every argv under ``src`` in ``work``; return numpy's SIMD
-    ``found`` list there and per-argv (exit code, stdout bytes,
-    {written file: bytes})."""
+    ``found`` list there and per-argv (exit code, stdout bytes, stderr
+    bytes, {written file: bytes})."""
     env = dict(os.environ, PYTHONPATH=str(src))
     simd = subprocess.run([sys.executable, "-c", SIMD_FOUND], env=env,
                           capture_output=True, text=True).stdout.strip()
@@ -284,13 +285,13 @@ def run_side(src: pathlib.Path, work: pathlib.Path) -> tuple:
             proc = subprocess.run([sys.executable, "-c", RUN_CLI, *argv],
                                   cwd=work, env=env, capture_output=True,
                                   timeout=TIMEOUT_S)
-            code, out = proc.returncode, proc.stdout
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
         except subprocess.TimeoutExpired as exc:
-            code, out = "timeout", exc.stdout or b""
+            code, out, err = "timeout", exc.stdout or b"", exc.stderr or b""
         after = _snapshot(work)
         written = {name: blob for name, blob in after.items()
                    if before.get(name) != blob}
-        results.append((code, out, written))
+        results.append((code, out, err, written))
     return simd, results
 
 
@@ -347,7 +348,7 @@ def _max_rel_diff(here, base) -> str:
     at the same place, for summary values, residual reports and CSV
     cells apart, and a note when the sides wrote numbers at different
     places."""
-    (_, out, files), (_, bout, bfiles) = here, base
+    (_, out, _, files), (_, bout, _, bfiles) = here, base
     outputs = [(out, bout)] + [(files.get(n, b""), bfiles.get(n, b""))
                                for n in sorted(set(files) | set(bfiles))]
     worst, unmatched = {"summary": 0.0, "residuals": 0.0, "csv": 0.0}, 0
@@ -363,12 +364,14 @@ def _max_rel_diff(here, base) -> str:
 
 
 def _differences(here, base) -> list:
-    (code, out, files), (bcode, bout, bfiles) = here, base
+    (code, out, err, files), (bcode, bout, berr, bfiles) = here, base
     diffs = []
     if code != bcode:
         diffs.append(f"exit {bcode} -> {code}")
     if out != bout:
         diffs.append("stdout")
+    if err != berr:
+        diffs.append("stderr")
     diffs += [f"file {name}" for name in sorted(set(files) | set(bfiles))
               if files.get(name) != bfiles.get(name)]
     return diffs

@@ -30,6 +30,7 @@ from .errors import (
     CliUsageError,
     LiouvilleError,
     NonConvergenceError,
+    NonFiniteActionError,
     NonFiniteResidualError,
     OdeOverflowError,
 )
@@ -386,6 +387,12 @@ def _cmd_action(ns) -> dict:
     p = ActionParams(ns.C, ns.mu)
     value = action_value(field, p)
     grad = action_gradient(field, p)
+    # no entry may be infinite, nor NaN where no node is masked (value finite)
+    bad = (np.isinf(grad.values) if np.isnan(value)
+           else ~np.isfinite(grad.values))
+    if bad.any():
+        raise NonFiniteActionError(
+            f"the gradient is not finite at {int(bad.sum())} node(s)")
     if ns.grad_out is not None:
         grad.write_csv(ns.grad_out)
     # the largest |gradient| without an |.| copy of the field
@@ -397,6 +404,7 @@ def _cmd_action(ns) -> dict:
     return payload
 
 
+@np.errstate(invalid="ignore")  # probes at masked or non-finite nodes are NaN
 def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
                        n_probe: int) -> float:
     """Central-difference probe of the gradient at up to ``n_probe``
@@ -421,8 +429,8 @@ def _fd_gradient_check(field: ScalarField2D, p, grad: ScalarField2D,
         bumped[j, i] = field.values[j, i]
         fd = (plus - minus) / (2.0 * step)
         scale = max(abs(fd), abs(grad.values[j, i]), 1e-30)
-        worst = max(worst, abs(fd - grad.values[j, i]) / scale)
-    return worst
+        worst = np.maximum(worst, abs(fd - grad.values[j, i]) / scale)
+    return float(worst)
 
 
 def _cmd_convert_log(ns) -> dict:

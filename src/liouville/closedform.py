@@ -102,15 +102,11 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
     grid, and NonFiniteValueError where u is not finite.
     """
     (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
-    # signs one by one: a product of tiny positive factors underflows to 0
-    sf = np.sign(p.a) * np.sign(p.K) * np.sign(fp)
-    sg = np.sign(gp)
     # the logs of the 1-D factors, once: per node only ln|f+g| is taken
     ln_f = (np.log(2.0) + np.log(np.abs(fp)) - np.log(abs(p.a))
             - np.log(abs(p.K)))
     ln_g = np.log(np.abs(gp))
     u = np.empty((grid.ny, grid.nx))
-    q_min, bad_sign = np.inf, False
     for j0, j1 in _row_blocks(grid.ny):
         s = gv[j0:j1, None] + fv[None, :]
         zero = np.argwhere(s == 0.0)
@@ -118,17 +114,20 @@ def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
             j, i = zero[0]
             raise SingularNodeError(int(i), j0 + int(j), float(grid.x()[i]),
                                     float(grid.y()[j0 + j]))
-        q = p.a * p.K * gp[j0:j1, None] * fp[None, :]
-        q_min = np.minimum(q_min, np.min(q))
-        bad_sign = bad_sign or bool(np.any(sg[j0:j1, None] * sf[None, :] <= 0))
-        if not bad_sign:
-            u[j0:j1] = (ln_f[None, :] + ln_g[j0:j1, None]
-                        - 2.0 * np.log(np.abs(s))) / p.a
-    if bad_sign:
-        raise SignError(
-            "a*K*f'(x)*g'(y) must be positive on the whole grid "
-            f"(min {float(q_min)!r})"
-        )
+        u[j0:j1] = (ln_f[None, :] + ln_g[j0:j1, None]
+                    - 2.0 * np.log(np.abs(s))) / p.a
+    # a K f'(x) g'(y) > 0 on the grid iff it holds at the axes' extreme
+    # signs, taken one by one (a product of tiny factors underflows to 0);
+    # fmin and fmax skip NaN signs, as NaN <= 0 is no sign error
+    sf, sg = np.sign(p.a) * np.sign(p.K) * np.sign(fp), np.sign(gp)
+    lo, hi = np.fmin.reduce, np.fmax.reduce
+    if lo(sf) * hi(sg) <= 0 or hi(sf) * lo(sg) <= 0:
+        q_min = np.inf
+        for j0, j1 in _row_blocks(grid.ny):
+            q = p.a * p.K * gp[j0:j1, None] * fp[None, :]
+            q_min = np.minimum(q_min, np.min(q))
+        raise SignError("a*K*f'(x)*g'(y) must be positive on the whole grid "
+                        f"(min {float(q_min)!r})")
     return _finite(ScalarField2D(grid, u))
 
 
@@ -172,11 +171,10 @@ def elliptic_exact(seed: AnalyticSeed, K: float, a: float,
             mod2 = (F * F.conj()).real
             mod2_max = np.maximum(mod2_max, mod2.max())
             outside = outside or bool(np.any(mod2 >= 1.0))
-        if degenerate is None and not outside:
-            # ln(1 + |F|^2) as logaddexp: finite where |F|^2 is not
-            ln_den = (np.log1p(-mod2) if seed.sign == "minus" else
-                      np.logaddexp(0.0, 2.0 * np.log(np.abs(F))))
-            u[j0:j1] = (ln_c + 2.0 * np.log(np.abs(Fp)) - 2.0 * ln_den) / a
+        # ln(1 + |F|^2) as logaddexp: finite where |F|^2 is not
+        ln_den = (np.log1p(-mod2) if seed.sign == "minus" else
+                  np.logaddexp(0.0, 2.0 * np.log(np.abs(F))))
+        u[j0:j1] = (ln_c + 2.0 * np.log(np.abs(Fp)) - 2.0 * ln_den) / a
         # drop this block's arrays before the next block's jets are built
         F = Fp = mod2 = ln_den = None
     if degenerate is not None:
@@ -214,17 +212,16 @@ def gelfand_radial(b: float) -> GelfandRadial:
     return GelfandRadial(b, lam, float(np.log(8.0 * b / lam)))
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def boundary_blowup_exact(grid: Grid2D) -> ScalarField2D:
     """u = ln(8/(1-x^2-y^2)^2), the solution of Delta u = e^u on the unit
     disk that diverges at the boundary circle.  Nodes on or outside the
     circle get the NaN sentinel."""
-    x, y = grid.x(), grid.y()
-    u = np.full((grid.ny, grid.nx), np.nan)
+    x2, y2 = np.square(grid.x()), np.square(grid.y())
+    u = np.empty((grid.ny, grid.nx))
     for j0, j1 in _row_blocks(grid.ny):
-        X, Y = np.broadcast_arrays(x[None, :], y[j0:j1, None])
-        r2 = X * X + Y * Y
-        inside = r2 < 1.0
-        u[j0:j1][inside] = np.log(8.0) - 2.0 * np.log1p(-r2[inside])
+        r2 = x2[None, :] + y2[j0:j1, None]
+        u[j0:j1] = np.where(r2 < 1.0, np.log(8.0) - 2.0 * np.log1p(-r2), np.nan)
     return ScalarField2D(grid, u)
 
 
@@ -255,10 +252,11 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
     not finite and > 0, or a crossing that is not finite, raises
     ClosedFormError.
     """
-    xa, xb = x_range
-    ya, yb = y_range
-    if not (xb > xa and yb > ya and n_samples >= 2):
-        raise ClosedFormError("need xb > xa, yb > ya and at least 2 samples")
+    (xa, xb), (ya, yb) = map(float, x_range), map(float, y_range)
+    # a width that is not finite would sample x or y at inf or NaN
+    if not (0 < xb - xa < np.inf and 0 < yb - ya < np.inf and n_samples >= 2):
+        raise ClosedFormError("need xb > xa and yb > ya a finite distance "
+                              "apart, and at least 2 samples")
     if not (np.isfinite(tol) and tol > 0):
         raise ClosedFormError(f"tol must be finite and > 0, got {tol}")
     if n_samples > MAX_NODES:
@@ -274,7 +272,6 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
                 f"g' changes sign on [{ya}, {yb}] "
                 f"(range [{float(gp.min())!r}, {float(gp.max())!r}])"
             )
-        ya, yb = float(ya), float(yb)
         xs = np.linspace(xa, xb, n_samples)
         fv = np.broadcast_to(eval_dual(cp.fx, xs, cp.fx.vars[0]).value,
                              xs.shape)
@@ -290,7 +287,8 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
             lo, hi = np.full(flo.shape, ya), np.full(flo.shape, yb)
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
-                fm = fv + eval_dual(cp.gy, mid, gname).value
+                res = eval_dual(cp.gy, mid, gname)
+                fm = fv + res.value
                 # a stopped lane keeps lo, hi and so its midpoint
                 go = ~((np.abs(fm) <= tol)
                        | (hi - lo <= 4e-16 * np.maximum(1.0, np.abs(mid))))
@@ -299,9 +297,9 @@ def blowup_curve(cp: AxisPair, x_range: tuple[float, float],
                 left = go & (np.sign(fm) == np.sign(flo))
                 lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
                 hi = np.where(go & ~left, mid, hi)
-            # one Newton polish (g' bounded away from zero by the probe above)
-            res = eval_dual(cp.gy, mid, gname)
-            y[live] = np.clip(mid - (fv + res.value) / res.d1, ya, yb)
+            # one Newton polish from the last step's mid, which the loop
+            # leaves in place (g' bounded away from zero by the probe above)
+            y[live] = np.clip(mid - fm / res.d1, ya, yb)
     found = ends | live
     bad = np.flatnonzero(found & ~np.isfinite(y))
     if bad.size:

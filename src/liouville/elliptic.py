@@ -792,6 +792,7 @@ class Branch:
                     np.array([(pt.s, pt.lam, pt.u0) for pt in self.points]))
 
 
+@np.errstate(invalid="ignore")  # equal points: a NaN tangent fails the step
 def _predict(points: list[BranchPoint], ds: float) -> tuple:
     """(u, lam, tu, tl): the Lagrange polynomial P in s through the last
     min(3, len(points)) branch points, at s + ds past the last one, and

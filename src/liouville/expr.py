@@ -481,24 +481,6 @@ class _ConstantChecker(_Evaluator):
             pass
 
 
-def _as_mapping(expr: Expr, at) -> Mapping:
-    if isinstance(at, Mapping):
-        missing = [n for n in expr.vars if n not in at]
-        if missing:
-            raise ExprError(f"missing values for variables {missing}")
-        return at
-    if isinstance(at, (tuple, list)):
-        if len(at) != len(expr.vars):
-            raise ExprError(
-                f"expected {len(expr.vars)} values for {expr.vars}, got {len(at)}"
-            )
-        return dict(zip(expr.vars, at))
-    # bare scalar or array: only unambiguous for univariate expressions
-    if len(expr.vars) != 1:
-        raise ExprError(f"pass a mapping or tuple of values for {expr.vars}")
-    return {expr.vars[0]: at}
-
-
 def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
     """Evaluate ``expr`` with its value and d/d(wrt).
 
@@ -507,11 +489,17 @@ def eval_dual(expr: Expr, at, wrt: str) -> EvalResult:
     inputs run with real-domain checks; any complex input switches to
     holomorphic evaluation.
     """
-    values = _as_mapping(expr, at)
+    if not isinstance(at, Mapping):  # a bare value names one variable
+        if len(expr.vars) != 1:
+            raise ExprError(f"pass a mapping of values for {expr.vars}")
+        at = {expr.vars[0]: at}
+    missing = [n for n in expr.vars if n not in at]
+    if missing:
+        raise ExprError(f"missing values for variables {missing}")
     if wrt not in expr.vars:
         raise ExprError(f"cannot differentiate with respect to {wrt!r}")
-    return _Evaluator(expr, values, wrt,
-                      any(map(np.iscomplexobj, values.values()))).run(expr.ast)
+    return _Evaluator(expr, at, wrt,
+                      any(map(np.iscomplexobj, at.values()))).run(expr.ast)
 
 
 def eval_complex(expr: Expr, z) -> tuple:

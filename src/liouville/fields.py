@@ -399,9 +399,13 @@ def norms(r: ScalarField2D) -> Norms:
     # one copy, squared in place; abs() gives -0.0 the bits of np.abs
     kept = v[finite]
     max_abs = float(abs(max(kept.max(), -kept.min())))
+    # past 1e150 the squares may overflow: sum those of v / max_abs
+    scale = max_abs if 1e150 < max_abs < math.inf else 1.0
+    if scale != 1.0:
+        kept /= scale
     kept *= kept
-    return Norms(max_abs,
-                 float(math.sqrt(r.grid.hx * r.grid.hy * float(kept.sum()))))
+    return Norms(max_abs, scale * math.sqrt(r.grid.hx * r.grid.hy
+                                            * float(kept.sum())))
 
 
 def extrapolate_residual(coarse: ScalarField2D,

@@ -132,13 +132,13 @@ def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float):
         exists = np.isfinite(t)
         w = _wright_omega(np.log(-gb) + t)
     else:
-        with np.errstate(over="ignore"):
-            x = -gb * np.exp(t)
+        x = -gb * np.exp(t)
         exists = x > -np.exp(-1.0)  # the float -1/e is below the branch point
         w = _lambert_w(np.where(exists, x, 0.0))
     return np.where(exists, c - w / beta, np.nan), exists & ~np.isfinite(w)
 
 
+@np.errstate(over="ignore")  # sums or e^t past the float range mask the cell
 def march_from_edges(bottom: np.ndarray, left: np.ndarray,
                      p: LiouvilleParams, grid: Grid2D,
                      blowup_threshold: float = BLOWUP_THRESHOLD) -> MarchResult:
@@ -178,7 +178,7 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
         if failed.any():
             k = int(np.argmax(failed))
             raise CellIterationDivergenceError(int(i[k]), int(j[k]))
-        U[j, i] = np.where(z <= blowup_threshold, z, np.nan)
+        U[j, i] = np.where((z <= blowup_threshold) & (z > -np.inf), z, np.nan)
 
     return MarchResult(ScalarField2D(grid, U))
 
@@ -189,7 +189,7 @@ def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,
 
     Data is prescribed on the two characteristics through the grid
     origin, u(x, y0) = ``data.fx`` and u(x0, y) = ``data.gy``, agreeing at
-    the corner to 1e-12.  Cells whose implicit update has no bounded root,
+    the corner to 1e-12.  Cells whose implicit update has no finite root,
     or whose value exceeds ``blowup_threshold``, are masked together with
     their downstream dependency cone; the mask is a result, not an error.
     """

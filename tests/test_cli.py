@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -941,6 +942,174 @@ class TestFieldInputContract:
         assert docs[0]["status"] == ("ok" if code == 0 else "error")
 
 
+# --- any argv the parser builds ------------------------------------------
+
+COMMANDS = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+# a number option takes one of the extremes, or its default when left out
+NUMBERS = ["0", "1e-300", "-1e-300", "1e300", "-1e300", "1e308", "nan",
+           "inf", "-inf", "-1", "-5"]
+# the grid sizes are always given, at most 65 nodes, so an example stays
+# small; the other integer options take small values and the defaults
+SIZES = {"nx", "ny", "n", "samples"}
+SIZE_VALUES = ["-5", "-1", "0", "1", "2", "3", "5", "17", "65"]
+INTEGERS = ["-5", "-1", "0", "1", "3", "65"]
+EXPR_VARIABLE = {"f": "x", "phi": "x", "w_phi": "x", "boundary": "x",
+                 "g": "y", "psi": "y", "w_psi": "y", "F": "z"}
+# "{v}" is the option's variable
+AWKWARD = [
+    "{v}", "-{v}", "0", "0*{v}", "1/{v}", "1/({v}-0.5)", "ln({v})",
+    "sqrt({v})", "{v}^-2", "exp(800*{v})", "exp(800*{v})-exp(800*{v})",
+    "{v}+(exp(800*{v})-exp(800*{v}))", "1e308*{v}", "1e-300*{v}",
+    "cosh(1000*{v})", "ln(-{v})", "sqrt(-1)*{v}", "{v}^(10^400)",
+    "(" * 101 + "{v}" + ")" * 101, "{v}+2^2000", "1e400", "", "{v} {v}",
+    "sin(", "q", "tan({v})"]
+# "{tmp}" is the example's own directory, which is no file
+PATHS = {"out": ["-", "{tmp}/out.csv", "{tmp}/out_{M}.csv", "{tmp}"],
+         "infile": ["-", "{tmp}/missing.csv"],
+         "mask_out": ["{tmp}/mask.csv", "{tmp}"],
+         "grad_out": ["{tmp}/grad.csv", "{tmp}"]}
+READ_FIELD = {"verify", "action", "convert-log"}
+NAN_AND_INF = "# 3 3 0.0 0.0 0.5 0.5\n0,nan,0\n0,inf,0\n0,0,0\n"
+STDIN_FIELDS = ["# 3 3 0.0 0.0 0.5 0.5\n" + rows for rows in (
+    "0,0,0\n0,1,0\n0,0,0\n", "1,2,3\n4,nan,6\n7,8,9\n",
+    "1e308,-1e308,1e308\n0,1e308,0\n-1,-5,1e-300\n")]
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and options drawn from ``build_parser()``'s actions:
+    each option's choices, else values by its type and ``nargs``."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for action in COMMANDS[name]._actions:
+        dest = action.dest
+        if dest == "help" or not (action.required or dest in SIZES
+                                  or draw(st.booleans())):
+            continue
+        if action.choices:
+            pool = sorted(action.choices)
+        elif action.type is float:
+            pool = NUMBERS
+        elif action.type is int:
+            pool = SIZE_VALUES if dest in SIZES else INTEGERS
+        elif dest in PATHS:
+            pool = PATHS[dest]
+        else:
+            pool = [e.replace("{v}", EXPR_VARIABLE[dest]) for e in AWKWARD]
+        count = (draw(st.integers(1, 3)) if action.nargs == "+"
+                 else action.nargs or 1)
+        argv.append(action.option_strings[-1])
+        argv += [draw(st.sampled_from(pool)) for _ in range(count)]
+    return argv
+
+
+def csv_numbers(text):
+    """The numbers of a CSV text: a field, its header included, or a
+    table."""
+    for line in text.splitlines():
+        cells = line[1:].split() if line.startswith("#") else line.split(",")
+        for cell in cells:
+            try:
+                yield float(cell)
+            except ValueError:
+                pass
+
+
+class TestParserContract:
+    """Any argv built from the parser's own options ends in exactly one
+    JSON summary line, the last line of stdout, and exit code 0, 1 or 2,
+    with no warning.  Under ``status: ok`` no written number is infinite,
+    and none is NaN unless the command documents a mask: the nodes off
+    the disk of ``blowup-exact``, the blow-up mask of ``march``, and the
+    masked nodes of a field read from stdin."""
+
+    @staticmethod
+    def check(argv, stdin_text):
+        """Run ``argv`` in a new directory (its "{tmp}"), assert the
+        contract and return the exit code and the summary."""
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [a.replace("{tmp}", tmp) for a in argv]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, _ = invoke(args, stdin_text=stdin_text)
+            assert [f"{w.filename}:{w.lineno} {w.message}"
+                    for w in caught] == []
+            assert code in (0, 1, 2)
+            docs = summary_lines(out)
+            assert len(docs) == 1
+            assert docs[0] == summary_of(out)
+            assert docs[0]["status"] == ("ok" if code == 0 else "error")
+            if code == 0:
+                body = out[:out.rstrip("\n").rfind("\n") + 1]
+                written = [x for text in [body] + [p.read_text() for p in
+                                                   Path(tmp).iterdir()]
+                           for x in csv_numbers(text)]
+                assert not any(map(math.isinf, written))
+                if not (argv[0] in ("blowup-exact", "march")
+                        or argv[0] in READ_FIELD and "nan" in stdin_text):
+                    assert not any(map(math.isnan, written))
+        return code, docs[0]
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=cli_argv(), stdin_text=st.sampled_from(STDIN_FIELDS))
+    def test_any_argv_ends_in_one_summary(self, argv, stdin_text):
+        self.check(argv, stdin_text)
+
+    # the defects the property found, each mended where it arose
+    @pytest.mark.parametrize("argv, stdin_text, code, want", [
+        # the l2 norm squared a finite residual of -1e300 e^(1/4) past
+        # the float range (an overflow warning); it is now summed scaled:
+        # four equal cells of area 1/4 give l2 = max_abs
+        (["verify", "--eq", "hyperbolic", "--K", "1e300"], STDIN_FIELDS[0],
+         0, {"max_abs": 1.2840254166877414e300, "l2": 1.2840254166877414e300}),
+        # edge data near the float range overflowed the march's cell sums
+        # (warnings), and a sum of -inf was written as u = -inf
+        (["march", "--phi", "-1e308*x", "--psi", "-1e308*y", "--nx", "2",
+          "--ny", "2"], None, 0, {"n_masked": 1, "u_min": -1e308}),
+        (["march", "--phi", "1e308*x", "--psi", "1e-300*y", "--K", "-1",
+          "--a", "-5", "--nx", "2", "--ny", "3"], None, 0, {"n_masked": 2}),
+        # a gradient entry past the float range was written as inf
+        (["action", "--C", "1e308", "--mu", "-1e-300", "--grad-out",
+          "{tmp}/grad.csv"], STDIN_FIELDS[0], 1,
+         {"error": {"code": "action.non_finite",
+                    "message": "the gradient is not finite at 1 node(s)"}}),
+        # a masked field's probes are all NaN, and were reported as a
+        # relative difference of 0.0; one at an inf node warned
+        (["action", "--fd-check", "3"], STDIN_FIELDS[1], 0,
+         {"value": None, "fd_rel_max": None}),
+        (["action", "--fd-check", "1"], NAN_AND_INF, 0,
+         {"value": None, "fd_rel_max": None}),
+        # lambda + 0.02 rounds to lambda, so the first two branch points
+        # were equal, and their secant's 0/0 tangent warned at each step
+        (["gelfand", "--n", "3", "--lam-start", "1e150", "--tol", "1e308",
+          "--out", "{tmp}/out.csv"], None, 2,
+         {"error": {"code": "elliptic.non_convergence", "message":
+                    "continuation aborted before the fold, after 2 points"}}),
+        # an x range of infinite width sampled x at inf and NaN, which
+        # were written as the x column
+        (["blowup-curve", "--f", "0", "--g", "y", "--x-range", "-1", "inf",
+          "--samples", "3"], None, 1,
+         {"error": {"code": "closedform.error", "message":
+                    "need xb > xa and yb > ya a finite distance apart, and "
+                    "at least 2 samples"}}),
+        (["blowup-curve", "--f", "0", "--g", "y-0.5", "--x-range", "-1e308",
+          "1e308", "--samples", "3"], None, 1,
+         {"error": {"code": "closedform.error", "message":
+                    "need xb > xa and yb > ya a finite distance apart, and "
+                    "at least 2 samples"}}),
+    ], ids=["verify-l2-overflow", "march-sum-below-range",
+            "march-sum-above-range", "action-gradient-overflow",
+            "action-fd-check-masked", "action-fd-check-inf-node",
+            "gelfand-equal-points", "blowup-curve-infinite-range",
+            "blowup-curve-overflowing-width"])
+    def test_probed_argv(self, argv, stdin_text, code, want):
+        got, doc = self.check(argv, stdin_text)
+        assert got == code
+        assert {k: doc.get(k) for k in want} == want
+
+
 # OpenBLAS starts its pool when numpy loads; /proc/self/task lists the
 # process's threads
 multicore = pytest.mark.skipif(
@@ -1051,6 +1220,33 @@ class TestStartup:
             "('liouville.elliptic', 'liouville.hyperbolic', "
             "'liouville.action')])")
         assert out.splitlines()[-1] == "0 []"
+
+    def test_no_command_loads_numpy_ma(self, fresh_python, tmp_path):
+        # importing numpy.ma costs 10-15 ms of a process; np.unique, for
+        # one, loads it on its first call
+        path = str(tmp_path / "u.csv")
+        null = ["--out", os.devnull]
+        argvs = [
+            ["exact-h", "--f", "x", "--g", "y", "--nx", "5", "--ny", "5",
+             "--out", path],
+            ["exact-h", "--f", "x", "--g", "y-1", "--nx", "5", "--ny", "5"],
+            ["exact-h", "--f", "x", "--g", "-y-5", "--nx", "5", "--ny", "5"],
+            ["exact-e", "--F", "z", "--nx", "5", "--ny", "5", *null],
+            ["blowup-exact", "--nx", "5", "--ny", "5", *null],
+            ["blowup-curve", "--f", "x", "--g", "-y", *null],
+            ["verify", "--eq", "hyperbolic", "--in", path],
+            ["solve-elliptic", "--nx", "9", "--ny", "9", *null],
+            ["gelfand", "--n", "65", *null],
+            ["blowup-approx", "--n", "65", "--M", "5", *null],
+            ["march", "--phi", "0", "--psi", "0", *null],
+            ["backlund", "--w-phi", "x", "--w-psi", "y", *null],
+            ["action", "--in", path, "--fd-check", "3"],
+            ["convert-log", "--in", path, "--direction", "u-to-T", *null]]
+        out = fresh_python(
+            "from liouville.cli import run; "
+            f"codes = [run(a) for a in {argvs!r}]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+        assert out.splitlines()[-1] == f"{[0, 1, 1] + [0] * 11} False"
 
     @multicore
     def test_import_starts_no_blas_pool(self, fresh_python):

@@ -102,6 +102,31 @@ class TestHyperbolicExact:
             hyperbolic_exact(pair("x", "-y"), P11,
                              Grid2D.from_bounds(2.0, 0.5, 3.0, 1.4, 5, 5))
 
+    def test_nan_derivative_is_left_to_the_finite_check(self):
+        # f' = 1 + (800 e^(800x) - 800 e^(800x)) is NaN where e^(800x)
+        # overflows: a NaN sign is no sign error, and u is not finite there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="at 45 node"):
+                hyperbolic_exact(pair("x+(exp(800*x)-exp(800*x))", "y"), P11,
+                                 square(0.5, 1.5, 9))
+
+    def test_nan_derivative_beside_a_wrong_sign(self):
+        # g' = -1 is the wrong sign; the grid minimum of a K f' g' reads
+        # the NaN of f'
+        with pytest.raises(SignError) as err:
+            hyperbolic_exact(pair("x+(exp(800*x)-exp(800*x))", "-y-5"), P11,
+                             square(0.5, 1.5, 9))
+        assert str(err.value) == ("a*K*f'(x)*g'(y) must be positive on the "
+                                  "whole grid (min nan)")
+
+    def test_constant_member_is_a_sign_error(self):
+        # g' = 0, broadcast from a scalar: a K f' g' is 0 at every node
+        with pytest.raises(SignError) as err:
+            hyperbolic_exact(pair("x", "2"), P11, square(0.5, 1.5, 9))
+        assert str(err.value) == ("a*K*f'(x)*g'(y) must be positive on the "
+                                  "whole grid (min 0.0)")
+
     def test_signs_are_tested_one_by_one(self):
         # a*K*f'*g' = 1e-340 underflows to 0, but every factor is positive
         # and u = ln(2/K) - 2 ln(x + y) is finite
@@ -660,8 +685,8 @@ class TestBlowupCurve:
             assert abs(fx + gy) <= 1e-12 * (abs(fx) + abs(gy) + 1.0)
 
     def test_eval_calls_do_not_grow_with_samples(self, monkeypatch):
-        # all samples bisect in lockstep: the probe, f, g at both ends,
-        # at most 200 bisection steps and one polish
+        # all samples bisect in lockstep: the probe, f, g at both ends and
+        # at most 200 bisection steps; the polish reuses the last step's g
         calls = []
 
         def counting(*args):
@@ -672,7 +697,7 @@ class TestBlowupCurve:
         curve = blowup_curve(pair("exp(x)", "y^3 + y"), (-1.0, 1.0),
                              (-2.0, 0.0), 10001)
         assert len(curve.samples) == 10001
-        assert len(calls) <= 205
+        assert len(calls) <= 204
 
     @pytest.mark.parametrize("fsrc, gsrc, x_range, y_range", [
         ("x^2-0.6", "exp(y)-1", (0.0, 1.0), (0.0, 1.0)),    # NA rows

@@ -235,6 +235,16 @@ class TestEvalDual:
         assert rx.d1 == 12.0
         assert ry.d1 == 31.0
 
+    def test_missing_variable_is_named(self):
+        e = parse("x^2*y", ("x", "y"))
+        with pytest.raises(ExprError, match=r"missing values for variables \['y'\]"):
+            eval_dual(e, {"x": 2.0}, "x")
+
+    def test_bare_value_for_two_variables_asks_for_a_mapping(self):
+        e = parse("x^2*y", ("x", "y"))
+        with pytest.raises(ExprError, match=r"pass a mapping of values for \('x', 'y'\)"):
+            eval_dual(e, 2.0, "x")
+
     def test_array_matches_scalar(self):
         e = parse("sin(x)*exp(x) + x^2", ("x",))
         xs = np.linspace(0.1, 2.0, 17)
