@@ -264,6 +264,16 @@ ARGVS = [
     ["march", "--phi", "-2*ln(1.3-0.5*x)", "--psi", "-2*ln(1.3-0.5*y)",
      "--nx", "33", "--ny", "33"],
     ["solve-elliptic", "--boundary", "-x", "--nx", "17", "--ny", "17"],
+    # boundary data undefined inside the grid and finite on its ring
+    # (exit 1 with expr.domain while the whole grid was evaluated)
+    ["solve-elliptic", "--boundary", "sqrt(x*x+y*y-0.2)", "--nx", "9",
+     "--ny", "9"],
+    ["solve-elliptic", "--boundary", "ln(x*x+y*y)", "--nx", "9", "--ny", "9"],
+    # 200 gradient probes of an exact field, each on the 3 x 3 nodes
+    # around the probed node
+    ["exact-e", "--F", "0.8*z", "--nx", "257", "--ny", "257",
+     "--out", "exact_e257.csv"],
+    ["action", "--in", "exact_e257.csv", "--fd-check", "200"],
 ]
 
 

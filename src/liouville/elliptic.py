@@ -484,15 +484,15 @@ class _RectSystem(_System):
     def __init__(self, geom: RectangleGeometry, boundary: Union[Expr, float]):
         g = geom.grid
         nxi, nyi = g.nx - 2, g.ny - 2
-        bv = self._boundary_values(g, boundary)
-        # A applied to the ring data alone: the interior of bv is zero
+        # the ring that ``pack`` puts around the interior
+        self._ring = np.split(self._ring_values(g, boundary),
+                              np.cumsum([g.nx, g.nx, g.ny - 2]))
+        # A applied to the ring data alone, placed on zeros
+        bv = np.zeros((g.ny, g.nx))
+        bv[0], bv[-1], bv[1:-1, 0], bv[1:-1, -1] = self._ring
         with np.errstate(over="ignore"):
             self.bc_vec = laplacian(bv, g.hx, g.hy).ravel()
         self.bc_max = _require_finite_bc(self.bc_vec)
-        # the ring that ``pack`` puts around the interior: bottom and top
-        # rows, then the left and right columns between them
-        self._ring = (bv[0].copy(), bv[-1].copy(),
-                      bv[1:-1, 0].copy(), bv[1:-1, -1].copy())
         # the eigenvalues of A on the DST-I modes are
         # -4 (ey[k] + ex[l]) (``_shifted_eigenvalues``); mu1 > 0 is the
         # magnitude of the one closest to zero, k = l = 0
@@ -509,22 +509,23 @@ class _RectSystem(_System):
 
     @staticmethod
     @np.errstate(over="ignore", invalid="ignore")  # refused, not warned
-    def _boundary_values(g: Grid2D, boundary: Union[Expr, float]) -> np.ndarray:
-        """Full (ny, nx) array holding the Dirichlet data on its ring,
-        zeros inside."""
+    def _ring_values(g: Grid2D, boundary: Union[Expr, float]) -> np.ndarray:
+        """The Dirichlet data on the ring in ``pack``'s order: the bottom
+        and top rows, then the left and right columns between them.  An
+        expression is evaluated once, at those 2 (nx + ny) - 4 nodes."""
         if not isinstance(boundary, numbers.Real):
             from .expr import eval_dual
-            X, Y = g.meshgrid()
-            at = {v: c for v, c in zip(boundary.vars, (X, Y))}
-            bv = np.array(np.broadcast_to(
-                eval_dual(boundary, at, boundary.vars[0]).value, (g.ny, g.nx)))
+            x, y = g.x(), g.y()
+            xs = np.concatenate([x, x, np.repeat(x[[0, -1]], g.ny - 2)])
+            ys = np.concatenate([np.repeat(y[[0, -1]], g.nx), y[1:-1], y[1:-1]])
+            at = dict(zip(boundary.vars, (xs, ys)))
+            ring = np.broadcast_to(
+                eval_dual(boundary, at, boundary.vars[0]).value, xs.shape)
         else:
-            bv = np.full((g.ny, g.nx), float(boundary))
-        ring = np.concatenate([bv[0], bv[-1], bv[:, 0], bv[:, -1]])
+            ring = np.full(2 * (g.nx + g.ny) - 4, float(boundary))
         if not np.all(np.isfinite(ring)):
             raise EllipticError("boundary data is not finite on the edge")
-        bv[1:-1, 1:-1] = 0.0
-        return bv
+        return ring
 
     def apply_A(self, v: np.ndarray) -> np.ndarray:
         """The stencil, one row block (``_row_blocks``) at a time, on a

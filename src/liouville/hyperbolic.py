@@ -39,7 +39,6 @@ __all__ = [
     "WaveSolution",
     "MarchResult",
     "march",
-    "march_from_edges",
     "backlund",
 ]
 
@@ -139,17 +138,17 @@ def _solve_diagonal(c: np.ndarray, s: np.ndarray, gamma: float, beta: float):
 
 
 @np.errstate(over="ignore")  # sums or e^t past the float range mask the cell
-def march_from_edges(bottom: np.ndarray, left: np.ndarray,
-                     p: LiouvilleParams, grid: Grid2D,
-                     blowup_threshold: float = BLOWUP_THRESHOLD) -> MarchResult:
-    """March with explicit edge arrays (``bottom`` = u on y = y0,
-    ``left`` = u on x = x0); see :func:`march`."""
-    bottom = np.asarray(bottom, dtype=float)
-    left = np.asarray(left, dtype=float)
-    if bottom.shape != (grid.nx,) or left.shape != (grid.ny,):
-        raise HyperbolicError(
-            f"edge data must have shapes ({grid.nx},) and ({grid.ny},), "
-            f"got {bottom.shape} and {left.shape}")
+def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,
+          blowup_threshold: float = BLOWUP_THRESHOLD) -> MarchResult:
+    """Solve the Goursat problem for u_xy = K e^(a u) on ``grid``.
+
+    Data is prescribed on the two characteristics through the grid
+    origin, u(x, y0) = ``data.fx`` and u(x0, y) = ``data.gy``, agreeing at
+    the corner to 1e-12.  Cells whose implicit update has no finite root,
+    or whose value exceeds ``blowup_threshold``, are masked together with
+    their downstream dependency cone; the mask is a result, not an error.
+    """
+    (bottom, _), (left, _) = data.sample(grid.x(), grid.y())
     if not (np.all(np.isfinite(bottom)) and np.all(np.isfinite(left))):
         raise HyperbolicError("Goursat edge data must be finite")
     if not np.isfinite(blowup_threshold):
@@ -181,20 +180,6 @@ def march_from_edges(bottom: np.ndarray, left: np.ndarray,
         U[j, i] = np.where((z <= blowup_threshold) & (z > -np.inf), z, np.nan)
 
     return MarchResult(ScalarField2D(grid, U))
-
-
-def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,
-          blowup_threshold: float = BLOWUP_THRESHOLD) -> MarchResult:
-    """Solve the Goursat problem for u_xy = K e^(a u) on ``grid``.
-
-    Data is prescribed on the two characteristics through the grid
-    origin, u(x, y0) = ``data.fx`` and u(x0, y) = ``data.gy``, agreeing at
-    the corner to 1e-12.  Cells whose implicit update has no finite root,
-    or whose value exceeds ``blowup_threshold``, are masked together with
-    their downstream dependency cone; the mask is a result, not an error.
-    """
-    (bottom, _), (left, _) = data.sample(grid.x(), grid.y())
-    return march_from_edges(bottom, left, p, grid, blowup_threshold)
 
 
 # --- Baecklund transformation -------------------------------------------

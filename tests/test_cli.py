@@ -1434,6 +1434,56 @@ class TestSolverCommands:
                                 "--fd-check needs at least a 3x3 grid"}
         assert err.startswith("error:")
 
+    def test_boundary_is_read_on_the_ring_only(self, tmp_path):
+        # sqrt(x^2 + y^2 - 0.2) is undefined around the centre of the
+        # grid and finite on its ring, which holds it as given
+        out_csv = tmp_path / "u.csv"
+        code, out, _ = invoke(["solve-elliptic", "--boundary",
+                               "sqrt(x*x+y*y-0.2)", "--nx", "9", "--ny", "9",
+                               "--out", str(out_csv)])
+        assert code == 0
+        assert summary_of(out)["report"]["converged"] is True
+        u = ScalarField2D.read_csv(out_csv)
+        ring = np.ones(u.values.shape, dtype=bool)
+        ring[1:-1, 1:-1] = False
+        x, y = (c[ring] for c in u.grid.meshgrid())
+        assert np.array_equal(u.values[ring], np.sqrt(x * x + y * y - 0.2))
+
+    def test_fd_check_probes_the_3x3_patch_around_a_node(self, tmp_path,
+                                                         monkeypatch):
+        # on an exact field the gradient and its central differences
+        # agree to the step's rounding once the action differenced is
+        # that of the probed node's own cells
+        from liouville import action
+        field = str(tmp_path / "e.csv")
+        code, _, _ = invoke(["exact-e", "--F", "0.8*z", "--nx", "257",
+                             "--ny", "257", "--out", field])
+        assert code == 0
+        shapes = []
+
+        def spy(phi, p):
+            shapes.append(phi.values.shape)
+            return action_value(phi, p)
+
+        action_value = action.action_value
+        monkeypatch.setattr(action, "action_value", spy)
+        code, out, _ = invoke(["action", "--in", field, "--fd-check", "200"])
+        assert code == 0
+        assert summary_of(out)["fd_rel_max"] <= 1e-4
+        # the field's own value, then two patch actions per probe
+        assert shapes == [(257, 257)] + [(3, 3)] * 400
+
+    def test_fd_check_patch_past_the_float_range_is_null(self):
+        # e^phi is finite at every cell, but not once the probe's step
+        # is added: the probe checks nothing, and no error is raised
+        field = "# 3 3 0.0 0.0 1.0 1.0\n" + "709.7826,709.7826,709.7826\n" * 3
+        code, out, _ = invoke(["action", "--mu", "1e-10", "--fd-check", "1"],
+                              stdin_text=field)
+        assert code == 0
+        doc = summary_of(out)
+        assert doc["value"] is not None
+        assert doc["fd_rel_max"] is None
+
     def test_gelfand_reports_fold(self):
         code, out, _ = invoke(["gelfand", "--n", "65", "--out", "/dev/null"])
         assert code == 0

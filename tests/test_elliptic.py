@@ -139,6 +139,34 @@ class TestRectangleSolve:
         assert len(report.newton_history) == report.iterations + 1
 
 
+    def test_boundary_is_evaluated_on_the_ring_only(self, monkeypatch):
+        # one evaluation, at the 2 (nx + ny) - 4 = 48 ring nodes of a
+        # 17 x 9 grid, with no meshgrid formed; the ring holds the values
+        # the expression takes there on the whole grid, bit for bit
+        from liouville import expr
+        g = Grid2D.from_bounds(-1.0, 0.0, 1.0, 0.5, 17, 9)
+        trace = parse("sin(3*x)+y^2", ("x", "y"))
+        X, Y = g.meshgrid()
+        full = expr.eval_dual(trace, {"x": X, "y": Y}, "x").value
+        shapes = []
+
+        def spy(e, at, wrt):
+            shapes.append({name: np.shape(v) for name, v in at.items()})
+            return eval_dual(e, at, wrt)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a meshgrid was formed")
+
+        eval_dual = expr.eval_dual
+        monkeypatch.setattr(expr, "eval_dual", spy)
+        monkeypatch.setattr(np, "meshgrid", refuse)
+        system = _make_system(RectangleGeometry(g), trace)
+        assert shapes == [{"x": (48,), "y": (48,)}]
+        packed = system.pack(np.zeros(system.m)).values
+        ring = np.ones((g.ny, g.nx), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        assert np.array_equal(packed[ring], full[ring])
+
     @pytest.mark.parametrize("nxi, nyi", [(6, 4), (6, 5), (5, 7)],
                              ids=["even-even", "even-odd", "odd-odd"])
     def test_center_value_is_the_mean_of_the_nearest_nodes(self, nxi, nyi):

@@ -25,7 +25,6 @@ from liouville.hyperbolic import (
     WaveSolution,
     backlund,
     march,
-    march_from_edges,
 )
 
 P11 = LiouvilleParams(1.0, 1.0)
@@ -327,17 +326,12 @@ class TestMarchValidation:
         assert str(info.value).startswith("phi(x0) = 0.0 but psi(y0) = 1.0 ")
         assert "np.float64(" not in str(info.value)
 
-    def test_edge_shapes(self):
-        g = Grid2D.from_bounds(0, 0, 1, 1, 9, 9)
-        with pytest.raises(HyperbolicError):
-            march_from_edges(np.zeros(8), np.zeros(9), P11, g)
-
     def test_edge_data_must_be_finite(self):
+        # e^(1000 x) overflows on the bottom edge from x = 0.75
         g = Grid2D.from_bounds(0, 0, 1, 1, 9, 9)
-        bad = np.zeros(9)
-        bad[4] = np.inf
-        with pytest.raises(HyperbolicError):
-            march_from_edges(bad, np.zeros(9), P11, g)
+        data = GoursatData(parse("exp(1000*x)-1", ("x",)), parse("0", ("y",)))
+        with pytest.raises(HyperbolicError, match="edge data must be finite"):
+            march(data, P11, g)
 
     def test_data_must_be_univariate(self):
         with pytest.raises(HyperbolicError):
@@ -408,7 +402,9 @@ class TestBacklund:
     def test_march_reproduces_backlund_field(self):
         g = Grid2D.from_bounds(0.0, 0.0, 0.25, 0.5, 65, 129)
         u = backlund(ZERO_WAVE, 2.0, 0.0, g)
-        res = march_from_edges(u.values[0, :], u.values[:, 0], P11, g)
+        # the edges of the image -2 ln(1 - x - y/2)
+        res = march(GoursatData(parse("-2*ln(1-x)", ("x",)),
+                                parse("-2*ln(1-y/2)", ("y",))), P11, g)
         assert res.n_masked == 0
         assert np.abs(res.field.values - u.values).max() <= 1e-8
 
