@@ -64,9 +64,14 @@ ARGVS = [
     ["exact-h", "--f", "1e-160*x", "--g", "1e-160*y"],
     ["exact-e", "--F", "1e-200*z", "--nx", "3", "--ny", "3"],
     ["exact-e", "--F", "1e-160*z"],
-    # every function and operator rule of the expression evaluator
+    # every function and operator rule of the expression evaluator: on
+    # the default domain f + g runs from -3.5 to 6.6, so the singular
+    # line crosses it (exit 1); on [1, 1.5]^2 f + g > 0 and u is sampled
     ["exact-h", "--f", "sqrt(x)*sinh(x)+x^3/cosh(x)-cos(x)",
      "--g", "exp(sin(y))+ln(y)-y^-2", "--nx", "9", "--ny", "9"],
+    ["exact-h", "--f", "sqrt(x)*sinh(x)+x^3/cosh(x)-cos(x)",
+     "--g", "exp(sin(y))+ln(y)-y^-2", "--nx", "9", "--ny", "9",
+     "--domain", "1", "1", "1.5", "1.5"],
     # left-associative - and / chains (f' = 0.75, g' = 1), and a chain
     # whose quotient divides by zero at the node x = 1 (exit 1,
     # expr.domain)
@@ -274,6 +279,17 @@ ARGVS = [
     ["exact-e", "--F", "0.8*z", "--nx", "257", "--ny", "257",
      "--out", "exact_e257.csv"],
     ["action", "--in", "exact_e257.csv", "--fd-check", "200"],
+    # the zero wave's Baecklund image, which the two-function sampler
+    # gives bit for bit; a singular line that crosses the grid between
+    # nodes (exit 1; it exited 0 with a verify max_abs of 6.8e4); an
+    # image above u = 500 (exit 0; it exited 2 while u was capped at
+    # 500); a gelfand start that its first step cannot move (exit 1; it
+    # exited 2 after a trace that could not step)
+    ["backlund", "--nx", "65", "--ny", "65"],
+    ["exact-h", "--f", "x", "--g", "y-2.05", "--nx", "65", "--ny", "65"],
+    ["backlund", "--u-corner", "550", "--domain", "0", "0", "1e-130",
+     "1e-130", "--nx", "9", "--ny", "9"],
+    ["gelfand", "--n", "3", "--lam-start", "1e150", "--tol", "1e308"],
 ]
 
 

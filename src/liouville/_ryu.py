@@ -98,7 +98,8 @@ def _shortest(bits):
     even = (m2 & _U(1)) == 0
     mm_shift = ((mant != 0) | (ieee_e <= 1)).astype(_U)
     E = ieee_e.astype(np.intp)
-    b, s, s_c = np.take(_LIMBS, E, axis=1), _SHIFT[E], _SHIFT_C[E]
+    b = np.take(_LIMBS, E, axis=1)
+    s, s_c = np.take(_SHIFT, E), np.take(_SHIFT_C, E)
     mv = m2 << _U(2)
     vr = _mul_shift(mv, b, s, s_c)
     vp = _mul_shift(mv + _U(2), b, s, s_c)
@@ -108,15 +109,16 @@ def _shortest(bits):
     # (vm)?  Scaled by 2^-q, the bits shifted out of mv decide; q <= 1
     # leaves two trailing zero bits, so the middle is exact and the low
     # end is exact iff mm_shift is 1 (an excluded high end moves in).
-    mask2 = _MASK2[E]
+    mask2 = np.take(_MASK2, E)
     vr_tz = (mv & mask2) == 0
     small = vr_tz & (mask2 <= 1)
     vm_tz = small & even & (mm_shift == 1)
     vp -= (small & ~even).astype(_U)
     # Scaled by 5^-q with q <= 21: divisibility of mv, mm or mp by 5^q.
-    k = np.flatnonzero(_Q5[E] >= 0)
+    q5 = np.take(_Q5, E)
+    k = np.flatnonzero(q5 >= 0)
     if k.size:
-        p5, mv_k, even_k = _POW5[_Q5[E[k]]], mv[k], even[k]
+        p5, mv_k, even_k = np.take(_POW5, q5[k]), mv[k], even[k]
         by5 = mv_k % _U(5) == 0
         vr_tz[k] = by5 & (mv_k % p5 == 0)
         vm_tz[k] = ~by5 & even_k & ((mv_k - _U(1) - mm_shift[k]) % p5 == 0)
@@ -132,16 +134,16 @@ def _shortest(bits):
         if take.any():
             vp, vm = np.where(take, vp_d, vp), np.where(take, vm_d, vm)
             n += step * take
-    vr_n = vr // _POW10[n]
-    last = np.where(n > 0, vr // _POW10[np.maximum(n - 1, 0)] - vr_n * _U(10),
-                    _U(0))
+    vr_n = vr // np.take(_POW10, n)
+    last = np.where(n > 0, vr // np.take(_POW10, np.maximum(n - 1, 0))
+                    - vr_n * _U(10), _U(0))
 
     k = np.flatnonzero(vr_tz | vm_tz)  # rare: an exact end or middle
     if k.size:
         n_k, vr_k = n[k], vr[k]
         # exact while the digits dropped below the last one are all zero
-        vr_tz[k] &= vr_k % _POW10[np.maximum(n_k - 1, 0)] == 0
-        vm_tz[k] &= vm0[k] % _POW10[n_k] == 0
+        vr_tz[k] &= vr_k % np.take(_POW10, np.maximum(n_k - 1, 0)) == 0
+        vm_tz[k] &= vm0[k] % np.take(_POW10, n_k) == 0
         # an exact low end also drops its trailing zeros
         k = k[vm_tz[k]]
         r, m, dropped, exact = vr_n[k], vm[k], last[k], vr_tz[k]
@@ -160,7 +162,7 @@ def _shortest(bits):
     # Exactly halfway: round to even.
     last[vr_tz & (last == 5) & ((vr_n & _U(1)) == 0)] = 4
     up = ((vr_n == vm) & (~even | ~vm_tz)) | (last >= 5)
-    return vr_n + up.astype(_U), _E10[E] + n
+    return vr_n + up.astype(_U), np.take(_E10, E) + n
 
 
 # Columns of one value's slot.  Every character a value can print has
@@ -233,8 +235,8 @@ def format_csv(values: np.ndarray, nx: int, start: int = 0) -> str:
     # digit count: the float estimate is off by at most one either way
     d1 = np.maximum(digits, _U(1))  # zero has one digit
     nd = np.log10(d1.astype(np.float64)).astype(np.intp) + 1
-    nd += d1 >= _POW10[np.minimum(nd, 19)]
-    nd -= d1 < _POW10[nd - 1]
+    nd += d1 >= np.take(_POW10, np.minimum(nd, 19))
+    nd -= d1 < np.take(_POW10, nd - 1)
     decpt = e10 + nd  # value = 0.DIGITS x 10^decpt
     decpt[~work] = 1  # zero prints "0.0"; nan and inf are coded below
     exp = np.abs(decpt - 1)
@@ -247,24 +249,28 @@ def format_csv(values: np.ndarray, nx: int, start: int = 0) -> str:
     out[:] = _TEMPLATE
     pairs = out.view(np.uint16)
     # 18 digits, left-aligned (the 18th is always 0), two at a time
-    lead = digits * _POW10[18 - nd]
+    lead = digits * np.take(_POW10, 18 - nd)
     upper = lead // _U(10 ** 6)
     lo = lead - upper * _U(10 ** 6)
     hi = upper // _U(10 ** 6)
     mid = upper - hi * _U(10 ** 6)
     for col, part in ((_A // 2, hi), (_A // 2 + 3, mid), (_A // 2 + 6, lo)):
         part = part.astype(np.uint32)
-        top, low = part // 10000, part % 10000
-        pairs[:, col] = _PAIRS[top]
-        pairs[:, col + 1] = _PAIRS[low // 100]
-        pairs[:, col + 2] = _PAIRS[low % 100]
+        top = part // 10000
+        low = part - top * 10000
+        low_hi = low // 100
+        pairs[:, col] = np.take(_PAIRS, top)
+        pairs[:, col + 1] = np.take(_PAIRS, low_hi)
+        pairs[:, col + 2] = np.take(_PAIRS, low - low_hi * 100)
     out[:, _POINT] = ord(".")  # over the 18th digit
     out[:, _B:_B + 17] = out[:, _A:_A + 17]
     out[:, _EXP + 1] = np.where(decpt <= 0, ord("-"), ord("+"))
-    out[:, _EXP + 2] += (exp // 100).astype(np.uint8)
-    pairs[:, (_EXP + 3) // 2] = _PAIRS[exp % 100]
+    hundreds = exp // 100
+    out[:, _EXP + 2] += hundreds.astype(np.uint8)
+    pairs[:, (_EXP + 3) // 2] = np.take(_PAIRS, exp - hundreds * 100)
     out[(nx - 1 - start) % nx::nx, _SEP] = ord("\n")
     special = np.flatnonzero(~finite)
     if special.size:
-        out[special, 1:4] = _NAN_INF[np.isinf(flat[special]).astype(np.intp)]
-    return out[_KEEP[code]].tobytes().decode("ascii")
+        out[special, 1:4] = np.take(
+            _NAN_INF, np.isinf(flat[special]).astype(np.intp), axis=0)
+    return out[np.take(_KEEP, code, axis=0)].tobytes().decode("ascii")

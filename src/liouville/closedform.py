@@ -81,51 +81,58 @@ def _finite(field: ScalarField2D) -> ScalarField2D:
         count += len(bad)
     if count:
         i, j = first
-        raise NonFiniteValueError(
+        err = NonFiniteValueError(
             f"u is not finite at {count} node(s), the first at node "
             f"(i={i}, j={j}), (x, y) = ({float(field.grid.x()[i])!r}, "
             f"{float(field.grid.y()[j])!r}): u overflows, or an input of "
             "the closed form (f, g, f + g, f', g', F or F') is not finite")
+        err.i, err.j = first
+        raise err
     return field
 
 
-@np.errstate(all="ignore")
+@np.errstate(divide="ignore")  # ln|f'| = -inf where f' = 0: a sign error
 def hyperbolic_exact(cp: AxisPair, p: LiouvilleParams,
                      grid: Grid2D) -> ScalarField2D:
-    """Sample u = (1/a) ln(2 f'(x) g'(y) / (a K (f+g)^2)) on ``grid``,
-    with f = ``cp.fx`` and g = ``cp.gy``, as the sum of logarithms
-    u = (ln 2 + ln|f'| + ln|g'| - ln|a| - ln|K| - 2 ln|f+g|)/a: finite
-    wherever u and the inputs are.
-
-    Raises SingularNodeError if f+g vanishes exactly at a node, SignError
-    unless the signs of a, K, f' and g' multiply to +1 everywhere on the
-    grid, and NonFiniteValueError where u is not finite.
-    """
+    """``_two_function`` with f = ``cp.fx`` and g = ``cp.gy``."""
     (fv, fp), (gv, gp) = cp.sample(grid.x(), grid.y())
+    return _two_function(fv, np.log(np.abs(fp)), fp,
+                         gv, np.log(np.abs(gp)), gp, p, grid)
+
+
+@np.errstate(all="ignore")
+def _two_function(f, ln_fp, fp, g, ln_gp, gp, p, grid) -> ScalarField2D:
+    """Sample u = (1/a) ln(2 f' g' / (a K (f+g)^2)), a and K of ``p``, on
+    ``grid`` from f, ln|f'| and f' (or its signs) on x, the same for g on
+    y, as (ln 2 + ln|f'| + ln|g'| - ln|a| - ln|K| - 2 ln|f+g|)/a.
+
+    Raises SingularNodeError at the first node in row-major order where
+    f+g is 0 or of the other sign than at the corner, then SignError
+    unless a K f' g' > 0 on the grid, then NonFiniteValueError.
+    """
+    # rounded addition is monotone, so the grid's extreme f + g are those
+    # of the axes' extremes; fmin and fmax skip NaN, as the sign test does
+    lo, hi = np.fmin.reduce, np.fmax.reduce
+    straddles = not (lo(f) + lo(g) > 0 or hi(f) + hi(g) < 0)
     # the logs of the 1-D factors, once: per node only ln|f+g| is taken
-    ln_f = (np.log(2.0) + np.log(np.abs(fp)) - np.log(abs(p.a))
-            - np.log(abs(p.K)))
-    ln_g = np.log(np.abs(gp))
+    ln_f = np.log(2.0) + ln_fp - np.log(abs(p.a)) - np.log(abs(p.K))
     u = np.empty((grid.ny, grid.nx))
     for j0, j1 in _row_blocks(grid.ny):
-        s = gv[j0:j1, None] + fv[None, :]
-        zero = np.argwhere(s == 0.0)
-        if zero.size:
-            j, i = zero[0]
-            raise SingularNodeError(int(i), j0 + int(j), float(grid.x()[i]),
-                                    float(grid.y()[j0 + j]))
-        u[j0:j1] = (ln_f[None, :] + ln_g[j0:j1, None]
+        s = g[j0:j1, None] + f[None, :]
+        if straddles:  # NaN is neither 0 nor of a sign: _finite reports it
+            hit = np.flatnonzero((s == 0) | (np.sign(s) == -np.sign(f[0] + g[0])))
+            if hit.size:
+                j, i = divmod(int(hit[0]), grid.nx)
+                raise SingularNodeError(i, j0 + j, float(grid.x()[i]),
+                                        float(grid.y()[j0 + j]), float(s[j, i]))
+        u[j0:j1] = (ln_f[None, :] + ln_gp[j0:j1, None]
                     - 2.0 * np.log(np.abs(s))) / p.a
     # a K f'(x) g'(y) > 0 on the grid iff it holds at the axes' extreme
-    # signs, taken one by one (a product of tiny factors underflows to 0);
-    # fmin and fmax skip NaN signs, as NaN <= 0 is no sign error
+    # signs, taken one by one (a product of tiny factors underflows to 0)
     sf, sg = np.sign(p.a) * np.sign(p.K) * np.sign(fp), np.sign(gp)
-    lo, hi = np.fmin.reduce, np.fmax.reduce
     if lo(sf) * hi(sg) <= 0 or hi(sf) * lo(sg) <= 0:
-        q_min = np.inf
-        for j0, j1 in _row_blocks(grid.ny):
-            q = p.a * p.K * gp[j0:j1, None] * fp[None, :]
-            q_min = np.minimum(q_min, np.min(q))
+        q_min = np.min([np.min(p.a * p.K * gp[j0:j1, None] * fp[None, :])
+                        for j0, j1 in _row_blocks(grid.ny)])
         raise SignError("a*K*f'(x)*g'(y) must be positive on the whole grid "
                         f"(min {float(q_min)!r})")
     return _finite(ScalarField2D(grid, u))

@@ -892,13 +892,15 @@ def continue_branch(geometry: Geometry, lam_start: float = 0.0,
         lam_stop = lam_start
     _require_finite({"tol": tol, "fold_tol": fold_tol}, lam_start=lam_start,
                     lam_stop=lam_stop, u0_cap=u0_cap)
+    # the second point by natural continuation, a small lambda increment
+    dlam0 = min(ds, 0.02)
+    if lam_start + dlam0 == lam_start:
+        raise EllipticError(f"a first step of {dlam0!r} does not move lambda "
+                            f"from lam_start = {lam_start!r}")
     system = _make_system(geometry, 0.0)
 
     u = _newton(system, np.zeros(system.m), lam_start, 1.0, tol)[0]
     points = [BranchPoint(0.0, lam_start, system.center_value(u), u)]
-
-    # second point by natural continuation, a small lambda increment
-    dlam0 = min(ds, 0.02)
     u2 = _newton(system, u, lam_start + dlam0, 1.0, tol)[0]
     points.append(BranchPoint(_norm(u2 - u, dlam0), lam_start + dlam0,
                               system.center_value(u2), u2))

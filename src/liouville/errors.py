@@ -109,16 +109,15 @@ class ClosedFormError(LiouvilleError):
 
 
 class SingularNodeError(ClosedFormError):
-    """f(x) + g(y) vanished exactly at a grid node."""
+    """f(x) + g(y) = s at node (i, j) is 0, or of the corner's other sign."""
 
     code = "closedform.singular_node"
 
-    def __init__(self, i: int, j: int, x: float, y: float):
+    def __init__(self, i: int, j: int, x: float, y: float, s: float):
         super().__init__(
-            f"f(x) + g(y) = 0 at node (i={i}, j={j}), (x, y) = ({x!r}, {y!r})"
-        )
-        self.i = i
-        self.j = j
+            f"f(x) + g(y) {'= 0' if s == 0 else f'changes sign, to {s!r},'} "
+            f"at node (i={i}, j={j}), (x, y) = ({x!r}, {y!r})")
+        self.i, self.j = i, j
 
 
 class SignError(ClosedFormError):
@@ -153,7 +152,7 @@ class NonMonotoneGError(ClosedFormError):
 class NonFiniteValueError(ClosedFormError):
     """A closed form's u is not finite, because u overflows or an input
     (f, g, f + g, f', g', F or F') is not finite; or T = e^u overflows
-    where u is finite."""
+    where u is finite; (``i``, ``j``) is a sampled u's first such node."""
 
     code = "closedform.non_finite"
 

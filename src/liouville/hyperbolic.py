@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CellIterationDivergenceError,
-    CornerMismatchError,
-    HyperbolicError,
-    OdeOverflowError,
-)
+from .closedform import _two_function
+from .errors import (CellIterationDivergenceError, CornerMismatchError,
+                     HyperbolicError, NonFiniteValueError, OdeOverflowError,
+                     SingularNodeError)
 from .expr import AxisPair
 from .fields import (BLOWUP_THRESHOLD, Grid2D, LiouvilleParams, ScalarField2D,
                      open_text)
@@ -43,7 +41,6 @@ __all__ = [
 ]
 
 CORNER_TOL = 1e-12
-ODE_CAP = 500.0
 
 
 GoursatData = AxisPair  # u(x, y0) = phi(x) and u(x0, y) = psi(y)
@@ -187,18 +184,13 @@ def march(data: AxisPair, p: LiouvilleParams, grid: Grid2D,
 
 def _doubled(axis: np.ndarray) -> np.ndarray:
     """Nodes and midpoints interleaved, for Simpson's rule."""
-    out = np.empty(2 * axis.size - 1)
-    out[0::2] = axis
-    out[1::2] = 0.5 * (axis[:-1] + axis[1:])
-    return out
+    return np.insert(axis, range(1, axis.size), 0.5 * (axis[:-1] + axis[1:]))
 
 
 def _cumulative_simpson(f: np.ndarray, h: float) -> np.ndarray:
     """Integrals from the first node to every node, by Simpson's rule
     per cell, of ``f`` sampled on nodes and midpoints interleaved."""
-    out = np.zeros((f.size + 1) // 2)
-    np.cumsum(h / 6.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2]), out=out[1:])
-    return out
+    return np.cumsum(np.r_[0.0, h / 6.0 * (f[:-2:2] + 4.0 * f[1::2] + f[2::2])])
 
 
 def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
@@ -217,15 +209,15 @@ def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
         c = e^((phi(x0) - psi(y0) - u_corner)/2),
 
     with Phi the integral of e^phi from x0 and Psi that of e^-psi from
-    y0; u_xy = e^u holds identically.  Phi and Psi are cumulative
-    Simpson sums over the nodes and cell midpoints, so the field is
-    fourth-order accurate; dividing D by c before the exponentials are
-    taken keeps c itself from overflowing.  ``order`` must be "xy" or
-    "yx"; both give the same field.
+    y0; u_xy = e^u holds identically.  It is sampled as the two-function
+    solution of f = (bt_a/2) Phi/c - 1 and g = Psi/(c bt_a), whose sum is
+    -D/c.  Phi and Psi are cumulative Simpson sums over the nodes and
+    cell midpoints, so the field is fourth-order accurate; dividing by c
+    before the exponentials are taken keeps c itself from overflowing.
+    ``order`` must be "xy" or "yx"; both give the same field.
 
-    Raises OdeOverflowError, naming the first node in row-major order,
-    if D <= 0 there or u is not finite or exceeds ODE_CAP: the image
-    blows up on a line inside the domain.
+    Raises OdeOverflowError at the first node in row-major order where
+    D <= 0 if D changes sign on the grid, else where u is not finite.
     """
     if bt_a == 0 or not np.isfinite(bt_a):
         raise HyperbolicError(f"bt_a must be finite and nonzero, got {bt_a}")
@@ -236,16 +228,17 @@ def backlund(w: AxisPair, bt_a: float, u_corner: float, grid: Grid2D,
 
     (phi, _), (psi, _) = w.sample(_doubled(grid.x()), _doubled(grid.y()))
     log_c = 0.5 * (phi[0] - psi[0] - u_corner)
-    # d = D/c; an overflowing exponential or integral leaves d
-    # non-positive or u non-finite, which the test below reports
+    # an overflow turns up as a sign change of f + g or a u not finite
     with np.errstate(all="ignore"):
         Phi = _cumulative_simpson(np.exp(phi - log_c), grid.hx)
         Psi = _cumulative_simpson(np.exp(-psi - log_c), grid.hy)
-        d = 1.0 - 0.5 * bt_a * Phi - (Psi / bt_a)[:, None]
-        u = (u_corner + (phi[0::2] - phi[0]) - (psi[0::2] - psi[0])[:, None]
-             - 2.0 * np.log(d))
-        blown = ~(d > 0) | ~np.isfinite(u) | (u > ODE_CAP)
-    if blown.any():
-        j, i = divmod(int(np.argmax(blown)), grid.nx)
-        raise OdeOverflowError(i, j, float(grid.x()[i]), float(grid.y()[j]))
-    return ScalarField2D(grid, u)
+        ln_fp = np.log(abs(0.5 * bt_a)) + phi[0::2] - log_c
+        ln_gp = -psi[0::2] - log_c - np.log(abs(bt_a))
+    try:  # bt_a carries the signs of f' and g'
+        return _two_function(0.5 * bt_a * Phi - 1.0, ln_fp,
+                             np.full(grid.nx, bt_a), Psi / bt_a, ln_gp,
+                             np.full(grid.ny, bt_a), LiouvilleParams(1.0, 1.0),
+                             grid)
+    except (SingularNodeError, NonFiniteValueError) as err:
+        raise OdeOverflowError(err.i, err.j, float(grid.x()[err.i]),
+                               float(grid.y()[err.j])) from None

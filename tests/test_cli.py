@@ -1082,11 +1082,14 @@ class TestParserContract:
         (["action", "--fd-check", "1"], NAN_AND_INF, 0,
          {"value": None, "fd_rel_max": None}),
         # lambda + 0.02 rounds to lambda, so the first two branch points
-        # were equal, and their secant's 0/0 tangent warned at each step
+        # were equal, and their secant's 0/0 tangent warned at each step;
+        # then every step failed and the trace aborted (exit 2).  Such a
+        # start is now refused before the first Newton solve
         (["gelfand", "--n", "3", "--lam-start", "1e150", "--tol", "1e308",
-          "--out", "{tmp}/out.csv"], None, 2,
-         {"error": {"code": "elliptic.non_convergence", "message":
-                    "continuation aborted before the fold, after 2 points"}}),
+          "--out", "{tmp}/out.csv"], None, 1,
+         {"error": {"code": "elliptic.error", "message":
+                    "a first step of 0.02 does not move lambda from "
+                    "lam_start = 1e+150"}}),
         # an x range of infinite width sampled x at inf and NaN, which
         # were written as the x column
         (["blowup-curve", "--f", "0", "--g", "y", "--x-range", "-1", "inf",
@@ -1551,6 +1554,29 @@ class TestSolverCommands:
         assert summary_of(out)["u_max"] == pytest.approx(
             -2.0 * math.log(0.25), abs=1e-6)
 
+    def test_backlund_past_the_former_cap(self):
+        # u = 550 - 2 ln(1 - e^275 (x + y/2)) on a domain 1e-130 wide:
+        # finite, and no longer refused for exceeding 500
+        code, out, _ = invoke(["backlund", "--u-corner", "550", "--domain",
+                               "0", "0", "1e-130", "1e-130", "--nx", "9",
+                               "--ny", "9", "--out", os.devnull])
+        assert code == 0
+        doc = summary_of(out)
+        assert doc["u_min"] == 550.0
+        assert doc["u_max"] == pytest.approx(
+            550.0 - 2.0 * math.log1p(-1.5e-130 * math.exp(275.0)), abs=1e-12)
+
+    def test_exact_h_refuses_a_singular_line_between_nodes(self):
+        # x + y = 2.05 crosses [0.5, 1.5]^2 without meeting a node
+        code, out, err = invoke(["exact-h", "--f", "x", "--g", "y-2.05",
+                                 "--nx", "65", "--ny", "65"])
+        assert code == 1
+        assert out.count("\n") == 1
+        doc = summary_of(out)
+        assert doc["error"]["code"] == "closedform.singular_node"
+        assert "changes sign" in doc["error"]["message"]
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_backlund_overflow_prints_only_the_error(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1661,7 +1687,7 @@ class TestMemoryBounds:
          3.25),
         (["march", "--phi", "0", "--psi", "0", *_GRID, *_NULL,
           "--mask-out", os.devnull], 2.25),
-        (["backlund", "--w-phi", "x", "--w-psi", "y", *_GRID, *_NULL], 3.0),
+        (["backlund", "--w-phi", "x", "--w-psi", "y", *_GRID, *_NULL], 2.0),
         (["blowup-exact", *_GRID, *_NULL], 1.75),
         (["solve-elliptic", *_GRID, *_NULL], 19.0),
         # five GMRES iterations a step: the Krylov basis grows once

@@ -97,6 +97,43 @@ class TestHyperbolicExact:
         assert (err.value.i, err.value.j) == (4, 0)
         assert "(1.0, -1.0)" in str(err.value)
 
+    def test_singular_line_between_nodes(self):
+        # x + y = 2.05 crosses the grid but meets no node: f + g changes
+        # sign, and the first node of the corner's other sign is named
+        g = square(0.5, 1.5, 65)
+        X, Y = g.meshgrid()
+        s = (Y - 2.05) + X
+        assert not (s == 0).any()
+        j, i = np.argwhere(s > 0)[0]
+        with pytest.raises(SingularNodeError) as err:
+            hyperbolic_exact(pair("x", "y-2.05"), P11, g)
+        assert (err.value.i, err.value.j) == (i, j) == (64, 4)
+        assert str(err.value) == (
+            f"f(x) + g(y) changes sign, to {float(s[j, i])!r}, at node "
+            "(i=64, j=4), (x, y) = (1.5, 0.5625)")
+
+    def test_singular_line_one_ulp_past_the_corner(self):
+        # x + y = 3.0000000000000004 misses the (1.5, 1.5) corner by one
+        # ulp: f + g < 0 on the whole grid, and u is sampled
+        u = hyperbolic_exact(pair("x", "y-3.0000000000000004"), P11,
+                             square(0.5, 1.5, 65))
+        assert np.isfinite(u.values).all()
+        assert u.values.max() == u.values[64, 64] == pytest.approx(
+            math.log(2.0) - 2.0 * math.log(4.440892098500626e-16), abs=1e-12)
+
+    def test_singular_line_through_the_last_node(self):
+        with pytest.raises(SingularNodeError) as err:
+            hyperbolic_exact(pair("x", "y-3"), P11, square(0.5, 1.5, 65))
+        assert (err.value.i, err.value.j) == (64, 64)
+        assert str(err.value).startswith("f(x) + g(y) = 0 at node")
+
+    def test_nan_axis_is_left_to_the_finite_check(self):
+        # f = x + (e^(800x) - e^(800x)) is NaN along the whole x axis, so
+        # the axes' extremes of f + g are NaN; no node is 0 or of a sign
+        with pytest.raises(NonFiniteValueError, match="at 81 node"):
+            hyperbolic_exact(pair("x+(exp(800*x)-exp(800*x))", "y"), P11,
+                             square(1.0, 2.0, 9))
+
     def test_sign_error(self):
         with pytest.raises(SignError):
             hyperbolic_exact(pair("x", "-y"), P11,
@@ -460,6 +497,18 @@ class TestRowBlocks:
         assert errors == [(SingularNodeError,
                            "f(x) + g(y) = 0 at node (i=130, j=150), "
                            "(x, y) = (0.0, 0.0)")] * 4
+
+    def test_first_sign_change_in_a_later_block(self, per_block_height):
+        # f + g = x + y - 0.1 first turns positive at row 151, in the
+        # third block, without a zero; a*K*f'*g' < 0 everywhere, but the
+        # singular line still comes first
+        g = self.EXACT
+        s = (g.y()[151] - 0.1) + g.x()[129]
+        errors = per_block_height(lambda: raised(lambda: hyperbolic_exact(
+            pair("x", "y-0.1"), LiouvilleParams(-1.0, 1.0), g)))
+        assert errors == [(SingularNodeError,
+                           f"f(x) + g(y) changes sign, to {float(s)!r}, at "
+                           "node (i=129, j=151), (x, y) = (-0.125, 0.25)")] * 4
 
     def test_sign_error_reports_the_grid_minimum(self, per_block_height):
         # g' = cos(y) turns negative only from row 148, in the third block

@@ -965,6 +965,16 @@ class TestContinuation:
             with pytest.raises(EllipticError):
                 continue_branch(DiskGeometry(65), max_steps=max_steps)
 
+    def test_start_that_the_first_step_cannot_move(self):
+        # lam_start + min(ds, 0.02) rounds to lam_start: refused before
+        # any Newton solve, where the trace used to abort after two equal
+        # points (exit 2 on the CLI)
+        with pytest.raises(EllipticError) as err:
+            continue_branch(DiskGeometry(3), lam_start=1e150, ds=0.01,
+                            tol=1e308)
+        assert str(err.value) == ("a first step of 0.01 does not move lambda "
+                                  "from lam_start = 1e+150")
+
     @pytest.mark.filterwarnings("error")
     def test_corrector_overflow_is_silent(self):
         # e^1000 overflows: a non-finite residual, reported, not warned

@@ -416,6 +416,26 @@ class TestBacklund:
                      Grid2D.from_bounds(0.0, 0.0, 1.5, 1.0, 49, 33))
         assert (info.value.i, info.value.j) == (32, 0)
 
+    def test_corner_value_past_the_former_cap(self):
+        # u(x0, y0) = 550 on a domain 1e-130 wide: the image
+        # 550 - 2 ln(1 - e^275 (x + y/2)) is finite and was refused as
+        # exceeding 500
+        g = Grid2D.from_bounds(0.0, 0.0, 1e-130, 1e-130, 9, 9)
+        u = backlund(ZERO_WAVE, 2.0, 550.0, g)
+        X, Y = g.meshgrid()
+        assert u.values[0, 0] == 550.0
+        assert np.abs(u.values - (550.0 - 2.0 * np.log1p(
+            -np.exp(275.0) * (X + Y / 2.0)))).max() <= 1e-12
+
+    def test_non_finite_image_names_its_first_node(self):
+        # bt_a < 0 makes D grow: Phi = inf from x = 1/16 on keeps D > 0,
+        # but u = -inf there
+        with pytest.raises(OdeOverflowError) as info:
+            backlund(WaveSolution(parse("1e308*x*10", ("x",)),
+                                  parse("0", ("y",))), -2.0, 0.0,
+                     Grid2D.from_bounds(0.0, 0.0, 0.5, 0.5, 9, 9))
+        assert (info.value.i, info.value.j) == (1, 0)
+
     def test_extreme_corner_value_does_not_overflow(self):
         # u(x0, y0) = -2000 puts c = e^1000 past the float range; the
         # image is then u_corner + phi - psi to rounding
